@@ -31,7 +31,8 @@ import numpy as np
 
 from .families import CurveFamily, model_from_dict
 from .noarb import (XGrid, detect_affine, eta_field_from_model,
-                    reconstruct_from_eta, rn_residual, scc_probe, solve_drift)
+                    reconstruct_from_eta, scc_probe, solve_drift)
+from .qe import _reject_unknown
 from .sim import (FuturesSpec, PathSet, SdeSpec, estimate_vol, futures_price,
                   martingale_test, rn_drift, simulate)
 
@@ -40,12 +41,6 @@ OUTPUT_DIR_ENV = "FDCURVES_OUTPUT_DIR"
 
 class ScenarioError(ValueError):
     """The scenario file is malformed or misses a required field."""
-
-
-def _reject_unknown(data: dict, allowed: set, where: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown {where} keys: {sorted(unknown)}")
 
 
 @dataclass
@@ -119,10 +114,10 @@ class Scenario:
     def from_dict(cls, raw: dict) -> Scenario:
         if not isinstance(raw, dict):
             raise ScenarioError("scenario must be a JSON object")
-        _reject_unknown(raw, _SCENARIO_KEYS, "scenario")
-        if "model" not in raw:
-            raise ScenarioError("scenario is missing required key 'model'")
         try:
+            _reject_unknown(raw, _SCENARIO_KEYS, "scenario")
+            if "model" not in raw:
+                raise ScenarioError("scenario is missing required key 'model'")
             model = model_from_dict(raw["model"])
             grid = (XGrid.from_dict(raw["grid"]) if "grid" in raw
                     else XGrid.chebyshev())
@@ -201,6 +196,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _worst(values) -> float:
+    """Largest statistic, or the first non-finite one so that it fails the verdict."""
+    values = list(values)
+    return next((v for v in values if not np.isfinite(v)), max(values, default=0.0))
+
+
 def _require(scenario: Scenario, attr: str, what: str):
     value = getattr(scenario, attr)
     if value is None or (isinstance(value, list) and not value):
@@ -217,14 +218,13 @@ def cmd_check_drift(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
     sigma = _require(scenario, "sigma", "sigma")
     ys = _require(scenario, "y_samples", "y_samples")
     rows = []
-    worst = 0.0
     all_ranks_ok = True
     for idx, y in enumerate(ys):
         res = solve_drift(scenario.model, y, sigma, scenario.grid)
-        rms, rmax = rn_residual(scenario.model, y, sigma, res.b, scenario.grid)
-        rows.append([idx, "sigma", rms, rmax, res.rank_ok])
-        worst = max(worst, rms)
+        rows.append([idx, "sigma", res.residual_rms, res.residual_max,
+                     res.rank_ok])
         all_ranks_ok = all_ranks_ok and res.rank_ok
+    worst = _worst(row[2] for row in rows)
     csv_path = out_dir / "residuals.csv"
     _write_csv(csv_path, ["y_index", "sigma_label", "residual_rms",
                           "residual_max", "rank_ok"], rows)
@@ -242,17 +242,18 @@ def cmd_check_drift(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
 def cmd_scc_probe(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
     ys = _require(scenario, "y_samples", "y_samples")
     rows = []
-    worst = 0.0
+    residuals = []
     inconclusive = False
     reports = []
     for idx, y in enumerate(ys):
         rep = scc_probe(scenario.model, y, scenario.grid)
         reports.append(rep.to_dict())
         inconclusive = inconclusive or rep.inconclusive
-        worst = max(worst, rep.max_residual)
+        residuals.append(rep.max_residual)
         for label, res in rep.per_sigma.items():
             rows.append([idx, label, res.residual_rms, res.residual_max,
                          res.rank_ok])
+    worst = _worst(residuals)
     csv_path = out_dir / "residuals.csv"
     _write_csv(csv_path, ["y_index", "sigma_label", "residual_rms",
                           "residual_max", "rank_ok"], rows)
@@ -335,14 +336,13 @@ def cmd_martingale_test(scenario: Scenario, out_dir: Path) -> tuple[int, RunResu
     futures = _require(scenario, "futures", "futures")
     ps = _simulated_paths(scenario)
     rows = []
-    worst = 0.0
     numbers = {}
     for fs in futures:
         res = martingale_test(scenario.model, ps, fs)
         rows.append([fs.T1, fs.T2, res.drift_estimate, res.std_error,
                      res.z_score])
-        worst = max(worst, abs(res.z_score))
         numbers[f"z_T1={fs.T1:g}_T2={fs.T2:g}"] = res.z_score
+    worst = _worst(abs(row[4]) for row in rows)
     csv_path = out_dir / "martingale.csv"
     _write_csv(csv_path, ["T1", "T2", "drift_estimate", "std_error",
                           "z_score"], rows)

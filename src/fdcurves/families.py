@@ -26,13 +26,14 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .qe import QEFunction, qe_derivative, qe_eval
+from .qe import QEFunction, _reject_unknown, qe_derivative, qe_eval
 
 # Default finite-difference steps for cross-checks and closure-based
 # families: central first differences and second-difference stencils on
 # smooth closed-form functions. Overridable per call.
 FD_FIRST_STEP = 1e-6
 FD_SECOND_STEP = 1e-4
+_BASIS_CACHE_SIZE = 8  # drift grids an AffineModel keeps basis values for
 
 _SQRT2 = np.sqrt(2.0)
 _SQRT2PI = np.sqrt(2.0 * np.pi)
@@ -54,7 +55,8 @@ def norm_pdf(t):
 
 
 class FactorMap:
-    """Componentwise smooth map A(y) with analytic first and second derivatives."""
+    """Componentwise smooth map A(y) with analytic first and second derivatives;
+    ``value`` also maps a batch (n, d) row by row."""
 
     tag: str
     d: int
@@ -169,12 +171,6 @@ def factor_map_from_dict(data: dict, d: int) -> FactorMap:
     raise ValueError(f"unknown factor map tag: {tag!r}")
 
 
-def _reject_unknown(data: dict, allowed: set, what: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
-
-
 # ---------------------------------------------------------------------------
 # Curve families
 # ---------------------------------------------------------------------------
@@ -261,18 +257,20 @@ class AffineModel(CurveFamily):
         self._du = tuple(qe_derivative(f) for f in self.u)
         self._tables: dict[bytes, tuple] = {}  # grid -> cached basis values
 
-    # basis values depend on x only; cache per grid (single-writer dict
-    # insertion, safe under concurrent readers)
+    # derivative_tables' basis values depend on x only; cache the newest
+    # _BASIS_CACHE_SIZE grids, evicting the oldest first (single-writer
+    # dict insertion, safe under concurrent readers)
     def _basis(self, xs: np.ndarray):
         xs = np.ascontiguousarray(xs, dtype=float)
         key = xs.tobytes()
         hit = self._tables.get(key)
         if hit is None:
-            c_vals = self.c.eval_grid(xs)
             dc_vals = self._dc.eval_grid(xs)
             U = np.stack([f.eval_grid(xs) for f in self.u], axis=1)
             dU = np.stack([f.eval_grid(xs) for f in self._du], axis=1)
-            hit = (c_vals, dc_vals, U, dU)
+            hit = (dc_vals, U, dU)
+            if len(self._tables) >= _BASIS_CACHE_SIZE:
+                self._tables.pop(next(iter(self._tables)), None)
             self._tables[key] = hit
         return hit
 
@@ -295,16 +293,16 @@ class AffineModel(CurveFamily):
         return np.einsum("k,kij->ij", u_vals, self.factor_map.second_derivative(np.atleast_1d(y)))
 
     def curve_matrix(self, xs, Y):
+        # pricing grids shift with the valuation time: evaluate, never cache
         xs = np.asarray(xs, dtype=float)
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        c_vals, _, U, _ = self._basis(xs)
-        A = np.stack([self.factor_map.value(row) for row in Y], axis=0)
-        return c_vals[:, None] + U @ A.T
+        U = np.stack([f.eval_grid(xs) for f in self.u], axis=1)
+        A = self.factor_map.value(np.atleast_2d(np.asarray(Y, dtype=float)))
+        return self.c.eval_grid(xs)[:, None] + U @ A.T
 
     def derivative_tables(self, xs, y):
         xs = np.asarray(xs, dtype=float)
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        _, dc_vals, U, dU = self._basis(xs)
+        dc_vals, U, dU = self._basis(xs)
         a = self.factor_map.value(y)
         J = self.factor_map.jacobian(y)
         T = self.factor_map.second_derivative(y)
@@ -524,12 +522,15 @@ class HilbertNormResult:
         }
 
 
-def _simpson(vals: np.ndarray, h: float) -> float:
-    # composite Simpson on an odd number of uniformly spaced nodes
-    w = np.ones(vals.shape[0])
+def _simpson_weights(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if n % 2 == 0:
+        n += 1
+    xs = np.linspace(a, b, n)
+    w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return float(np.sum(w * vals) * h / 3.0)
+    w *= (b - a) / (n - 1) / 3.0
+    return xs, w
 
 
 def hilbert_norm(h: Callable[[float], float],
@@ -557,9 +558,8 @@ def hilbert_norm(h: Callable[[float], float],
         raise ValueError(f"x_max must be >= 10, got {x_max}")
     if n_nodes < 100:
         raise ValueError(f"n_nodes must be >= 100, got {n_nodes}")
-    if n_nodes % 2 == 0:
-        n_nodes += 1
-    xs = np.linspace(0.0, float(x_max), n_nodes)
+    xs, weights = _simpson_weights(0.0, float(x_max), n_nodes)
+    n_nodes = xs.shape[0]
     if h_prime is not None:
         dvals = np.asarray(h_prime(xs), dtype=float)
     else:
@@ -569,7 +569,7 @@ def hilbert_norm(h: Callable[[float], float],
         for k in range(1, n_nodes):
             dvals[k] = (h(xs[k] + step) - h(xs[k] - step)) / (2 * step)
     integrand = dvals**2 * (1.0 + xs) ** 1.5
-    value = float(h(0.0)) ** 2 + _simpson(integrand, xs[1] - xs[0])
+    value = float(h(0.0)) ** 2 + float(weights @ integrand)
 
     # Tail model: integrand = P(x) * (1+x)^(-3/2) with P approximately
     # linear in 1/(1+x) near the truncation point.

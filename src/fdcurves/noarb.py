@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .families import CurveFamily
+from .qe import _reject_unknown
 
 RANK_TOL = 1e-10         # relative singular-value cutoff for drift solves
 AFFINE_RANK_TOL = 1e-8   # relative singular-value cutoff for rank detection
@@ -83,14 +84,10 @@ class XGrid:
     @classmethod
     def from_dict(cls, data: dict) -> XGrid:
         if "nodes" in data:
-            extra = set(data) - {"nodes"}
-            if extra:
-                raise ValueError(f"unknown grid keys: {sorted(extra)}")
+            _reject_unknown(data, {"nodes"}, "grid")
             return cls(np.asarray(data["nodes"], dtype=float))
         kind = data.get("kind", "chebyshev")
-        extra = set(data) - {"kind", "n", "x_max"}
-        if extra:
-            raise ValueError(f"unknown grid keys: {sorted(extra)}")
+        _reject_unknown(data, {"kind", "n", "x_max"}, "grid")
         n = int(data.get("n", 40))
         x_max = float(data.get("x_max", 5.0))
         if kind == "chebyshev":
@@ -212,7 +209,7 @@ class SCCReport:
 
     @property
     def max_residual(self) -> float:
-        return max(self.hessian_identity_residual, self.x_identity_residual)
+        return float(np.max([self.hessian_identity_residual, self.x_identity_residual]))
 
     def to_dict(self) -> dict:
         return {

@@ -29,44 +29,55 @@ class MatrixExponentialOverflowError(ArithmeticError):
     """exp(M*x) left the representable double-precision range."""
 
 
+def _reject_unknown(data: dict, allowed: set, what: str) -> None:
+    unknown = set(data) - allowed
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out
 
 
-def mat_exp(matrix: np.ndarray, x: float) -> np.ndarray:
-    """Matrix exponential exp(matrix * x).
+def mat_exp(matrix: np.ndarray, x) -> np.ndarray:
+    """Matrix exponential exp(matrix * x), for one scale factor or a stack.
 
     Delegates to scipy's scaling-and-squaring Pade-13 implementation, which
     holds relative accuracy well below 1e-12 for ``||matrix * x|| <= 50``.
-    The result is checked entry by entry: an exponential that overflows the
-    double range raises instead of returning silent infinities.
+    A 1-d ``x`` goes to scipy as one (K, n, n) stack whose slices equal the
+    scalar calls bit for bit. An exponential that overflows the double
+    range raises instead of returning silent infinities.
 
     Parameters
     ----------
     matrix : (n, n) array_like
         Real square matrix.
-    x : float
-        Scale factor (typically a time-to-maturity).
+    x : float or (K,) array_like
+        Scale factor(s) (typically times-to-maturity).
 
     Returns
     -------
-    (n, n) ndarray
+    (n, n) ndarray for a scalar ``x``, (K, n, n) ndarray for a 1-d ``x``
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
-    if not np.isfinite(x):
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise ValueError(f"scale factors must be a scalar or 1-d, got shape {xs.shape}")
+    if not np.isfinite(xs).all():
         raise ValueError(f"scale factor must be finite, got {x!r}")
+    scaled = m * x if xs.ndim == 0 else m[None] * xs[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        result = expm(m * x)
+        result = expm(scaled)
     if not np.isfinite(result).all():
         raise MatrixExponentialOverflowError(
             f"exp(M*x) overflowed for ||M*x||_inf = "
-            f"{np.abs(m * x).sum(axis=1).max():.3g}"
+            f"{np.abs(scaled).sum(axis=-1).max():.3g}"
         )
     return result
 
@@ -117,13 +128,15 @@ class QEFunction:
         return qe_eval(self, x)
 
     def eval_grid(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate on an array of points x >= 0."""
+        """Evaluate on an array of points x >= 0 (shape kept) with one stacked
+        matrix exponential; each value equals :func:`qe_eval` bit for bit."""
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
-        out = np.empty(flat.shape)
-        for i, x in enumerate(flat):
-            out[i] = qe_eval(self, x)
-        return out.reshape(xs.shape)
+        if np.any(flat < 0):
+            raise ValueError(f"time-to-maturity must be >= 0, got {flat[flat < 0][0]}")
+        states = mat_exp(self.A, flat) @ self.b
+        # row-wise readout sums like qe_eval's c @ state; (K, n) @ (n,) may not
+        return np.matmul(states[:, None, :], self.c).reshape(xs.shape)
 
     # -- constructors -------------------------------------------------
 
@@ -216,10 +229,7 @@ class QEFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> QEFunction:
-        expected = {"n", "A", "b", "c"}
-        unknown = set(data) - expected
-        if unknown:
-            raise ValueError(f"unknown QEFunction keys: {sorted(unknown)}")
+        _reject_unknown(data, {"n", "A", "b", "c"}, "QEFunction")
         f = cls(A=np.asarray(data["A"], dtype=float),
                 b=np.asarray(data["b"], dtype=float),
                 c=np.asarray(data["c"], dtype=float))

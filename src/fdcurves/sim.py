@@ -29,8 +29,9 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from .families import AffineModel, CurveFamily
+from .families import AffineModel, CurveFamily, _simpson_weights
 from .noarb import DriftSolveResult, solve_drift
+from .qe import _reject_unknown
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes
 DEFAULT_N_QUAD = 129  # Simpson nodes per delivery window; 65 misses 1e-10 on slow decays
@@ -44,8 +45,8 @@ class SimulationError(RuntimeError):
 class SdeSpec:
     """Factor dynamics dY = drift(Y) dt + sigma dW started at y0.
 
-    ``drift`` maps a single state (d,) to (d,); it may additionally accept
-    a batch (n, d) -> (n, d), which the simulator detects and exploits.
+    ``drift`` maps a state (d,) to (d,). One that also maps a batch (n, d),
+    as :class:`LatticeDrift` does, is detected and called once per step.
     """
 
     d: int
@@ -70,9 +71,9 @@ class SdeSpec:
 class PathSet:
     """Simulated factor paths on a uniform time grid.
 
-    ``paths`` has shape (n_paths, n_times, d) with ``paths[:, 0] == y0``.
-    Identical (spec, dt, T, n_paths, seed) reproduce the same array bit for
-    bit; the seed is carried along for provenance.
+    ``paths`` has shape (n_paths, n_times, d), n_times >= 2, with
+    ``paths[:, 0] == y0``. Identical (spec, dt, T, n_paths, seed) reproduce
+    the same array bit for bit; the seed is carried along for provenance.
     """
 
     times: np.ndarray
@@ -85,6 +86,9 @@ class PathSet:
         if times.ndim != 1 or paths.ndim != 3 or paths.shape[1] != times.shape[0]:
             raise ValueError("times (n_times,) and paths (n_paths, n_times, d) "
                              "must be consistent")
+        if times.shape[0] < 2:
+            raise ValueError(
+                f"a path set needs at least 2 times, got n_times={times.shape[0]}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "paths", paths)
 
@@ -164,9 +168,7 @@ class FuturesSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> FuturesSpec:
-        extra = set(data) - {"T1", "T2"}
-        if extra:
-            raise ValueError(f"unknown futures keys: {sorted(extra)}")
+        _reject_unknown(data, {"T1", "T2"}, "futures")
         return cls(T1=float(data["T1"]), T2=float(data["T2"]))
 
 
@@ -249,26 +251,13 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
 # ---------------------------------------------------------------------------
 
 
-def _simpson_weights(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n % 2 == 0:
-        n += 1
-    xs = np.linspace(a, b, n)
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (b - a) / (n - 1) / 3.0
-    return xs, w
-
-
 def futures_price(model: CurveFamily, y: np.ndarray, t: float,
                   fs: FuturesSpec, n_quad: int = DEFAULT_N_QUAD) -> float:
     """Delivery-period price 1/(T2-T1) * int_T1^T2 g(u - t, y) du at time t."""
     if t > fs.T1:
         raise ValueError(f"contract in delivery: t={t} > T1={fs.T1}")
-    us, w = _simpson_weights(fs.T1, fs.T2, n_quad)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    vals = model.curve(y, us - t)
-    return float(w @ vals) / (fs.T2 - fs.T1)
+    return float(_futures_prices_batch(model, y[None, :], t, fs, n_quad)[0])
 
 
 def _futures_prices_batch(model: CurveFamily, Y: np.ndarray, t: float,
@@ -453,9 +442,11 @@ class LatticeDrift:
     """y -> b(y) backed by drift solves on a lattice, with interpolation.
 
     Drifts are solved on demand at lattice points (spacing ``h`` per
-    coordinate) and combined multilinearly. The cache is a plain dict with
-    single-writer insertion, safe for concurrent readers; values never
-    change once inserted, so results do not depend on query order.
+    coordinate) and combined multilinearly for a state (d,) or all rows of
+    a batch (n, d) at once; corners of weight zero are never solved. The
+    cache is a plain dict with single-writer insertion, safe for concurrent
+    readers; values never change once inserted, so results do not depend
+    on query order or batching.
     """
 
     def __init__(self, model: CurveFamily, sigma: np.ndarray, grid,
@@ -474,26 +465,28 @@ class LatticeDrift:
             self._cache[key] = b
         return b
 
-    def _single(self, y: np.ndarray) -> np.ndarray:
-        base = np.floor(y / self.h).astype(int)
-        frac = y / self.h - base
-        d = y.shape[0]
-        out = np.zeros(d)
-        for corner in range(1 << d):
-            bits = [(corner >> i) & 1 for i in range(d)]
-            weight = 1.0
-            for i, bit in enumerate(bits):
-                weight *= frac[i] if bit else (1.0 - frac[i])
-            if weight == 0.0:
-                continue
-            out += weight * self._node(tuple(base + np.array(bits)))
-        return out
-
     def __call__(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        if y.ndim == 1:
-            return self._single(y)
-        return np.stack([self._single(row) for row in y])
+        rows = np.atleast_2d(y)
+        n, d = rows.shape
+        base = np.floor(rows / self.h).astype(int)
+        frac = rows / self.h - base
+        bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1  # corner, axis
+        factors = np.where(bits[:, None, :], frac, 1.0 - frac)  # corner, row, axis
+        weights = factors[:, :, 0]
+        for i in range(1, d):
+            weights = weights * factors[:, :, i]
+        live = weights != 0.0
+        distinct, where = np.unique((base + bits[:, None, :])[live], axis=0,
+                                    return_inverse=True)
+        table = np.array([self._node(tuple(k)) for k in distinct.tolist()])
+        nodes = np.zeros((1 << d, n, d))
+        nodes[live] = table.reshape(-1, d)[where.reshape(-1)]
+        out = np.zeros((n, d))
+        for corner in range(1 << d):
+            rows_in = live[corner]
+            out[rows_in] += weights[corner, rows_in, None] * nodes[corner, rows_in]
+        return out[0] if y.ndim == 1 else out
 
 
 def rn_drift(model: CurveFamily, sigma: np.ndarray, grid,

@@ -1,12 +1,17 @@
 """Scenario parsing, subcommand dispatch, exit codes, CSV determinism."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fdcurves import cli
 from fdcurves.cli import Scenario, ScenarioError, load_scenario, main
 from fdcurves.sim import PathSet
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def affine_scenario(out_dir, **extra):
@@ -263,3 +268,53 @@ def test_run_result_repeats_summary_numbers(tmp_path, capsys):
     assert "max_abs_z" in result["numbers"]
     assert result["verdicts"]["martingale_ok"] is True
     assert result["wall_time_s"] > 0
+
+
+# -- non-finite statistics fail closed ---------------------------------------------------
+
+
+def test_check_drift_nan_residual_fails(tmp_path, capsys, monkeypatch):
+    real = cli.solve_drift
+
+    def nan_residual(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), residual_rms=float("nan"))
+
+    monkeypatch.setattr(cli, "solve_drift", nan_residual)
+    scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
+    assert main(["check-drift", "--scenario", scenario]) == 1
+    assert "DRIFT-VIOLATION (residual=nan)" in capsys.readouterr().out
+
+
+def test_scc_probe_nan_residual_fails(tmp_path, capsys, monkeypatch):
+    real = cli.scc_probe
+
+    def nan_residual(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs),
+                                   x_identity_residual=float("nan"))
+
+    monkeypatch.setattr(cli, "scc_probe", nan_residual)
+    scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
+    assert main(["scc-probe", "--scenario", scenario]) == 1
+    assert "SCC-VIOLATION (residual=nan)" in capsys.readouterr().out
+
+
+def test_martingale_nan_z_fails(tmp_path, capsys, monkeypatch):
+    real = cli.martingale_test
+
+    def nan_z(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), z_score=float("nan"))
+
+    monkeypatch.setattr(cli, "martingale_test", nan_z)
+    scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
+    assert main(["martingale-test", "--scenario", scenario]) == 1
+    assert "MARTINGALE-VIOLATION (|z|=nan)" in capsys.readouterr().out
+
+
+def test_check_drift_residuals_csv_bytes_on_shipped_scenario(tmp_path):
+    out = tmp_path / "out"
+    assert main(["check-drift", "--scenario", str(SCENARIOS / "affine_demo.json"),
+                 "--output-dir", str(out)]) == 0
+    assert (out / "residuals.csv").read_bytes() == (
+        b"y_index,sigma_label,residual_rms,residual_max,rank_ok\n"
+        b"0,sigma,5.905660280557052e-17,1.1102230246251565e-16,True\n"
+        b"1,sigma,1.1811320561114105e-16,2.220446049250313e-16,True\n")

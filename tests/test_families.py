@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fdcurves.families import (AffineModel, ComponentwiseCubicMap,
+from fdcurves.families import (_BASIS_CACHE_SIZE, AffineModel, ComponentwiseCubicMap,
                                ExpMinusOneMap, GaussianExampleModel,
                                IdentityMap, NumericCurveFamily,
                                builtin_models, check_c12, curve_hilbert_norm,
                                eval_curve, hilbert_norm, model_from_dict,
                                norm_pdf)
+from fdcurves.noarb import XGrid, solve_drift
 from fdcurves.qe import QEFunction
+from fdcurves.sim import FuturesSpec, SdeSpec, martingale_test, simulate
 
 
 def erf_series(z):
@@ -253,3 +255,37 @@ def test_builtin_zoo_contains_all_documented_models():
     }
     for name, m in zoo.items():
         assert m.derivative_mode == "analytic", name
+
+
+# -- basis cache -----------------------------------------------------------------------
+
+
+def test_basis_cache_is_bounded():
+    m = builtin_models()["affine2-identity"]
+    for k in range(3 * _BASIS_CACHE_SIZE):
+        m.derivative_tables(np.linspace(0.0, 1.0 + 0.1 * k, 9), [0.2, -0.1])
+        assert len(m._tables) <= _BASIS_CACHE_SIZE
+    assert len(m._tables) == _BASIS_CACHE_SIZE
+
+
+def test_basis_cache_evicts_oldest_grid_first():
+    m = simple_affine()
+    grids = [np.linspace(0.0, 1.0 + k, 5) for k in range(_BASIS_CACHE_SIZE + 1)]
+    for xs in grids:
+        m.derivative_tables(xs, [0.3])
+    assert grids[0].tobytes() not in m._tables
+    assert all(xs.tobytes() in m._tables for xs in grids[1:])
+
+
+def test_pricing_leaves_basis_cache_unchanged():
+    m = builtin_models()["affine2-identity"]
+    grid = XGrid.chebyshev()
+    solve_drift(m, [0.1, 0.2], np.eye(2), grid)
+    before = dict(m._tables)
+    spec = SdeSpec(d=2, drift=lambda y: 0.0 * y, sigma=0.3 * np.eye(2),
+                   y0=[0.1, 0.2])
+    ps = simulate(spec, 0.005, 0.5, 20, seed=3)
+    assert ps.n_times == 101
+    martingale_test(m, ps, FuturesSpec(1.0, 2.0))
+    m.curve_matrix(np.linspace(0.0, 2.0, 17), ps.paths[:, -1])
+    assert m._tables.keys() == before.keys()

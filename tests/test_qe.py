@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 
+from fdcurves.families import builtin_models
 from fdcurves.qe import (MatrixExponentialOverflowError, QEFunction,
                          fit_linear_ode, mat_exp, qe_derivative, qe_eval,
                          qe_integral)
@@ -80,6 +82,37 @@ def test_mat_exp_rejects_non_finite_input():
         mat_exp([[1.0]], np.inf)
 
 
+def test_mat_exp_stack_equals_scalar_calls_bitwise():
+    rng = np.random.default_rng(11)
+    M = rng.uniform(-1.5, 1.5, size=(3, 3))
+    xs = np.array([0.0, 0.25, 1.0, 2.5])
+    stack = mat_exp(M, xs)
+    assert stack.shape == (4, 3, 3)
+    for k, x in enumerate(xs):
+        assert np.array_equal(stack[k], mat_exp(M, x))
+
+
+def test_mat_exp_scalar_result_unchanged():
+    M = np.array([[0.0, -1.0], [1.0, -0.5]])
+    out = mat_exp(M, 0.7)
+    assert out.shape == (2, 2)
+    assert np.array_equal(out, expm(M * 0.7))
+
+
+def test_mat_exp_stack_overflow_raises():
+    with pytest.raises(MatrixExponentialOverflowError):
+        mat_exp([[1.0]], np.array([1.0, 1000.0]))
+    with pytest.raises(MatrixExponentialOverflowError):
+        mat_exp(COS_TRIPLE.A + np.eye(2), np.array([0.5, 1000.0]))
+
+
+def test_mat_exp_stack_rejects_non_finite_and_high_rank_factors():
+    with pytest.raises(ValueError):
+        mat_exp([[1.0]], np.array([0.5, np.nan]))
+    with pytest.raises(ValueError):
+        mat_exp([[1.0]], np.ones((2, 2)))
+
+
 # -- qe_eval ----------------------------------------------------------------
 
 
@@ -104,6 +137,46 @@ def test_eval_cosine_at_pi_third():
 def test_eval_rejects_negative_maturity():
     with pytest.raises(ValueError):
         qe_eval(COS_TRIPLE, -0.1)
+
+
+# -- eval_grid ----------------------------------------------------------------
+
+OSCILLATOR_LOADINGS = builtin_models()["affine2-oscillator"].u
+
+
+@pytest.mark.parametrize("f", [
+    QEFunction.constant(2.5),
+    QEFunction.exponential(-1.3, 0.7),
+    COS_TRIPLE,
+    *OSCILLATOR_LOADINGS,
+    QEFunction.from_poly_trig([(-0.5, 1.0, [1.0, 0.3], [0.2, -1.0]),
+                               (-1.0, 0.0, [1.0, 2.0, 3.0], [])]),
+], ids=["constant", "exponential", "cos-triple", "oscillator-cos",
+        "oscillator-sin", "poly-trig-8-state"])
+def test_eval_grid_matches_pointwise_eval_bitwise(f):
+    xs = np.concatenate([[0.0], np.linspace(0.05, 6.0, 129)])
+    got = f.eval_grid(xs)
+    assert np.array_equal(got, [qe_eval(f, x) for x in xs])
+
+
+def test_eval_grid_zero_empty_and_shape():
+    assert COS_TRIPLE.eval_grid(np.array([0.0]))[0] == 1.0
+    empty = COS_TRIPLE.eval_grid(np.array([]))
+    assert empty.shape == (0,)
+    xs = np.array([[0.0, 0.5, 1.0], [1.5, 2.0, 2.5]])
+    got = COS_TRIPLE.eval_grid(xs)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got.ravel(), [qe_eval(COS_TRIPLE, x) for x in xs.ravel()])
+
+
+def test_eval_grid_rejects_negative_maturity():
+    with pytest.raises(ValueError, match=">= 0"):
+        COS_TRIPLE.eval_grid(np.array([0.5, -0.1, 1.0]))
+
+
+def test_eval_grid_overflow_raises():
+    with pytest.raises(MatrixExponentialOverflowError):
+        QEFunction.exponential(1.0).eval_grid(np.array([1.0, 1000.0]))
 
 
 # -- qe_derivative -----------------------------------------------------------

@@ -1,18 +1,23 @@
 """Simulation, futures pricing, martingale and volatility statistics."""
 
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fdcurves.families import (AffineModel, GaussianExampleModel, IdentityMap,
-                               builtin_models)
+                               builtin_models, model_from_dict)
 from fdcurves.noarb import XGrid
 from fdcurves.qe import QEFunction, qe_integral
-from fdcurves.sim import (FuturesSpec, PathSet, SccLoopReport, SdeSpec,
+from fdcurves.sim import (PATHSET_MAGIC, FuturesSpec, PathSet, SccLoopReport, SdeSpec,
                           SimulationError, corollary_split, estimate_vol,
                           futures_price, martingale_test, nearest_psd_factor,
                           rn_drift, scc_loop, simulate)
 
 GRID = XGrid.chebyshev()
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 FS12 = FuturesSpec(1.0, 2.0)
 
 
@@ -117,6 +122,14 @@ def test_pathset_rejects_foreign_files(tmp_path):
     target = tmp_path / "junk.bin"
     target.write_bytes(b"not a pathset" * 3)
     with pytest.raises(ValueError, match="magic"):
+        PathSet.load(target)
+
+
+def test_pathset_load_rejects_single_time(tmp_path):
+    target = tmp_path / "one_time.bin"
+    header = PATHSET_MAGIC + struct.pack("<QQQddQ", 3, 1, 1, 0.1, 0.0, 5)
+    target.write_bytes(header + np.zeros(3, dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="n_times=1"):
         PathSet.load(target)
 
 
@@ -300,6 +313,38 @@ def test_lattice_drift_batch_queries():
     out = drift(Y)
     assert out.shape == (3, 1)
     assert np.allclose(out[:, 0], -Y[:, 0], atol=1e-10)
+
+
+def scalar_lattice_drift(drift, y):
+    """Reference: one state at a time, corner by corner, zero weights skipped."""
+    base = np.floor(y / drift.h).astype(int)
+    frac = y / drift.h - base
+    out = np.zeros(y.shape[0])
+    for corner in range(1 << y.shape[0]):
+        bits = [(corner >> i) & 1 for i in range(y.shape[0])]
+        weight = 1.0
+        for i, bit in enumerate(bits):
+            weight *= frac[i] if bit else (1.0 - frac[i])
+        if weight != 0.0:
+            out += weight * drift._node(tuple(base + np.array(bits)))
+    return out
+
+
+def test_lattice_drift_batch_equals_row_calls_bitwise():
+    scenario = json.loads((SCENARIOS / "custom_affine.json").read_text())
+    model = model_from_dict(scenario["model"])
+    sigma = [[0.5, 0.0], [0.45, 0.2]]
+    rows = np.random.default_rng(5).uniform(-0.6, 0.6, (50, 2))
+    rows[:4] = [[0.1, 0.05], [0.0, 0.0], [-0.2, 0.33], [0.25, -0.15]]  # on lattice lines
+    batched = rn_drift(model, sigma, GRID)
+    per_row = rn_drift(model, sigma, GRID)
+    reference = rn_drift(model, sigma, GRID)
+    out = batched(rows)
+    assert out.shape == (50, 2)
+    assert np.array_equal(out, np.stack([per_row(y) for y in rows]))
+    assert np.array_equal(out, np.stack([scalar_lattice_drift(reference, y) for y in rows]))
+    assert set(batched._cache) == set(per_row._cache) == set(reference._cache)
+    assert len(batched._cache) == len(per_row._cache)
 
 
 def test_scc_loop_accepts_affine_data():

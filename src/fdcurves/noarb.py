@@ -117,16 +117,24 @@ class DriftSolveResult:
         }
 
 
-def _diffusion_weights(sigma: np.ndarray) -> np.ndarray:
-    # Index pattern sigma[i,j]*sigma[j,i]: elementwise product with the
-    # transpose, NOT the Gram matrix sigma @ sigma.T. The eta/gamma
-    # extraction formulas in scc_probe assume exactly this weighting; it
-    # coincides with the Gram matrix whenever sigma is diagonal.
-    return sigma * sigma.T
 
 
 def _grid_nodes(grid) -> np.ndarray:
     return np.asarray(getattr(grid, "nodes", grid), dtype=float)
+
+
+def _trace_term(sigma: np.ndarray, hesses: np.ndarray) -> np.ndarray:
+    # Index pattern sigma[i,j]*sigma[j,i]: elementwise product with the
+    # transpose, NOT the Gram matrix sigma @ sigma.T. The eta/gamma
+    # extraction formulas in scc_probe assume exactly this weighting; it
+    # coincides with the Gram matrix whenever sigma is diagonal.
+    return 0.5 * np.einsum("ij,kij->k", sigma * sigma.T, hesses)
+
+
+def _residual_stats(dxg: np.ndarray, grads: np.ndarray, trace_term: np.ndarray,
+                    b: np.ndarray) -> tuple[float, float]:
+    r = dxg - grads @ b - trace_term
+    return float(np.sqrt(np.mean(r**2))), float(np.max(np.abs(r)))
 
 
 def rn_residual(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
@@ -137,10 +145,24 @@ def rn_residual(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     dxg, grads, hesses = model.derivative_tables(xs, y)
-    weights = _diffusion_weights(sigma)
-    trace_term = 0.5 * np.einsum("ij,kij->k", weights, hesses)
-    r = dxg - grads @ b - trace_term
-    return float(np.sqrt(np.mean(r**2))), float(np.max(np.abs(r)))
+    return _residual_stats(dxg, grads, _trace_term(sigma, hesses), b)
+
+
+def _solve_drifts(tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  sigmas: np.ndarray, y: np.ndarray,
+                  rank_tol: float) -> list[DriftSolveResult]:
+    # Every diffusion matrix shares the design matrix grad_y g, so one SVD
+    # least-squares call with one target column per matrix solves them all.
+    dxg, grads, hesses = tables
+    if not np.any(grads):
+        raise DegenerateFamilyError(f"degenerate family at y={y.tolist()}")
+    traces = [_trace_term(sigma, hesses) for sigma in sigmas]
+    target = np.stack([dxg - t for t in traces], axis=1)
+    B, _, rank, sv = np.linalg.lstsq(grads, target, rcond=rank_tol)
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    rank_ok = bool(rank == grads.shape[1])
+    return [DriftSolveResult(b, *_residual_stats(dxg, grads, t, b), cond, rank_ok)
+            for b, t in zip(B.T.copy(), traces)]
 
 
 def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
@@ -150,9 +172,10 @@ def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     Builds one equation per grid node (design row grad_y g, target
     dx g minus the diffusion trace term) and solves by SVD with
     minimal-norm fallback. ``rank_ok`` is False when the design matrix has
-    numerical rank below d at the relative cutoff ``rank_tol``; the
-    reported residuals are recomputed through :func:`rn_residual`, so
-    solver and checker always agree.
+    numerical rank below d at the relative cutoff ``rank_tol``. The
+    reported residuals come from the same residual helper that
+    :func:`rn_residual` uses, in the same arithmetic order, so solver and
+    checker always agree.
     """
     xs = _grid_nodes(grid)
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -160,16 +183,7 @@ def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     d = model.d
     if xs.shape[0] < d:
         raise ValueError(f"grid has {xs.shape[0]} nodes, need at least d={d}")
-    dxg, grads, hesses = model.derivative_tables(xs, y)
-    if not np.any(grads):
-        raise DegenerateFamilyError(f"degenerate family at y={y.tolist()}")
-    weights = _diffusion_weights(sigma)
-    target = dxg - 0.5 * np.einsum("ij,kij->k", weights, hesses)
-    b, _, rank, sv = np.linalg.lstsq(grads, target, rcond=rank_tol)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    rms, rmax = rn_residual(model, y, sigma, b, grid)
-    return DriftSolveResult(b=b, residual_rms=rms, residual_max=rmax,
-                            condition_number=cond, rank_ok=bool(rank == d))
+    return _solve_drifts(model.derivative_tables(xs, y), sigma[None], y, rank_tol)[0]
 
 
 def sigma_sweep(d: int) -> list[tuple[str, np.ndarray]]:
@@ -196,8 +210,11 @@ class SCCReport:
     ``eta[i, j]`` (shape (d, d, d), symmetric in the first two indices) and
     ``gamma`` are the drift-comparison fields; the two residuals measure
     how badly the Hessian identity and the x identity fail on the grid.
-    ``inconclusive`` is set when any drift solve in the sweep was rank
-    deficient.
+    ``inconclusive`` is set when the sweep's drift solves are rank
+    deficient. Every solve in the sweep shares one design matrix,
+    grad_y g on the grid, so rank deficiency is a property of the state y,
+    not of a diffusion matrix: either every ``per_sigma`` entry has
+    ``rank_ok`` or none has.
     """
 
     eta: np.ndarray
@@ -243,9 +260,9 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid,
     if xs.shape[0] < 2 * d + 2:
         raise ValueError(
             f"probe grid has {xs.shape[0]} nodes, need at least {2 * d + 2}")
-    per_sigma: dict[str, DriftSolveResult] = {}
-    for label, mat in sigma_sweep(d):
-        per_sigma[label] = solve_drift(model, y, mat, grid, rank_tol=rank_tol)
+    labels, mats = zip(*sigma_sweep(d))
+    tables = model.derivative_tables(xs, y)
+    per_sigma = dict(zip(labels, _solve_drifts(tables, np.stack(mats), y, rank_tol)))
     b_id = per_sigma["I"].b
     eta = np.empty((d, d, d))
     for i in range(d):
@@ -256,7 +273,7 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid,
             eta[j, i] = eta_ij
     gamma = (4.0 * b_id - per_sigma["2I"].b) / 3.0
 
-    dxg, grads, hesses = model.derivative_tables(xs, y)
+    dxg, grads, hesses = tables
     hess_res = float(np.max(np.abs(hesses - np.einsum("km,ijm->kij", grads, eta))))
     x_res = float(np.max(np.abs(dxg - grads @ gamma)))
     return SCCReport(
@@ -311,9 +328,8 @@ def detect_affine(model: CurveFamily, y_samples: Sequence[np.ndarray],
     if xs.shape[0] < 2 * Y.shape[0]:
         raise ValueError(
             f"grid has {xs.shape[0]} nodes, need at least {2 * Y.shape[0]}")
-    curves = model.curve_matrix(xs, Y)
-    base_curve = model.curve_matrix(xs, base[None, :])[:, 0]
-    diff = curves - base_curve[:, None]
+    curves = model.curve_matrix(xs, np.vstack([base[None, :], Y]))
+    diff = curves[:, 1:] - curves[:, :1]
     sv = np.linalg.svd(diff, compute_uv=False)
     if sv[0] == 0.0:
         return AffineDetection(rank=0, singular_values=sv, degenerate=True)
@@ -335,7 +351,10 @@ def reconstruct_from_eta(eta_field: Callable[[np.ndarray], np.ndarray],
         d/dt h(t y) = grad h(t y) . y.
 
     Classical fourth-order Runge-Kutta integrates it over t in [0, 1];
-    the global error decays like n_steps^-4.
+    the global error decays like n_steps^-4. M is probed once per distinct
+    time point: the two midpoint stages share one probe and each step's
+    endpoint is the next step's start, so ``eta_field`` runs 2 * n_steps + 1
+    times, each just before the stage that first needs it.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     grad0 = np.atleast_1d(np.asarray(grad0, dtype=float))
@@ -343,28 +362,28 @@ def reconstruct_from_eta(eta_field: Callable[[np.ndarray], np.ndarray],
     if n_steps < 100:
         raise ValueError(f"n_steps must be >= 100, got {n_steps}")
 
-    def rhs(t: float) -> Callable[[np.ndarray], np.ndarray]:
-        eta = np.asarray(eta_field(t * y), dtype=float)
-        M = np.einsum("j,ijk->ik", y, eta)
+    def ode_matrix(t: float) -> np.ndarray:
+        return np.einsum("j,ijk->ik", y, np.asarray(eta_field(t * y), dtype=float))
 
-        def f(state: np.ndarray) -> np.ndarray:
-            p = state[1:]
-            out = np.empty(d + 1)
-            out[0] = p @ y
-            out[1:] = M @ p
-            return out
-
-        return f
+    def f(M: np.ndarray, state: np.ndarray) -> np.ndarray:
+        p = state[1:]
+        out = np.empty(d + 1)
+        out[0] = p @ y
+        out[1:] = M @ p
+        return out
 
     state = np.concatenate(([float(g0)], grad0))
     h_step = 1.0 / n_steps
     with np.errstate(over="ignore", invalid="ignore"):
+        M_start = ode_matrix(0.0)
         for k in range(n_steps):
             t = k * h_step
-            f1 = rhs(t)(state)
-            f2 = rhs(t + 0.5 * h_step)(state + 0.5 * h_step * f1)
-            f3 = rhs(t + 0.5 * h_step)(state + 0.5 * h_step * f2)
-            f4 = rhs(t + h_step)(state + h_step * f3)
+            f1 = f(M_start, state)
+            M_mid = ode_matrix(t + 0.5 * h_step)
+            f2 = f(M_mid, state + 0.5 * h_step * f1)
+            f3 = f(M_mid, state + 0.5 * h_step * f2)
+            M_start = ode_matrix((k + 1) * h_step)
+            f4 = f(M_start, state + h_step * f3)
             state = state + (h_step / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
             if not np.isfinite(state).all():
                 raise ArithmeticError(

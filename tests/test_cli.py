@@ -318,3 +318,12 @@ def test_check_drift_residuals_csv_bytes_on_shipped_scenario(tmp_path):
         b"y_index,sigma_label,residual_rms,residual_max,rank_ok\n"
         b"0,sigma,5.905660280557052e-17,1.1102230246251565e-16,True\n"
         b"1,sigma,1.1811320561114105e-16,2.220446049250313e-16,True\n")
+
+
+def test_detect_affine_readme_line_on_shipped_scenario(tmp_path, monkeypatch, capsys):
+    # README: fdcurves detect-affine --scenario scenarios/custom_affine.json
+    monkeypatch.chdir(tmp_path)
+    assert main(["detect-affine", "--scenario",
+                 str(SCENARIOS / "custom_affine.json")]) == 0
+    assert "rank=2" in capsys.readouterr().out
+    assert (tmp_path / "out" / "custom_affine" / "singular_values.csv").exists()

@@ -1,11 +1,15 @@
 """Drift condition, consistency probe, affine detection, reconstruction."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fdcurves.families import (AffineModel, GaussianExampleModel, IdentityMap,
-                               builtin_models)
-from fdcurves.noarb import (DegenerateFamilyError, XGrid, detect_affine,
+                               builtin_models, model_from_dict)
+from fdcurves.noarb import (AFFINE_RANK_TOL, RANK_TOL, DegenerateFamilyError,
+                            XGrid, detect_affine,
                             eta_field_from_model, reconstruct_from_eta,
                             rn_residual, scc_probe, sigma_sweep, solve_drift)
 from fdcurves.qe import QEFunction
@@ -204,6 +208,8 @@ def test_scc_probe_marks_rank_deficient_sweeps_inconclusive():
                     factor_map=IdentityMap(2))
     rep = scc_probe(m, [0.5, 0.5], GRID)
     assert rep.inconclusive
+    # the sweep shares one design matrix, so every solve is rank deficient
+    assert not any(r.rank_ok for r in rep.per_sigma.values())
 
 
 def test_scc_probe_needs_wide_grid():
@@ -311,3 +317,174 @@ def test_reconstruct_raises_on_blowup():
     with pytest.raises(ArithmeticError, match="t="):
         reconstruct_from_eta(lambda y: np.full((1, 1, 1), 1e308), 0.0, [1.0],
                              [1.0], 100)
+
+
+# -- batched probe against the per-sigma reference --------------------------------
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def custom_scenario_model():
+    raw = json.loads((SCENARIOS / "custom_affine.json").read_text())
+    return model_from_dict(raw["model"])
+
+
+def probe_cases():
+    """(name, model, grid) over the builtin zoo and the shipped custom model."""
+    cases = [(name, m, GRID3 if isinstance(m, GaussianExampleModel) else GRID)
+             for name, m in builtin_models().items()]
+    return cases + [("custom_affine", custom_scenario_model(), GRID)]
+
+
+def reference_solve_drift(model, y, sigma, grid, rank_tol=RANK_TOL):
+    """The single-right-hand-side solve: its own tables, lstsq and rn_residual."""
+    xs = np.asarray(grid.nodes)
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    dxg, grads, hesses = model.derivative_tables(xs, y)
+    target = dxg - 0.5 * np.einsum("ij,kij->k", sigma * sigma.T, hesses)
+    b, _, rank, sv = np.linalg.lstsq(grads, target, rcond=rank_tol)
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    rms, rmax = rn_residual(model, y, sigma, b, grid)
+    return b, rms, rmax, cond, bool(rank == model.d)
+
+
+def reference_scc_probe(model, y, grid):
+    """One solve per sweep matrix, then the eta/gamma formulas."""
+    d = model.d
+    per_sigma = {label: reference_solve_drift(model, y, mat, grid)
+                 for label, mat in sigma_sweep(d)}
+    b_id = per_sigma["I"][0]
+    eta = np.empty((d, d, d))
+    for i in range(d):
+        eta[i, i] = (2.0 / 3.0) * (b_id - per_sigma[f"I+e{i + 1}{i + 1}"][0])
+        for j in range(i + 1, d):
+            eta[i, j] = eta[j, i] = b_id - per_sigma[f"I+e{i + 1}{j + 1}"][0]
+    gamma = (4.0 * b_id - per_sigma["2I"][0]) / 3.0
+    dxg, grads, hesses = model.derivative_tables(np.asarray(grid.nodes), y)
+    hess_res = float(np.max(np.abs(hesses - np.einsum("km,ijm->kij", grads, eta))))
+    x_res = float(np.max(np.abs(dxg - grads @ gamma)))
+    return eta, gamma, hess_res, x_res, per_sigma
+
+
+def test_solve_drift_equals_single_rhs_reference_bitwise():
+    rng = np.random.default_rng(21)
+    for name, m, grid in probe_cases():
+        y = rng.uniform(-1.0, 1.0, m.d)
+        sigma = rng.uniform(-1.0, 1.0, (m.d, m.d))
+        res = solve_drift(m, y, sigma, grid)
+        b, rms, rmax, cond, rank_ok = reference_solve_drift(m, y, sigma, grid)
+        assert np.array_equal(res.b, b), name
+        assert (res.residual_rms, res.residual_max) == (rms, rmax), name
+        assert (res.condition_number, res.rank_ok) == (cond, rank_ok), name
+
+
+def test_scc_probe_matches_per_sigma_solve_loop():
+    rng = np.random.default_rng(17)
+    for name, m, grid in probe_cases():
+        for y in rng.uniform(-1.0, 1.0, (3, m.d)):
+            rep = scc_probe(m, y, grid)
+            eta, gamma, hess_res, x_res, per_sigma = reference_scc_probe(m, y, grid)
+            assert np.max(np.abs(rep.eta - eta)) <= 1e-12, name
+            assert np.max(np.abs(rep.gamma - gamma)) <= 1e-12, name
+            assert abs(rep.hessian_identity_residual - hess_res) <= 1e-12, name
+            assert abs(rep.x_identity_residual - x_res) <= 1e-12, name
+            assert list(rep.per_sigma) == list(per_sigma), name
+            assert list(rep.per_sigma) == [label for label, _ in sigma_sweep(m.d)]
+            for label, (b, rms, rmax, _, rank_ok) in per_sigma.items():
+                got = rep.per_sigma[label]
+                assert np.max(np.abs(got.b - b)) <= 1e-12, (name, label)
+                assert abs(got.residual_rms - rms) <= 1e-12, (name, label)
+                assert abs(got.residual_max - rmax) <= 1e-12, (name, label)
+                assert got.rank_ok == rank_ok, (name, label)
+
+
+# -- work-count guards -----------------------------------------------------------
+
+
+def count_calls(monkeypatch, obj, name):
+    calls = []
+    inner = getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(obj, name, counted)
+    return calls
+
+
+def test_solve_drift_and_scc_probe_build_one_derivative_table(monkeypatch):
+    m = builtin_models()["affine3-cubic"]
+    calls = count_calls(monkeypatch, m, "derivative_tables")
+    solve_drift(m, [0.2, -0.1, 0.4], np.eye(3), GRID)
+    assert len(calls) == 1
+    scc_probe(m, [0.2, -0.1, 0.4], GRID)
+    assert len(calls) == 2
+
+
+def test_detect_affine_makes_one_curve_matrix_call(monkeypatch):
+    rng = np.random.default_rng(5)
+    for name, m, grid in probe_cases():
+        ys = rng.uniform(-1.0, 1.0, (m.d + 5, m.d))
+        base = rng.uniform(-0.5, 0.5, m.d)
+        xs = np.asarray(grid.nodes)
+        curves = m.curve_matrix(xs, ys)
+        base_curve = m.curve_matrix(xs, base[None, :])[:, 0]
+        ref = np.linalg.svd(curves - base_curve[:, None], compute_uv=False)
+        with monkeypatch.context() as mp:
+            calls = count_calls(mp, m, "curve_matrix")
+            det = detect_affine(m, ys, base, grid)
+        assert len(calls) == 1, name
+        assert np.max(np.abs(det.singular_values - ref)) <= 1e-12 * ref[0], name
+        assert det.rank == int(np.sum(ref > AFFINE_RANK_TOL * ref[0])), name
+
+
+def four_probe_rk4(eta_field, g0, grad0, y, n_steps):
+    """The classical RK4 loop that probes eta at every stage."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+
+    def rhs(t, state):
+        M = np.einsum("j,ijk->ik", y, np.asarray(eta_field(t * y), dtype=float))
+        return np.concatenate(([state[1:] @ y], M @ state[1:]))
+
+    state = np.concatenate(([float(g0)], np.atleast_1d(grad0)))
+    h = 1.0 / n_steps
+    for k in range(n_steps):
+        t = k * h
+        f1 = rhs(t, state)
+        f2 = rhs(t + 0.5 * h, state + 0.5 * h * f1)
+        f3 = rhs(t + 0.5 * h, state + 0.5 * h * f2)
+        f4 = rhs(t + h, state + h * f3)
+        state = state + (h / 6.0) * (f1 + 2.0 * f2 + 2.0 * f3 + f4)
+    return float(state[0])
+
+
+def test_reconstruct_probes_each_time_point_once():
+    seen = []
+
+    def field(y):
+        seen.append(np.array(y))
+        return np.ones((1, 1, 1))
+
+    reconstruct_from_eta(field, 0.0, [1.0], [2.0], 150)
+    assert len(seen) == 2 * 150 + 1
+    ts = np.array([p[0] for p in seen]) / 2.0
+    assert np.allclose(ts, np.linspace(0.0, 1.0, 2 * 150 + 1), rtol=0, atol=1e-15)
+
+
+def test_reconstruct_matches_four_probe_rk4():
+    def field(y):
+        # state-dependent, so a probe at the wrong time point would show
+        return np.array([[[0.3 + np.sin(y[0]), 0.1 * y[1]],
+                          [0.2 * y[0], -0.4]],
+                         [[0.2 * y[0], -0.4],
+                          [np.cos(y[1]), 0.5 * y[0] * y[1]]]])
+
+    for y in ([0.7, -0.4], [-1.0, 1.2]):
+        got = reconstruct_from_eta(field, 0.5, [1.0, -0.5], y, 1000)
+        assert abs(got - four_probe_rk4(field, 0.5, [1.0, -0.5], y, 1000)) <= 1e-12
+    m = builtin_models()["affine1-exp-expmap"]
+    probed = eta_field_from_model(m, GRID)
+    got = reconstruct_from_eta(probed, 0.0, [1.0], [0.8], 1000)
+    assert abs(got - four_probe_rk4(probed, 0.0, [1.0], [0.8], 1000)) <= 1e-12

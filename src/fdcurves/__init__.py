@@ -19,7 +19,7 @@ from .noarb import (AffineDetection, DegenerateFamilyError, DriftSolveResult,
                     solve_drift)
 from .qe import (MatrixExponentialOverflowError, OdeFitResult, QEFunction,
                  fit_linear_ode, mat_exp, qe_derivative, qe_eval, qe_integral)
-from .sim import (FuturesSpec, LatticeDrift, MartingaleTestResult, PathSet,
+from .sim import (FuturesSpec, MartingaleTestResult, PathSet, RiskNeutralDrift,
                   SccLoopReport, SdeSpec, SimulationError, corollary_split,
                   estimate_vol, futures_price, martingale_test,
                   nearest_psd_factor, rn_drift, scc_loop, simulate)
@@ -30,9 +30,10 @@ __all__ = [
     "AffineDetection", "AffineModel", "ComponentwiseCubicMap", "CurveFamily",
     "DegenerateFamilyError", "DriftSolveResult", "ExpMinusOneMap",
     "FactorMap", "FuturesSpec", "GaussianExampleModel", "HilbertNormResult",
-    "IdentityMap", "LatticeDrift", "MartingaleTestResult",
+    "IdentityMap", "MartingaleTestResult",
     "MatrixExponentialOverflowError", "NumericCurveFamily", "OdeFitResult",
-    "PathSet", "QEFunction", "SCCReport", "SccLoopReport", "SdeSpec",
+    "PathSet", "QEFunction", "RiskNeutralDrift", "SCCReport",
+    "SccLoopReport", "SdeSpec",
     "SimulationError", "XGrid", "builtin_models", "check_c12",
     "corollary_split", "curve_hilbert_norm", "detect_affine",
     "estimate_vol", "eta_field_from_model", "eval_curve", "fit_linear_ode",

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -360,8 +361,12 @@ def cmd_martingale_test(scenario: Scenario, out_dir: Path) -> tuple[int, RunResu
 def cmd_estimate_vol(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
     if scenario.paths_file is not None:
         ps = PathSet.load(scenario.paths_file)
+        simulated = 0
     else:
         ps = _simulated_paths(scenario)
+        simulated = ps.n_paths
+        print(f"estimate-vol: no paths_file, simulated n_paths={ps.n_paths} "
+              f"seed={ps.seed}", file=sys.stderr)
     vol = estimate_vol(ps)
     rows = [[i, j, vol[i, j]] for i in range(vol.shape[0])
             for j in range(vol.shape[1])]
@@ -370,6 +375,7 @@ def cmd_estimate_vol(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]
     print(f"sigma_sq_hat={json.dumps(vol.tolist())}")
     numbers = {f"sigma_sq_{i}{j}": float(vol[i, j])
                for i in range(vol.shape[0]) for j in range(vol.shape[1])}
+    numbers["paths_simulated"] = simulated
     result = RunResult(command="estimate-vol", numbers=numbers,
                        artifacts=[str(csv_path)])
     return 0, result

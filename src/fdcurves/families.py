@@ -56,7 +56,7 @@ def norm_pdf(t):
 
 class FactorMap:
     """Componentwise smooth map A(y) with analytic first and second derivatives;
-    ``value`` also maps a batch (n, d) row by row."""
+    every method also maps a batch (n, d) row by row."""
 
     tag: str
     d: int
@@ -64,11 +64,9 @@ class FactorMap:
     def value(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def second_derivative(self, y: np.ndarray) -> np.ndarray:
-        """Tensor T with T[k, i, j] = d^2 A_k / (dy_i dy_j)."""
+    def derivatives(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(dA_k / dy_k, d^2 A_k / dy_k^2); the Jacobian and every Hessian
+        of A are diagonal, with these entries."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -84,11 +82,9 @@ class IdentityMap(FactorMap):
     def value(self, y):
         return np.asarray(y, dtype=float)
 
-    def jacobian(self, y):
-        return np.eye(self.d)
-
-    def second_derivative(self, y):
-        return np.zeros((self.d, self.d, self.d))
+    def derivatives(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.ones_like(y), np.zeros_like(y)
 
 
 class ExpMinusOneMap(FactorMap):
@@ -102,15 +98,9 @@ class ExpMinusOneMap(FactorMap):
     def value(self, y):
         return np.exp(np.asarray(y, dtype=float)) - 1.0
 
-    def jacobian(self, y):
-        return np.diag(np.exp(np.asarray(y, dtype=float)))
-
-    def second_derivative(self, y):
-        t = np.zeros((self.d, self.d, self.d))
+    def derivatives(self, y):
         e = np.exp(np.asarray(y, dtype=float))
-        for k in range(self.d):
-            t[k, k, k] = e[k]
-        return t
+        return e, e
 
 
 class ComponentwiseCubicMap(FactorMap):
@@ -132,17 +122,10 @@ class ComponentwiseCubicMap(FactorMap):
         y = np.asarray(y, dtype=float)
         return self.linear * y + self.quadratic * y**2 + self.cubic * y**3
 
-    def jacobian(self, y):
+    def derivatives(self, y):
         y = np.asarray(y, dtype=float)
-        return np.diag(self.linear + 2.0 * self.quadratic * y + 3.0 * self.cubic * y**2)
-
-    def second_derivative(self, y):
-        y = np.asarray(y, dtype=float)
-        diag = 2.0 * self.quadratic + 6.0 * self.cubic * y
-        t = np.zeros((self.d, self.d, self.d))
-        for k in range(self.d):
-            t[k, k, k] = diag[k]
-        return t
+        return (self.linear + 2.0 * self.quadratic * y + 3.0 * self.cubic * y**2,
+                2.0 * self.quadratic + 6.0 * self.cubic * y)
 
     def to_dict(self) -> dict:
         return {
@@ -285,12 +268,10 @@ class AffineModel(CurveFamily):
             sum(qe_eval(f, x) * a[k] for k, f in enumerate(self._du)))
 
     def grad_y(self, x, y):
-        u_vals = np.array([qe_eval(f, x) for f in self.u])
-        return self.factor_map.jacobian(np.atleast_1d(y)).T @ u_vals
+        return self.derivative_tables(np.array([float(x)]), y)[1][0]
 
     def hess_y(self, x, y):
-        u_vals = np.array([qe_eval(f, x) for f in self.u])
-        return np.einsum("k,kij->ij", u_vals, self.factor_map.second_derivative(np.atleast_1d(y)))
+        return self.derivative_tables(np.array([float(x)]), y)[2][0]
 
     def curve_matrix(self, xs, Y):
         # pricing grids shift with the valuation time: evaluate, never cache
@@ -303,13 +284,11 @@ class AffineModel(CurveFamily):
         xs = np.asarray(xs, dtype=float)
         y = np.atleast_1d(np.asarray(y, dtype=float))
         dc_vals, U, dU = self._basis(xs)
-        a = self.factor_map.value(y)
-        J = self.factor_map.jacobian(y)
-        T = self.factor_map.second_derivative(y)
-        dxg = dc_vals + dU @ a
-        grads = U @ J
-        hesses = np.einsum("km,mij->kij", U, T)
-        return dxg, grads, hesses
+        dA, d2A = self.factor_map.derivatives(y)
+        hesses = np.zeros(U.shape + (self.d,))
+        diag = np.arange(self.d)
+        hesses[:, diag, diag] = U * d2A
+        return dc_vals + dU @ self.factor_map.value(y), U * dA, hesses
 
     def to_dict(self) -> dict:
         return {

@@ -123,12 +123,17 @@ def _grid_nodes(grid) -> np.ndarray:
     return np.asarray(getattr(grid, "nodes", grid), dtype=float)
 
 
-def _trace_term(sigma: np.ndarray, hesses: np.ndarray) -> np.ndarray:
+def _diffusion_weights(sigma: np.ndarray) -> np.ndarray:
+    """Weights W[i, j] of hess_y g[i, j] in the drift identity's trace term."""
     # Index pattern sigma[i,j]*sigma[j,i]: elementwise product with the
     # transpose, NOT the Gram matrix sigma @ sigma.T. The eta/gamma
     # extraction formulas in scc_probe assume exactly this weighting; it
     # coincides with the Gram matrix whenever sigma is diagonal.
-    return 0.5 * np.einsum("ij,kij->k", sigma * sigma.T, hesses)
+    return sigma * sigma.T
+
+
+def _trace_term(sigma: np.ndarray, hesses: np.ndarray) -> np.ndarray:
+    return 0.5 * np.einsum("ij,kij->k", _diffusion_weights(sigma), hesses)
 
 
 def _residual_stats(dxg: np.ndarray, grads: np.ndarray, trace_term: np.ndarray,
@@ -148,9 +153,10 @@ def rn_residual(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     return _residual_stats(dxg, grads, _trace_term(sigma, hesses), b)
 
 
-def _solve_drifts(tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  sigmas: np.ndarray, y: np.ndarray,
-                  rank_tol: float) -> list[DriftSolveResult]:
+def _lstsq_drifts(tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  sigmas: np.ndarray, y: np.ndarray, rank_tol: float):
+    """Drifts B (one row per diffusion matrix), the trace terms, rank and
+    singular values of the design matrix."""
     # Every diffusion matrix shares the design matrix grad_y g, so one SVD
     # least-squares call with one target column per matrix solves them all.
     dxg, grads, hesses = tables
@@ -159,10 +165,18 @@ def _solve_drifts(tables: tuple[np.ndarray, np.ndarray, np.ndarray],
     traces = [_trace_term(sigma, hesses) for sigma in sigmas]
     target = np.stack([dxg - t for t in traces], axis=1)
     B, _, rank, sv = np.linalg.lstsq(grads, target, rcond=rank_tol)
+    return B.T.copy(), traces, rank, sv
+
+
+def _solve_drifts(tables: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  sigmas: np.ndarray, y: np.ndarray,
+                  rank_tol: float) -> list[DriftSolveResult]:
+    dxg, grads, _ = tables
+    B, traces, rank, sv = _lstsq_drifts(tables, sigmas, y, rank_tol)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
     rank_ok = bool(rank == grads.shape[1])
     return [DriftSolveResult(b, *_residual_stats(dxg, grads, t, b), cond, rank_ok)
-            for b, t in zip(B.T.copy(), traces)]
+            for b, t in zip(B, traces)]
 
 
 def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
@@ -201,6 +215,30 @@ def sigma_sweep(d: int) -> list[tuple[str, np.ndarray]]:
             out.append((f"I+e{i + 1}{j + 1}", m))
     out.append(("2I", 2.0 * np.eye(d)))
     return out
+
+
+def _sweep_inputs(model: CurveFamily, grid) -> tuple[np.ndarray, tuple, np.ndarray]:
+    """Grid nodes, labels and stacked matrices of the probe sweep."""
+    xs = _grid_nodes(grid)
+    d = model.d
+    if xs.shape[0] < 2 * d + 2:
+        raise ValueError(
+            f"probe grid has {xs.shape[0]} nodes, need at least {2 * d + 2}")
+    labels, mats = zip(*sigma_sweep(d))
+    return xs, labels, np.stack(mats)
+
+
+def _sweep_eta(B: np.ndarray) -> np.ndarray:
+    """eta from the sweep drifts B, one row per matrix in sigma_sweep order."""
+    d = B.shape[1]
+    eta = np.empty((d, d, d))
+    pair = d + 1  # first I+e_ij row
+    for i in range(d):
+        eta[i, i] = (2.0 / 3.0) * (B[0] - B[1 + i])
+        for j in range(i + 1, d):
+            eta[i, j] = eta[j, i] = B[0] - B[pair]
+            pair += 1
+    return eta
 
 
 @dataclass(frozen=True)
@@ -254,24 +292,14 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid,
     no single drift can repair the corresponding diffusion matrix, i.e.
     the family's shape is incompatible with freely estimated volatility.
     """
-    xs = _grid_nodes(grid)
+    xs, labels, mats = _sweep_inputs(model, grid)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = model.d
-    if xs.shape[0] < 2 * d + 2:
-        raise ValueError(
-            f"probe grid has {xs.shape[0]} nodes, need at least {2 * d + 2}")
-    labels, mats = zip(*sigma_sweep(d))
     tables = model.derivative_tables(xs, y)
-    per_sigma = dict(zip(labels, _solve_drifts(tables, np.stack(mats), y, rank_tol)))
-    b_id = per_sigma["I"].b
-    eta = np.empty((d, d, d))
-    for i in range(d):
-        eta[i, i] = (2.0 / 3.0) * (b_id - per_sigma[f"I+e{i + 1}{i + 1}"].b)
-        for j in range(i + 1, d):
-            eta_ij = b_id - per_sigma[f"I+e{i + 1}{j + 1}"].b
-            eta[i, j] = eta_ij
-            eta[j, i] = eta_ij
-    gamma = (4.0 * b_id - per_sigma["2I"].b) / 3.0
+    results = _solve_drifts(tables, mats, y, rank_tol)
+    per_sigma = dict(zip(labels, results))
+    B = np.stack([r.b for r in results])
+    eta = _sweep_eta(B)
+    gamma = (4.0 * B[0] - B[-1]) / 3.0
 
     dxg, grads, hesses = tables
     hess_res = float(np.max(np.abs(hesses - np.einsum("km,ijm->kij", grads, eta))))
@@ -287,10 +315,17 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid,
 
 def eta_field_from_model(model: CurveFamily, grid,
                          rank_tol: float = RANK_TOL) -> Callable[[np.ndarray], np.ndarray]:
-    """The state-dependent eta tensor y -> eta(y) obtained by probing the model."""
+    """The state-dependent eta tensor y -> eta(y) obtained by probing the model.
+
+    Each call equals ``scc_probe(model, y, grid, rank_tol).eta`` bit for bit
+    but skips the residual statistics and the report.
+    """
+    xs, _, mats = _sweep_inputs(model, grid)
 
     def field_fn(y: np.ndarray) -> np.ndarray:
-        return scc_probe(model, y, grid, rank_tol=rank_tol).eta
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        tables = model.derivative_tables(xs, y)
+        return _sweep_eta(_lstsq_drifts(tables, mats, y, rank_tol)[0])
 
     return field_fn
 

@@ -30,7 +30,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .families import AffineModel, CurveFamily, _simpson_weights
-from .noarb import DriftSolveResult, solve_drift
+from .noarb import (RANK_TOL, DriftSolveResult, _diffusion_weights, _grid_nodes,
+                    solve_drift)
 from .qe import _reject_unknown
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes
@@ -45,8 +46,8 @@ class SimulationError(RuntimeError):
 class SdeSpec:
     """Factor dynamics dY = drift(Y) dt + sigma dW started at y0.
 
-    ``drift`` maps a state (d,) to (d,). One that also maps a batch (n, d),
-    as :class:`LatticeDrift` does, is detected and called once per step.
+    ``drift`` maps a batch of states (n, d) to (n, d), row by row; it is
+    called once per step on all paths.
     """
 
     d: int
@@ -185,25 +186,13 @@ def _normals(seed: int, path_index: int, n_steps: int, d: int) -> np.ndarray:
     return ndtri(np.maximum(u, 1e-300))
 
 
-def _batch_drift(drift: Callable, y0: np.ndarray, d: int) -> bool:
-    """Probe whether drift accepts a (n, d) batch and acts row-wise."""
-    single = np.asarray(drift(y0.copy()), dtype=float).reshape(-1)
-    if single.shape != (d,):
-        raise ValueError(f"drift must map (d,) to (d,), got shape {single.shape}")
-    try:
-        probe = np.asarray(drift(np.stack([y0, y0])), dtype=float)
-    except Exception:
-        return False
-    return probe.shape == (2, d) and np.allclose(probe, single[None, :])
-
-
 def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> PathSet:
     """Euler-Maruyama paths Y_{k+1} = Y_k + drift(Y_k) dt + sigma sqrt(dt) Z_k.
 
     Parameters
     ----------
     spec : SdeSpec
-        Dynamics; the drift is probed once for batch support.
+        Dynamics; the drift is called on all paths at once.
     dt, T : float
         Step and horizon; the number of steps is round(T / dt) >= 1.
     n_paths : int
@@ -224,18 +213,16 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     for p in range(n_paths):
         z[p] = _normals(seed, p, n_steps, d)
 
-    vectorised = _batch_drift(spec.drift, spec.y0, d)
     paths = np.empty((n_paths, n_steps + 1, d))
     paths[:, 0] = spec.y0
     y = np.tile(spec.y0, (n_paths, 1))
     sqrt_dt = np.sqrt(dt)
     sigma_t = spec.sigma.T
     for k in range(n_steps):
-        if vectorised:
-            mu = np.asarray(spec.drift(y), dtype=float)
-        else:
-            mu = np.stack([np.asarray(spec.drift(y[p]), dtype=float).reshape(d)
-                           for p in range(n_paths)])
+        mu = np.asarray(spec.drift(y), dtype=float)
+        if mu.shape != y.shape:
+            raise ValueError(f"drift must map a batch (n_paths, d) = {y.shape} "
+                             f"to the same shape, got {mu.shape}")
         finite = np.isfinite(mu).all(axis=1)
         if not finite.all():
             bad = int(np.flatnonzero(~finite)[0])
@@ -434,65 +421,65 @@ def scc_loop(model: CurveFamily, observed: PathSet, grid,
 
 
 # ---------------------------------------------------------------------------
-# Risk-neutral drift as a cached lattice lookup
+# Risk-neutral drift
 # ---------------------------------------------------------------------------
 
 
-class LatticeDrift:
-    """y -> b(y) backed by drift solves on a lattice, with interpolation.
+class RiskNeutralDrift:
+    """y -> b(y), the drift that makes ``model`` risk neutral under ``sigma``.
 
-    Drifts are solved on demand at lattice points (spacing ``h`` per
-    coordinate) and combined multilinearly for a state (d,) or all rows of
-    a batch (n, d) at once; corners of weight zero are never solved. The
-    cache is a plain dict with single-writer insertion, safe for concurrent
-    readers; values never change once inserted, so results do not depend
-    on query order or batching.
+    Maps a state (d,) to (d,) or a batch (n, d) to (n, d), row by row, and
+    equals the least-squares drift of :func:`solve_drift` at every state.
+    For an affine model whose loadings U have full column rank on the grid,
+    grad_y g = U diag(A'(y)) and U^+ U = I give the closed form
+
+        b(y) = (p + Q A(y) - 1/2 A''(y) * diag(W)) / A'(y),
+        p = U^+ c',  Q = U^+ U',  W = the trace term's diffusion weights,
+
+    with p and Q computed once here; it is non-finite where A'(y) = 0. Every
+    other model is solved state by state.
     """
 
-    def __init__(self, model: CurveFamily, sigma: np.ndarray, grid,
-                 spacing: float = 0.05):
+    def __init__(self, model: CurveFamily, sigma: np.ndarray, grid):
         self.model = model
         self.sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
         self.grid = grid
-        self.h = float(spacing)
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._rows = self._solved
+        if isinstance(model, AffineModel):
+            dc, U, dU = model._basis(_grid_nodes(grid))
+            pq, _, rank, _ = np.linalg.lstsq(U, np.column_stack([dc, dU]),
+                                             rcond=RANK_TOL)
+            if rank == model.d:
+                self._p, self._q = pq[:, 0], pq[:, 1:]
+                self._half_w = 0.5 * np.diag(_diffusion_weights(self.sigma))
+                self._rows = self._closed_form
 
-    def _node(self, key: tuple[int, ...]) -> np.ndarray:
-        b = self._cache.get(key)
-        if b is None:
-            y = np.asarray(key, dtype=float) * self.h
-            b = solve_drift(self.model, y, self.sigma, self.grid).b
-            self._cache[key] = b
-        return b
+    def _closed_form(self, Y: np.ndarray) -> np.ndarray:
+        fm = self.model.factor_map
+        dA, d2A = fm.derivatives(Y)
+        # a row-local sum, not a matmul, so a row never depends on the batch
+        qa = (fm.value(Y)[:, None, :] * self._q).sum(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (self._p + qa - d2A * self._half_w) / dA
+
+    def _solved(self, Y: np.ndarray) -> np.ndarray:
+        return np.stack([solve_drift(self.model, y, self.sigma, self.grid).b
+                         for y in Y])
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        rows = np.atleast_2d(y)
-        n, d = rows.shape
-        base = np.floor(rows / self.h).astype(int)
-        frac = rows / self.h - base
-        bits = (np.arange(1 << d)[:, None] >> np.arange(d)) & 1  # corner, axis
-        factors = np.where(bits[:, None, :], frac, 1.0 - frac)  # corner, row, axis
-        weights = factors[:, :, 0]
-        for i in range(1, d):
-            weights = weights * factors[:, :, i]
-        live = weights != 0.0
-        distinct, where = np.unique((base + bits[:, None, :])[live], axis=0,
-                                    return_inverse=True)
-        table = np.array([self._node(tuple(k)) for k in distinct.tolist()])
-        nodes = np.zeros((1 << d, n, d))
-        nodes[live] = table.reshape(-1, d)[where.reshape(-1)]
-        out = np.zeros((n, d))
-        for corner in range(1 << d):
-            rows_in = live[corner]
-            out[rows_in] += weights[corner, rows_in, None] * nodes[corner, rows_in]
+        out = self._rows(np.atleast_2d(y))
         return out[0] if y.ndim == 1 else out
 
 
-def rn_drift(model: CurveFamily, sigma: np.ndarray, grid,
-             spacing: float = 0.05) -> LatticeDrift:
-    """The model's risk-neutral drift for `sigma`, as a cached callable."""
-    return LatticeDrift(model, sigma, grid, spacing=spacing)
+# Alias kept only for the benchmark tracer (perfbench/spans.py), which
+# wraps sim.LatticeDrift.__call__.
+LatticeDrift = RiskNeutralDrift
+
+
+def rn_drift(model: CurveFamily, sigma: np.ndarray, grid) -> RiskNeutralDrift:
+    """The model's risk-neutral drift for `sigma`, as a batched callable."""
+    return RiskNeutralDrift(model, sigma, grid)
 
 
 def corollary_split(model: AffineModel, y: np.ndarray, t: float,

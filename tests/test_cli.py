@@ -193,10 +193,27 @@ def test_estimate_vol_from_saved_paths(tmp_path, capsys):
     raw = affine_scenario(tmp_path / "out2",
                           paths_file=str(out1 / "paths.bin"))
     scenario2 = write_scenario(tmp_path, raw, "vol.json")
+    capsys.readouterr()
     assert main(["estimate-vol", "--scenario", scenario2]) == 0
-    assert "sigma_sq_hat=" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "sigma_sq_hat=" in captured.out
+    assert captured.err == ""
     header = (tmp_path / "out2" / "vol.csv").read_text().splitlines()[0]
     assert header == "i,j,value"
+    result = json.loads((tmp_path / "out2" / "run_result.json").read_text())
+    assert result["numbers"]["paths_simulated"] == 0
+
+
+def test_estimate_vol_says_when_it_simulates(tmp_path, capsys):
+    out = tmp_path / "out"
+    scenario = write_scenario(tmp_path, affine_scenario(out))
+    assert main(["estimate-vol", "--scenario", scenario, "--seed", "11"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("sigma_sq_hat=")
+    assert captured.out.count("\n") == 1
+    assert "simulated n_paths=40 seed=11" in captured.err
+    result = json.loads((out / "run_result.json").read_text())
+    assert result["numbers"]["paths_simulated"] == 40
 
 
 def test_reconstruct_matches_direct_evaluation(tmp_path, capsys):

@@ -153,11 +153,12 @@ def test_cubic_map_derivatives():
                                cubic=[0.0, 1.0])
     y = np.array([2.0, -1.0])
     assert np.allclose(fm.value(y), [1 * 2 + 0.5 * 4, 2 * -1 + 1 * -1])
-    J = fm.jacobian(y)
-    assert np.allclose(np.diag(J), [1 + 2 * 0.5 * 2, 2 + 3 * 1 * 1])
-    T = fm.second_derivative(y)
-    assert np.allclose([T[0, 0, 0], T[1, 1, 1]], [1.0, -6.0])
-    assert T[0, 1, 1] == 0.0
+    dA, d2A = fm.derivatives(y)
+    assert np.allclose(dA, [1 + 2 * 0.5 * 2, 2 + 3 * 1 * 1])
+    assert np.allclose(d2A, [1.0, -6.0])
+    batch_dA, batch_d2A = fm.derivatives(np.stack([y, 2 * y]))
+    assert batch_dA.shape == batch_d2A.shape == (2, 2)
+    assert np.array_equal(batch_dA[0], dA) and np.array_equal(batch_d2A[0], d2A)
 
 
 def test_exp_map_vanishes_at_origin():

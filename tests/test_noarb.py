@@ -473,6 +473,14 @@ def test_reconstruct_probes_each_time_point_once():
     assert np.allclose(ts, np.linspace(0.0, 1.0, 2 * 150 + 1), rtol=0, atol=1e-15)
 
 
+def test_eta_field_equals_scc_probe_eta_bitwise():
+    rng = np.random.default_rng(17)
+    for name, m, grid in probe_cases():
+        field = eta_field_from_model(m, grid)
+        for y in rng.uniform(-0.8, 0.8, (4, m.d)):
+            assert np.array_equal(field(y), scc_probe(m, y, grid).eta), name
+
+
 def test_reconstruct_matches_four_probe_rk4():
     def field(y):
         # state-dependent, so a probe at the wrong time point would show

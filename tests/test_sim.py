@@ -9,7 +9,7 @@ import pytest
 
 from fdcurves.families import (AffineModel, GaussianExampleModel, IdentityMap,
                                builtin_models, model_from_dict)
-from fdcurves.noarb import XGrid
+from fdcurves.noarb import XGrid, rn_residual, solve_drift
 from fdcurves.qe import QEFunction, qe_integral
 from fdcurves.sim import (PATHSET_MAGIC, FuturesSpec, PathSet, SccLoopReport, SdeSpec,
                           SimulationError, corollary_split, estimate_vol,
@@ -59,15 +59,13 @@ def test_path_substreams_do_not_depend_on_path_count():
     assert np.array_equal(a.paths[:4], b.paths)
 
 
-def test_scalar_and_batch_drifts_agree_bitwise():
+def test_drift_that_refuses_batches_is_rejected():
     def one_state_only(y):
-        (v,) = np.asarray(y, dtype=float)  # refuses batches
-        return np.array([-v])
+        return np.array([-float(np.ravel(y)[0])])  # (d,) whatever the input
 
-    vec = simulate(ou_spec(), 0.01, 0.5, 5, seed=3)
-    scal = simulate(SdeSpec(d=1, drift=one_state_only, sigma=[[1.0]],
-                            y0=[0.0]), 0.01, 0.5, 5, seed=3)
-    assert np.array_equal(vec.paths, scal.paths)
+    spec = SdeSpec(d=1, drift=one_state_only, sigma=[[1.0]], y0=[0.0])
+    with pytest.raises(ValueError, match=r"\(n_paths, d\) = \(5, 1\)"):
+        simulate(spec, 0.01, 0.5, 5, seed=3)
 
 
 def test_ou_terminal_variance_matches_stationary_formula():
@@ -298,7 +296,7 @@ def test_estimate_vol_needs_enough_increments():
         estimate_vol(ps)
 
 
-# -- scc_loop and drift lattice -------------------------------------------------------
+# -- scc_loop and risk-neutral drift ------------------------------------------------
 
 
 def test_lattice_drift_interpolates_linear_drift_exactly():
@@ -315,36 +313,61 @@ def test_lattice_drift_batch_queries():
     assert np.allclose(out[:, 0], -Y[:, 0], atol=1e-10)
 
 
-def scalar_lattice_drift(drift, y):
-    """Reference: one state at a time, corner by corner, zero weights skipped."""
-    base = np.floor(y / drift.h).astype(int)
-    frac = y / drift.h - base
-    out = np.zeros(y.shape[0])
-    for corner in range(1 << y.shape[0]):
-        bits = [(corner >> i) & 1 for i in range(y.shape[0])]
-        weight = 1.0
-        for i, bit in enumerate(bits):
-            weight *= frac[i] if bit else (1.0 - frac[i])
-        if weight != 0.0:
-            out += weight * drift._node(tuple(base + np.array(bits)))
-    return out
+CUSTOM_SIGMA = [[0.5, 0.0], [0.45, 0.2]]
 
 
-def test_lattice_drift_batch_equals_row_calls_bitwise():
+def custom_model():
     scenario = json.loads((SCENARIOS / "custom_affine.json").read_text())
-    model = model_from_dict(scenario["model"])
-    sigma = [[0.5, 0.0], [0.45, 0.2]]
-    rows = np.random.default_rng(5).uniform(-0.6, 0.6, (50, 2))
-    rows[:4] = [[0.1, 0.05], [0.0, 0.0], [-0.2, 0.33], [0.25, -0.15]]  # on lattice lines
-    batched = rn_drift(model, sigma, GRID)
-    per_row = rn_drift(model, sigma, GRID)
-    reference = rn_drift(model, sigma, GRID)
-    out = batched(rows)
-    assert out.shape == (50, 2)
-    assert np.array_equal(out, np.stack([per_row(y) for y in rows]))
-    assert np.array_equal(out, np.stack([scalar_lattice_drift(reference, y) for y in rows]))
-    assert set(batched._cache) == set(per_row._cache) == set(reference._cache)
-    assert len(batched._cache) == len(per_row._cache)
+    return model_from_dict(scenario["model"])
+
+
+def affine_drift_cases():
+    """(name, model, sigma) over the affine zoo and the shipped custom model."""
+    cases = [(name, m, np.tril(0.3 * np.ones((m.d, m.d))) + 0.4 * np.eye(m.d))
+             for name, m in builtin_models().items() if isinstance(m, AffineModel)]
+    return cases + [("custom_affine", custom_model(), np.array(CUSTOM_SIGMA))]
+
+
+def off_lattice_states(d, n=40):
+    # seeded uniform states miss the multiples of 0.05, where a drift
+    # interpolated on a 0.05 lattice would be exact
+    return np.random.default_rng(23).uniform(-0.6, 0.6, (n, d))
+
+
+def test_rn_drift_matches_solve_drift_on_affine_models():
+    for name, m, sigma in affine_drift_cases():
+        Y = off_lattice_states(m.d)
+        out = rn_drift(m, sigma, GRID)(Y)
+        ref = np.stack([solve_drift(m, y, sigma, GRID).b for y in Y])
+        assert out.shape == Y.shape, name
+        assert np.max(np.abs(out - ref)) <= 1e-12, name
+
+
+def test_rn_drift_rows_do_not_depend_on_the_batch():
+    for name, m, sigma in affine_drift_cases():
+        Y = off_lattice_states(m.d, 7)
+        drift = rn_drift(m, sigma, GRID)
+        assert np.array_equal(drift(Y), np.stack([drift(y) for y in Y])), name
+
+
+def test_rn_drift_solves_the_drift_identity_on_custom_model():
+    m = custom_model()
+    Y = off_lattice_states(2)
+    out = rn_drift(m, CUSTOM_SIGMA, GRID)(Y)
+    worst = max(rn_residual(m, y, CUSTOM_SIGMA, b, GRID)[0] for y, b in zip(Y, out))
+    assert worst <= 1e-10
+
+
+def test_rn_drift_solves_state_by_state_without_full_rank_loadings():
+    collinear = AffineModel(c=QEFunction.constant(0.0),
+                            u=[QEFunction.exponential(-1.0),
+                               QEFunction.exponential(-1.0, 2.0)],
+                            factor_map=IdentityMap(2))
+    for m, sigma in ((GaussianExampleModel(), np.array([[1.2]])),
+                     (collinear, 0.5 * np.eye(2))):
+        Y = off_lattice_states(m.d, 6)
+        ref = np.stack([solve_drift(m, y, sigma, GRID).b for y in Y])
+        assert np.array_equal(rn_drift(m, sigma, GRID)(Y), ref)
 
 
 def test_scc_loop_accepts_affine_data():

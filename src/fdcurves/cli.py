@@ -62,10 +62,6 @@ class SimConfig:
                    n_paths=int(data["n_paths"]), seed=int(data["seed"]),
                    y0=np.atleast_1d(np.asarray(data["y0"], dtype=float)))
 
-    def to_dict(self) -> dict:
-        return {"dt": self.dt, "T": self.T, "n_paths": self.n_paths,
-                "seed": self.seed, "y0": self.y0.tolist()}
-
 
 @dataclass
 class ReconstructConfig:
@@ -81,9 +77,6 @@ class ReconstructConfig:
         return cls(y=np.atleast_1d(np.asarray(data["y"], dtype=float)),
                    n_steps=int(data.get("n_steps", 1000)),
                    x0=float(data.get("x0", 0.0)))
-
-    def to_dict(self) -> dict:
-        return {"y": self.y.tolist(), "n_steps": self.n_steps, "x0": self.x0}
 
 
 _SCENARIO_KEYS = {

@@ -16,6 +16,10 @@ Two concrete families ship here:
 User-defined families enter through :class:`NumericCurveFamily`, a closure
 wrapper whose derivatives are finite differences (there is deliberately no
 expression parser). Families are immutable; all operations are pure.
+
+Every family implements the same two batched methods, ``curve_matrix`` and
+``derivative_tables``; the scalar evaluations are read off them, so each
+closed form exists once.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .qe import QEFunction, _reject_unknown, qe_derivative, qe_eval
+from .qe import QEFunction, _reject_unknown, qe_derivative
 
 # Default finite-difference steps for cross-checks and closure-based
 # families: central first differences and second-difference stencils on
@@ -162,39 +166,18 @@ def factor_map_from_dict(data: dict, d: int) -> FactorMap:
 class CurveFamily:
     """Base interface: value and C^(1,2) derivatives of g(x, y).
 
-    Subclasses provide ``value``, ``dx``, ``grad_y`` and ``hess_y`` at a
-    single (x, y) and may override the batched helpers ``curve_matrix`` and
-    ``derivative_tables`` for speed; the defaults just loop.
+    A family implements exactly two batched methods, ``curve_matrix`` and
+    ``derivative_tables``. ``value``, ``dx``, ``grad_y``, ``hess_y`` and
+    ``curve`` read one node (or one column) of them, so every scalar
+    evaluation runs the code the drift solvers run.
     """
 
     d: int
     derivative_mode: str = "analytic"
 
-    def value(self, x: float, y: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def dx(self, x: float, y: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def grad_y(self, x: float, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def hess_y(self, x: float, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def curve_matrix(self, xs: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Evaluate g on a grid for a batch of factors: out[k, j] = g(xs[k], Y[j])."""
-        xs = np.asarray(xs, dtype=float)
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        out = np.empty((xs.shape[0], Y.shape[0]))
-        for k, x in enumerate(xs):
-            for j in range(Y.shape[0]):
-                out[k, j] = self.value(float(x), Y[j])
-        return out
-
-    def curve(self, y: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return self.curve_matrix(np.asarray(xs, dtype=float), y[None, :])[:, 0]
+        raise NotImplementedError
 
     def derivative_tables(
         self, xs: np.ndarray, y: np.ndarray
@@ -203,17 +186,23 @@ class CurveFamily:
 
         Returns arrays of shapes (K,), (K, d) and (K, d, d).
         """
-        xs = np.asarray(xs, dtype=float)
+        raise NotImplementedError
+
+    def value(self, x: float, y: np.ndarray) -> float:
+        return float(self.curve(y, [x])[0])
+
+    def dx(self, x: float, y: np.ndarray) -> float:
+        return float(self.derivative_tables(np.array([float(x)]), y)[0][0])
+
+    def grad_y(self, x: float, y: np.ndarray) -> np.ndarray:
+        return self.derivative_tables(np.array([float(x)]), y)[1][0]
+
+    def hess_y(self, x: float, y: np.ndarray) -> np.ndarray:
+        return self.derivative_tables(np.array([float(x)]), y)[2][0]
+
+    def curve(self, y: np.ndarray, xs: np.ndarray) -> np.ndarray:
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        K = xs.shape[0]
-        dxg = np.empty(K)
-        grads = np.empty((K, self.d))
-        hesses = np.empty((K, self.d, self.d))
-        for k, x in enumerate(xs):
-            dxg[k] = self.dx(float(x), y)
-            grads[k] = self.grad_y(float(x), y)
-            hesses[k] = self.hess_y(float(x), y)
-        return dxg, grads, hesses
+        return self.curve_matrix(np.asarray(xs, dtype=float), y[None, :])[:, 0]
 
     def to_dict(self) -> dict:
         raise NotImplementedError(f"{type(self).__name__} is not serialisable")
@@ -256,22 +245,6 @@ class AffineModel(CurveFamily):
                 self._tables.pop(next(iter(self._tables)), None)
             self._tables[key] = hit
         return hit
-
-    def value(self, x, y):
-        a = self.factor_map.value(np.atleast_1d(y))
-        return qe_eval(self.c, x) + float(
-            sum(qe_eval(f, x) * a[k] for k, f in enumerate(self.u)))
-
-    def dx(self, x, y):
-        a = self.factor_map.value(np.atleast_1d(y))
-        return qe_eval(self._dc, x) + float(
-            sum(qe_eval(f, x) * a[k] for k, f in enumerate(self._du)))
-
-    def grad_y(self, x, y):
-        return self.derivative_tables(np.array([float(x)]), y)[1][0]
-
-    def hess_y(self, x, y):
-        return self.derivative_tables(np.array([float(x)]), y)[2][0]
 
     def curve_matrix(self, xs, Y):
         # pricing grids shift with the valuation time: evaluate, never cache
@@ -321,29 +294,6 @@ class GaussianExampleModel(CurveFamily):
 
     d = 1
 
-    @staticmethod
-    def _z(x, y):
-        return (1.0 - y) / np.sqrt(1.0 + x)
-
-    def value(self, x, y):
-        y0 = float(np.atleast_1d(y)[0])
-        return float(norm_cdf(self._z(x, y0)))
-
-    def dx(self, x, y):
-        y0 = float(np.atleast_1d(y)[0])
-        z = self._z(x, y0)
-        return float(-(1.0 - y0) / (2.0 * (1.0 + x) ** 1.5) * norm_pdf(z))
-
-    def grad_y(self, x, y):
-        y0 = float(np.atleast_1d(y)[0])
-        z = self._z(x, y0)
-        return np.array([-norm_pdf(z) / np.sqrt(1.0 + x)])
-
-    def hess_y(self, x, y):
-        y0 = float(np.atleast_1d(y)[0])
-        z = self._z(x, y0)
-        return np.array([[-z * norm_pdf(z) / (1.0 + x)]])
-
     def curve_matrix(self, xs, Y):
         xs = np.asarray(xs, dtype=float)
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
@@ -372,7 +322,9 @@ class NumericCurveFamily(CurveFamily):
     differences with ``first_step`` (one-sided at the x = 0 boundary) and
     second derivatives use ``second_step``. Cross-checks against analytic
     derivatives do not apply here: the finite differences *are* the
-    definition, so ``derivative_mode`` is "finite-difference".
+    definition, so ``derivative_mode`` is "finite-difference". It is the
+    one pointwise family: ``curve_matrix`` and ``derivative_tables`` loop
+    over the grid nodes and apply ``fn`` and the stencils at each.
     """
 
     derivative_mode = "finite-difference"
@@ -385,41 +337,61 @@ class NumericCurveFamily(CurveFamily):
         self.h1 = float(first_step)
         self.h2 = float(second_step)
 
-    def value(self, x, y):
-        return float(self.fn(float(x), np.atleast_1d(np.asarray(y, dtype=float))))
+    def _f(self, x, y):
+        return float(self.fn(float(x), y))
 
-    def dx(self, x, y):
+    def curve_matrix(self, xs, Y):
+        xs = np.asarray(xs, dtype=float)
+        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        out = np.empty((xs.shape[0], Y.shape[0]))
+        for k, x in enumerate(xs):
+            for j in range(Y.shape[0]):
+                out[k, j] = self._f(x, Y[j])
+        return out
+
+    def derivative_tables(self, xs, y):
+        xs = np.asarray(xs, dtype=float)
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        K = xs.shape[0]
+        dxg = np.empty(K)
+        grads = np.empty((K, self.d))
+        hesses = np.empty((K, self.d, self.d))
+        for k, x in enumerate(xs):
+            dxg[k] = self._dx(float(x), y)
+            grads[k] = self._grad_y(float(x), y)
+            hesses[k] = self._hess_y(float(x), y)
+        return dxg, grads, hesses
+
+    def _dx(self, x, y):
         h = self.h1
         if x >= h:
-            return (self.value(x + h, y) - self.value(x - h, y)) / (2 * h)
+            return (self._f(x + h, y) - self._f(x - h, y)) / (2 * h)
         # one-sided second-order stencil inside the x >= 0 domain
-        return (-3 * self.value(x, y) + 4 * self.value(x + h, y)
-                - self.value(x + 2 * h, y)) / (2 * h)
+        return (-3 * self._f(x, y) + 4 * self._f(x + h, y)
+                - self._f(x + 2 * h, y)) / (2 * h)
 
-    def grad_y(self, x, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+    def _grad_y(self, x, y):
         h = self.h1
         g = np.empty(self.d)
         for i in range(self.d):
             e = np.zeros(self.d)
             e[i] = h
-            g[i] = (self.value(x, y + e) - self.value(x, y - e)) / (2 * h)
+            g[i] = (self._f(x, y + e) - self._f(x, y - e)) / (2 * h)
         return g
 
-    def hess_y(self, x, y):
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+    def _hess_y(self, x, y):
         h = self.h2
         H = np.empty((self.d, self.d))
-        f0 = self.value(x, y)
+        f0 = self._f(x, y)
         for i in range(self.d):
             ei = np.zeros(self.d)
             ei[i] = h
-            H[i, i] = (self.value(x, y + ei) - 2 * f0 + self.value(x, y - ei)) / h**2
+            H[i, i] = (self._f(x, y + ei) - 2 * f0 + self._f(x, y - ei)) / h**2
             for j in range(i + 1, self.d):
                 ej = np.zeros(self.d)
                 ej[j] = h
-                H[i, j] = (self.value(x, y + ei + ej) - self.value(x, y + ei - ej)
-                           - self.value(x, y - ei + ej) + self.value(x, y - ei - ej)
+                H[i, j] = (self._f(x, y + ei + ej) - self._f(x, y + ei - ej)
+                           - self._f(x, y - ei + ej) + self._f(x, y - ei - ej)
                            ) / (4 * h**2)
                 H[j, i] = H[i, j]
         return H
@@ -430,12 +402,16 @@ class NumericCurveFamily(CurveFamily):
 # ---------------------------------------------------------------------------
 
 
+def _grid_nodes(grid) -> np.ndarray:
+    return np.asarray(getattr(grid, "nodes", grid), dtype=float)
+
+
 def eval_curve(model: CurveFamily, y: np.ndarray, grid) -> np.ndarray:
     """Evaluate the curve g(., y) on a sorted grid of maturities.
 
     Raises if any value comes out non-finite, naming the offending x.
     """
-    xs = np.asarray(getattr(grid, "nodes", grid), dtype=float)
+    xs = _grid_nodes(grid)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("grid must be a non-empty 1-d collection of maturities")
     if np.any(xs < 0) or np.any(np.diff(xs) < 0):
@@ -452,25 +428,22 @@ def check_c12(model: CurveFamily, y: np.ndarray, grid,
               second_step: float = FD_SECOND_STEP) -> float:
     """Cross-check analytic derivatives against finite differences.
 
-    Returns the maximum absolute discrepancy of (dx g, grad_y g, hess_y g)
-    versus central-difference estimates over ``grid x {y}``. Only defined
-    for analytic-mode families; finite-difference families skip the check
-    by definition.
+    Returns the maximum absolute discrepancy between the model's
+    ``derivative_tables`` (dx g, grad_y g, hess_y g) over ``grid x {y}``,
+    the tables the drift solvers read, and those of a
+    :class:`NumericCurveFamily` probe on the model's values. A NaN
+    discrepancy makes the result NaN. Only defined for analytic-mode
+    families; finite-difference families skip the check by definition.
     """
     if model.derivative_mode != "analytic":
         raise ValueError("cross-check requires analytic derivatives; "
                          "finite-difference mode is its own definition")
-    xs = np.asarray(getattr(grid, "nodes", grid), dtype=float)
+    xs = _grid_nodes(grid)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    probe = NumericCurveFamily(lambda x, yy: model.value(x, yy), model.d,
+    probe = NumericCurveFamily(model.value, model.d,
                                first_step=first_step, second_step=second_step)
-    err = 0.0
-    for x in xs:
-        x = float(x)
-        err = max(err, abs(model.dx(x, y) - probe.dx(x, y)))
-        err = max(err, float(np.max(np.abs(model.grad_y(x, y) - probe.grad_y(x, y)))))
-        err = max(err, float(np.max(np.abs(model.hess_y(x, y) - probe.hess_y(x, y)))))
-    return err
+    tables = zip(model.derivative_tables(xs, y), probe.derivative_tables(xs, y))
+    return float(np.max([np.max(np.abs(got - fd), initial=0.0) for got, fd in tables]))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .families import CurveFamily
+from .families import CurveFamily, _grid_nodes
 from .qe import _reject_unknown
 
 RANK_TOL = 1e-10         # relative singular-value cutoff for drift solves
@@ -115,12 +115,6 @@ class DriftSolveResult:
             "condition_number": self.condition_number,
             "rank_ok": self.rank_ok,
         }
-
-
-
-
-def _grid_nodes(grid) -> np.ndarray:
-    return np.asarray(getattr(grid, "nodes", grid), dtype=float)
 
 
 def _diffusion_weights(sigma: np.ndarray) -> np.ndarray:

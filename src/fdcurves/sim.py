@@ -29,9 +29,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtri
 
-from .families import AffineModel, CurveFamily, _simpson_weights
-from .noarb import (RANK_TOL, DriftSolveResult, _diffusion_weights, _grid_nodes,
-                    solve_drift)
+from .families import AffineModel, CurveFamily, _grid_nodes, _simpson_weights
+from .noarb import RANK_TOL, DriftSolveResult, _diffusion_weights, solve_drift
 from .qe import _reject_unknown
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -337,10 +338,56 @@ def test_check_drift_residuals_csv_bytes_on_shipped_scenario(tmp_path):
         b"1,sigma,1.1811320561114105e-16,2.220446049250313e-16,True\n")
 
 
-def test_detect_affine_readme_line_on_shipped_scenario(tmp_path, monkeypatch, capsys):
-    # README: fdcurves detect-affine --scenario scenarios/custom_affine.json
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# (command, scenario file) -> exit code, verdict line (first stdout line)
+# pattern and the artifacts run_result.json lists
+README_PINS = {
+    ("check-drift", "affine_demo.json"):
+        (0, r"DRIFT-OK \(max residual_rms=\S+\)", ["residuals.csv"]),
+    ("scc-probe", "gaussian_probe.json"):
+        (1, r"SCC-VIOLATION \(residual=\S+\)", ["residuals.csv", "scc_report.json"]),
+    ("detect-affine", "custom_affine.json"):
+        (0, r"rank=2", ["singular_values.csv"]),
+    ("simulate", "affine_demo.json"):
+        (0, r"simulated n_paths=200 n_times=501 d=1 -> out/affine_demo/paths\.bin",
+         ["paths.bin", "paths.csv"]),
+    ("price", "affine_demo.json"):
+        (0, r"\d+\.\d{6}", ["prices.csv"]),
+    ("martingale-test", "affine_demo.json"):
+        (0, r"MARTINGALE-OK \(max\|z\|=\S+\)", ["martingale.csv"]),
+    ("estimate-vol", "affine_demo.json"):
+        (0, r"sigma_sq_hat=\[\[\S+\]\]", ["vol.csv"]),
+    ("reconstruct", "affine_demo.json"):
+        (0, r"reconstructed=\S+ direct=\S+ abs_error=\S+", []),
+}
+SIMULATING = {"simulate", "martingale-test", "estimate-vol"}
+
+
+def readme_cli_lines():
+    """The lines of the sh block under the README's "## Command line"."""
+    section = README.read_text().split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split() for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines(), ids=lambda line: line[1])
+def test_readme_command_line(line, tmp_path, monkeypatch, capsys):
+    assert line[0] == "fdcurves"
+    argv = line[1:]
+    scenario = Path(argv[argv.index("--scenario") + 1])
+    assert scenario.parent == Path("scenarios")
+    key = (argv[0], scenario.name)
+    assert key in README_PINS, f"README line {' '.join(line)!r} has no pinned outcome"
+    exit_code, verdict, artifacts = README_PINS[key]
+    shipped = SCENARIOS / scenario.name
+    argv[argv.index("--scenario") + 1] = str(shipped)
+    if argv[0] in SIMULATING:
+        argv += ["--n-paths", "200"]
     monkeypatch.chdir(tmp_path)
-    assert main(["detect-affine", "--scenario",
-                 str(SCENARIOS / "custom_affine.json")]) == 0
-    assert "rank=2" in capsys.readouterr().out
-    assert (tmp_path / "out" / "custom_affine" / "singular_values.csv").exists()
+    assert main(argv) == exit_code
+    assert re.fullmatch(verdict, capsys.readouterr().out.splitlines()[0])
+    out_dir = Path(json.loads(shipped.read_text())["output_dir"])
+    result = json.loads((tmp_path / out_dir / "run_result.json").read_text())
+    assert result["artifacts"] == [str(out_dir / name) for name in artifacts]
+    assert all((tmp_path / out_dir / name).exists() for name in artifacts)

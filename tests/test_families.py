@@ -1,5 +1,8 @@
 """Curve families: evaluation, derivative cross-checks, Hilbert norms."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,6 +16,8 @@ from fdcurves.families import (_BASIS_CACHE_SIZE, AffineModel, ComponentwiseCubi
 from fdcurves.noarb import XGrid, solve_drift
 from fdcurves.qe import QEFunction
 from fdcurves.sim import FuturesSpec, SdeSpec, martingale_test, simulate
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def erf_series(z):
@@ -143,6 +148,59 @@ def test_numeric_family_hessian_is_symmetric():
     for i in range(2):
         for j in range(2):
             assert abs(H[i, j] - H[j, i]) <= 1e-10 * (1.0 + abs(H[i, j]))
+
+
+# -- one evaluation contract ----------------------------------------------------
+
+
+def contract_models():
+    models = dict(builtin_models())
+    custom = json.loads((SCENARIOS / "custom_affine.json").read_text())["model"]
+    models["custom_affine.json"] = model_from_dict(custom)
+    models["numeric"] = NumericCurveFamily(
+        lambda x, y: float(np.sin(y[0]) * np.cos(2.0 * y[1]) * np.exp(-x)), d=2)
+    return models
+
+
+@pytest.mark.parametrize("name", sorted(contract_models()))
+def test_scalar_methods_read_one_node_of_the_batched_ones(name):
+    m = contract_models()[name]
+    assert not {"value", "dx", "grad_y", "hess_y", "curve"} & set(vars(type(m)))
+    rng = np.random.default_rng(23)
+    xs = np.concatenate([[0.0, 1e-7], np.sort(rng.uniform(0.0, 6.0, 5))])
+    Y = rng.uniform(-1.5, 1.5, (3, m.d))
+    values = m.curve_matrix(xs, Y)
+    # a larger batch may sum through BLAS in another order
+    rounding = 8 * np.finfo(float).eps
+    for j, y in enumerate(Y):
+        tables = m.derivative_tables(xs, y)
+        assert np.array_equal(m.curve(y, xs), m.curve_matrix(xs, y[None, :])[:, 0])
+        for k, x in enumerate(xs):
+            node = np.array([x])
+            assert m.value(x, y) == m.curve_matrix(node, y[None, :])[0, 0]
+            assert abs(m.value(x, y) - values[k, j]) <= rounding * (1.0 + np.max(np.abs(values)))
+            scalars = (m.dx(x, y), m.grad_y(x, y), m.hess_y(x, y))
+            for got, one_node, batch in zip(scalars, m.derivative_tables(node, y), tables):
+                assert np.array_equal(got, one_node[0])
+                assert np.max(np.abs(got - batch[k])) <= rounding * (1.0 + np.max(np.abs(batch)))
+
+
+def test_check_c12_reads_one_derivative_table_of_an_affine_model():
+    m = builtin_models()["affine3-cubic"]
+    check_c12(m, [0.3, -0.5, 0.8], np.linspace(0.0, 5.0, 9))
+    assert len(m._tables) <= 1
+
+
+def test_check_c12_certifies_the_tables_the_solvers_read(monkeypatch):
+    m = GaussianExampleModel()
+    tables = m.derivative_tables
+
+    def wrong_hessian_sign(xs, y):
+        dxg, grads, hesses = tables(xs, y)
+        return dxg, grads, -hesses
+
+    monkeypatch.setattr(m, "derivative_tables", wrong_hessian_sign)
+    assert check_c12(m, [0.0], np.linspace(0.0, 5.0, 9)) > 1e-3
 
 
 # -- factor maps ----------------------------------------------------------------

@@ -22,7 +22,7 @@ from .qe import (MatrixExponentialOverflowError, OdeFitResult, QEFunction,
 from .sim import (FuturesSpec, MartingaleTestResult, PathSet, RiskNeutralDrift,
                   SccLoopReport, SdeSpec, SimulationError, corollary_split,
                   estimate_vol, futures_price, martingale_test,
-                  nearest_psd_factor, rn_drift, scc_loop, simulate)
+                  nearest_psd, rn_drift, scc_loop, simulate)
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "corollary_split", "curve_hilbert_norm", "detect_affine",
     "estimate_vol", "eta_field_from_model", "eval_curve", "fit_linear_ode",
     "futures_price", "hilbert_norm", "martingale_test", "mat_exp",
-    "model_from_dict", "nearest_psd_factor", "qe_derivative", "qe_eval",
+    "model_from_dict", "nearest_psd", "qe_derivative", "qe_eval",
     "qe_integral", "reconstruct_from_eta", "rn_drift", "rn_residual",
     "scc_loop", "scc_probe", "sigma_sweep", "simulate", "solve_drift",
 ]

@@ -1,18 +1,17 @@
 """Risk-neutral drift condition, diffusion-consistency probe, affine detection.
 
 For a family g(x, y) driven by a d-dimensional diffusion with constant
-matrix sigma, absence of drift arbitrage pins the factor drift b through
-the pointwise identity
+covariance a = sigma sigma^T, absence of drift arbitrage pins the factor
+drift b through the pointwise identity
 
-    dx g(x, y) = grad_y g(x, y) . b
-                 + 1/2 * sum_ij sigma[i,j]*sigma[j,i] * hess_y g(x, y)[i,j]
+    dx g(x, y) = grad_y g(x, y) . b + 1/2 * sum_ij a[i,j] * hess_y g(x, y)[i,j]
 
 for all maturities x. On a finite maturity grid this is an overdetermined
 linear system in b, solved here by SVD least squares. Comparing the solved
-drifts across a fixed sweep of diffusion matrices (identity, single-entry
+drifts across a fixed sweep of covariance matrices (identity, single-entry
 bumps, doubled identity) extracts vector fields eta[i][j] and gamma that
 must express the y-Hessian and the x-derivative through the y-gradient
-alone whenever one drift exists per diffusion matrix:
+alone whenever one drift exists per covariance:
 
     hess_y g[i,j] = grad_y g . eta[i][j]        (Hessian identity)
     dx g          = grad_y g . gamma            (x identity)
@@ -117,17 +116,14 @@ class DriftSolveResult:
         }
 
 
-def _diffusion_weights(sigma: np.ndarray) -> np.ndarray:
-    """Weights W[i, j] of hess_y g[i, j] in the drift identity's trace term."""
-    # Index pattern sigma[i,j]*sigma[j,i]: elementwise product with the
-    # transpose, NOT the Gram matrix sigma @ sigma.T. The eta/gamma
-    # extraction formulas in scc_probe assume exactly this weighting; it
-    # coincides with the Gram matrix whenever sigma is diagonal.
-    return sigma * sigma.T
+def _trace_term(cov: np.ndarray, hesses: np.ndarray) -> np.ndarray:
+    """1/2 sum_ij a[i,j] hess_y g[i,j] on the grid, for the covariance a."""
+    return 0.5 * np.einsum("ij,kij->k", cov, hesses)
 
 
-def _trace_term(sigma: np.ndarray, hesses: np.ndarray) -> np.ndarray:
-    return 0.5 * np.einsum("ij,kij->k", _diffusion_weights(sigma), hesses)
+def _covariance(sigma: np.ndarray) -> np.ndarray:
+    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    return sigma @ sigma.T
 
 
 def _residual_stats(dxg: np.ndarray, grads: np.ndarray, trace_term: np.ndarray,
@@ -141,32 +137,31 @@ def rn_residual(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     """(rms, max) residual of the drift identity for a candidate drift b."""
     xs = _grid_nodes(grid)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     dxg, grads, hesses = model.derivative_tables(xs, y)
-    return _residual_stats(dxg, grads, _trace_term(sigma, hesses), b)
+    return _residual_stats(dxg, grads, _trace_term(_covariance(sigma), hesses), b)
 
 
 def _lstsq_drifts(tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  sigmas: np.ndarray, y: np.ndarray, rank_tol: float):
-    """Drifts B (one row per diffusion matrix), the trace terms, rank and
+                  covs: np.ndarray, y: np.ndarray, rank_tol: float):
+    """Drifts B (one row per covariance matrix), the trace terms, rank and
     singular values of the design matrix."""
-    # Every diffusion matrix shares the design matrix grad_y g, so one SVD
+    # Every covariance shares the design matrix grad_y g, so one SVD
     # least-squares call with one target column per matrix solves them all.
     dxg, grads, hesses = tables
     if not np.any(grads):
         raise DegenerateFamilyError(f"degenerate family at y={y.tolist()}")
-    traces = [_trace_term(sigma, hesses) for sigma in sigmas]
+    traces = [_trace_term(cov, hesses) for cov in covs]
     target = np.stack([dxg - t for t in traces], axis=1)
     B, _, rank, sv = np.linalg.lstsq(grads, target, rcond=rank_tol)
     return B.T.copy(), traces, rank, sv
 
 
 def _solve_drifts(tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  sigmas: np.ndarray, y: np.ndarray,
+                  covs: np.ndarray, y: np.ndarray,
                   rank_tol: float) -> list[DriftSolveResult]:
     dxg, grads, _ = tables
-    B, traces, rank, sv = _lstsq_drifts(tables, sigmas, y, rank_tol)
+    B, traces, rank, sv = _lstsq_drifts(tables, covs, y, rank_tol)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
     rank_ok = bool(rank == grads.shape[1])
     return [DriftSolveResult(b, *_residual_stats(dxg, grads, t, b), cond, rank_ok)
@@ -178,24 +173,28 @@ def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     """Least-squares drift b making the family risk neutral at y.
 
     Builds one equation per grid node (design row grad_y g, target
-    dx g minus the diffusion trace term) and solves by SVD with
-    minimal-norm fallback. ``rank_ok`` is False when the design matrix has
-    numerical rank below d at the relative cutoff ``rank_tol``. The
-    reported residuals come from the same residual helper that
+    dx g minus the trace term of the covariance sigma sigma^T) and solves
+    by SVD with minimal-norm fallback. ``rank_ok`` is False when the design
+    matrix has numerical rank below d at the relative cutoff ``rank_tol``.
+    The reported residuals come from the same residual helper that
     :func:`rn_residual` uses, in the same arithmetic order, so solver and
     checker always agree.
     """
+    return _solve_drift_cov(model, y, _covariance(sigma), grid, rank_tol)
+
+
+def _solve_drift_cov(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
+                     grid, rank_tol: float = RANK_TOL) -> DriftSolveResult:
+    """:func:`solve_drift` for the covariance ``cov`` in place of sigma."""
     xs = _grid_nodes(grid)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
-    d = model.d
-    if xs.shape[0] < d:
-        raise ValueError(f"grid has {xs.shape[0]} nodes, need at least d={d}")
-    return _solve_drifts(model.derivative_tables(xs, y), sigma[None], y, rank_tol)[0]
+    if xs.shape[0] < model.d:
+        raise ValueError(f"grid has {xs.shape[0]} nodes, need at least d={model.d}")
+    return _solve_drifts(model.derivative_tables(xs, y), cov[None], y, rank_tol)[0]
 
 
 def sigma_sweep(d: int) -> list[tuple[str, np.ndarray]]:
-    """The fixed probe matrices: I, I + e_ii, I + e_ij (i<j), 2I."""
+    """The fixed probe covariances: I, I + E_ii, I + E_ij + E_ji (i<j), 2I."""
     out: list[tuple[str, np.ndarray]] = [("I", np.eye(d))]
     for i in range(d):
         m = np.eye(d)
@@ -212,7 +211,7 @@ def sigma_sweep(d: int) -> list[tuple[str, np.ndarray]]:
 
 
 def _sweep_inputs(model: CurveFamily, grid) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """Grid nodes, labels and stacked matrices of the probe sweep."""
+    """Grid nodes, labels and stacked covariances of the probe sweep."""
     xs = _grid_nodes(grid)
     d = model.d
     if xs.shape[0] < 2 * d + 2:
@@ -228,7 +227,7 @@ def _sweep_eta(B: np.ndarray) -> np.ndarray:
     eta = np.empty((d, d, d))
     pair = d + 1  # first I+e_ij row
     for i in range(d):
-        eta[i, i] = (2.0 / 3.0) * (B[0] - B[1 + i])
+        eta[i, i] = 2.0 * (B[0] - B[1 + i])
         for j in range(i + 1, d):
             eta[i, j] = eta[j, i] = B[0] - B[pair]
             pair += 1
@@ -273,18 +272,22 @@ class SCCReport:
 
 def scc_probe(model: CurveFamily, y: np.ndarray, grid,
               rank_tol: float = RANK_TOL) -> SCCReport:
-    """Sweep the probe diffusion matrices and extract eta / gamma fields.
+    """Sweep the probe covariances and extract eta / gamma fields.
 
-    The drift differences across the sweep are
+    The drift solved for covariance a is b_a = G^+ (dx g - 1/2 sum_ij a_ij
+    hess_y g[i,j]) with G = grad_y g on the grid, so the drift differences
+    across the :func:`sigma_sweep` covariances are
 
-        eta[i][i] = 2/3 * (b_I - b_{I+e_ii})
-        eta[i][j] = b_I - b_{I+e_ij}            (i != j)
-        gamma     = (4 b_I - b_{2I}) / 3
+        eta[i][i] = 2 (b_I - b_{I+E_ii})      = G^+ hess_y g[i,i]
+        eta[i][j] = b_I - b_{I+E_ij+E_ji}     = G^+ hess_y g[i,j]   (i != j)
+        gamma     = 2 b_I - b_{2I}            = G^+ dx g
 
     and the report carries the worst-case grid residuals of the Hessian and
     x identities they are supposed to satisfy. Large residuals certify that
-    no single drift can repair the corresponding diffusion matrix, i.e.
-    the family's shape is incompatible with freely estimated volatility.
+    no single drift can repair the corresponding covariance, i.e. the
+    family's shape is incompatible with freely estimated volatility. The
+    paper's index pattern sigma[i,j] sigma[j,i] is the covariance only for
+    diagonal sigma; eta and gamma are the same projections either way.
     """
     xs, labels, mats = _sweep_inputs(model, grid)
     y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -293,7 +296,7 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid,
     per_sigma = dict(zip(labels, results))
     B = np.stack([r.b for r in results])
     eta = _sweep_eta(B)
-    gamma = (4.0 * B[0] - B[-1]) / 3.0
+    gamma = 2.0 * B[0] - B[-1]
 
     dxg, grads, hesses = tables
     hess_res = float(np.max(np.abs(hesses - np.einsum("km,ijm->kij", grads, eta))))

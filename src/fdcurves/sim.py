@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .families import AffineModel, CurveFamily, _grid_nodes, _simpson_weights
-from .noarb import RANK_TOL, DriftSolveResult, _diffusion_weights, solve_drift
+from .noarb import RANK_TOL, DriftSolveResult, _covariance, _solve_drift_cov
 from .qe import _reject_unknown
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes
@@ -144,12 +144,12 @@ class PathSet:
     def export_csv(self, path) -> None:
         """Long-format CSV with columns path, time, y_1..y_d."""
         cols = ",".join(f"y_{i + 1}" for i in range(self.d))
+        times = [repr(t) for t in self.times.tolist()]
         with open(path, "w", newline="") as fh:
             fh.write(f"path,time,{cols}\n")
             for p in range(self.n_paths):
-                for k in range(self.n_times):
-                    vals = ",".join(repr(float(v)) for v in self.paths[p, k])
-                    fh.write(f"{p},{float(self.times[k])!r},{vals}\n")
+                fh.write("".join(f"{p},{t},{','.join(map(repr, row))}\n"
+                                 for t, row in zip(times, self.paths[p].tolist())))
 
 
 @dataclass(frozen=True)
@@ -325,36 +325,32 @@ def estimate_vol(ps: PathSet) -> np.ndarray:
     return cov / (ps.n_paths * ps.horizon)
 
 
-def nearest_psd_factor(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
-    """A factor S with S S^T equal to `matrix` projected onto the PSD cone.
-
-    Uses Cholesky when the matrix is already positive definite; otherwise
-    clips negative eigenvalues to zero and returns the symmetric
-    eigen-factor, flagging the projection.
-    """
+def nearest_psd(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(a, projected): the symmetric part of `matrix`, projected onto the
+    PSD cone by clipping negative eigenvalues to zero when it has any."""
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     m = 0.5 * (m + m.T)
-    try:
-        return np.linalg.cholesky(m), False
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(m)
-        vals = np.clip(vals, 0.0, None)
-        return vecs @ np.diag(np.sqrt(vals)), True
+    vals, vecs = np.linalg.eigh(m)
+    if np.all(vals >= 0.0):
+        return m, False
+    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T, True
 
 
 @dataclass(frozen=True)
 class SccLoopReport:
     """Outcome of estimating volatility from paths and re-solving the drift.
 
-    The verdict is positive when every sampled state admits a drift with
-    residual at or below ``tol`` for the estimated (or overridden)
-    diffusion factor. ``y_box`` bounds the sampled states: the verdict
+    ``covariance`` is the matrix every drift solve read: the estimate
+    ``sigma_sq_hat`` projected onto the PSD cone (``psd_projected`` says
+    whether that moved it) or the override's covariance. The verdict is
+    positive when every sampled state admits a drift with residual at or
+    below ``tol`` for it. ``y_box`` bounds the sampled states: the verdict
     certifies nothing outside that box. ``max_drift_norm`` tracks local
     boundedness of the solved drifts over the box.
     """
 
     sigma_sq_hat: np.ndarray
-    sigma_factor: np.ndarray
+    covariance: np.ndarray
     psd_projected: bool
     y_samples: np.ndarray
     per_state: list[DriftSolveResult] = field(repr=False)
@@ -369,7 +365,7 @@ class SccLoopReport:
         lo, hi = self.y_box
         return {
             "sigma_sq_hat": np.asarray(self.sigma_sq_hat).tolist(),
-            "sigma_factor": np.asarray(self.sigma_factor).tolist(),
+            "covariance": np.asarray(self.covariance).tolist(),
             "psd_projected": self.psd_projected,
             "max_residual": self.max_residual,
             "max_drift_norm": self.max_drift_norm,
@@ -386,34 +382,34 @@ def scc_loop(model: CurveFamily, observed: PathSet, grid,
              n_y_samples: int = 32, tol: float = 1e-6) -> SccLoopReport:
     """Estimate the diffusion from data, then demand a risk-neutral drift.
 
-    This is the estimation loop that motivates the consistency probes: fit
-    sigma sigma^T by realised covariation, factor it, and re-solve the
-    drift at states visited by the paths. A family with affine structure
-    passes for any estimate; a family without it fails as soon as the
-    estimate wanders off the one diffusion value it can support.
+    This is the estimation loop that motivates the consistency probes:
+    estimate the covariance a = sigma sigma^T by realised covariation,
+    project it onto the PSD cone, and re-solve the drift for it at states
+    visited by the paths. A family with affine structure passes for any
+    estimate; a family without it fails as soon as the estimate wanders
+    off the one diffusion value it can support. NaN fails the verdict.
 
-    ``sigma_override`` replaces the estimated factor with a prescribed
-    matrix (useful for stress-testing a perturbed estimate).
+    ``sigma_override`` replaces the estimate with the covariance of a
+    prescribed sigma (useful for stress-testing a perturbed estimate).
     """
     if sigma_override is not None:
-        factor = np.atleast_2d(np.asarray(sigma_override, dtype=float))
-        sigma_sq = factor @ factor.T
+        sigma_sq = cov = _covariance(sigma_override)
         projected = False
     else:
         sigma_sq = estimate_vol(observed)
-        factor, projected = nearest_psd_factor(sigma_sq)
+        cov, projected = nearest_psd(sigma_sq)
 
     flat = observed.paths.reshape(-1, observed.d)
     idx = np.unique(np.linspace(0, flat.shape[0] - 1, n_y_samples).round().astype(int))
     samples = flat[idx]
-    per_state = [solve_drift(model, yk, factor, grid) for yk in samples]
-    max_res = max(r.residual_rms for r in per_state)
-    max_b = max(float(np.linalg.norm(r.b)) for r in per_state)
+    per_state = [_solve_drift_cov(model, yk, cov, grid) for yk in samples]
+    max_res = float(np.max([r.residual_rms for r in per_state]))
+    max_b = float(np.max([np.linalg.norm(r.b) for r in per_state]))
     any_bad_rank = any(not r.rank_ok for r in per_state)
     return SccLoopReport(
-        sigma_sq_hat=sigma_sq, sigma_factor=factor, psd_projected=projected,
+        sigma_sq_hat=sigma_sq, covariance=cov, psd_projected=projected,
         y_samples=samples, per_state=per_state,
-        max_residual=float(max_res), max_drift_norm=max_b,
+        max_residual=max_res, max_drift_norm=max_b,
         y_box=(flat.min(axis=0), flat.max(axis=0)),
         tol=float(tol), verdict=bool(max_res <= tol and not any_bad_rank),
         any_rank_deficient=any_bad_rank)
@@ -430,10 +426,10 @@ class RiskNeutralDrift:
     Maps a state (d,) to (d,) or a batch (n, d) to (n, d), row by row, and
     equals the least-squares drift of :func:`solve_drift` at every state.
     For an affine model whose loadings U have full column rank on the grid,
-    grad_y g = U diag(A'(y)) and U^+ U = I give the closed form
+    grad_y g = U diag(A'(y)), U^+ U = I and a = sigma sigma^T give
 
-        b(y) = (p + Q A(y) - 1/2 A''(y) * diag(W)) / A'(y),
-        p = U^+ c',  Q = U^+ U',  W = the trace term's diffusion weights,
+        b(y) = (p + Q A(y) - 1/2 A''(y) * diag(a)) / A'(y),
+        p = U^+ c',  Q = U^+ U',
 
     with p and Q computed once here; it is non-finite where A'(y) = 0. Every
     other model is solved state by state.
@@ -441,7 +437,7 @@ class RiskNeutralDrift:
 
     def __init__(self, model: CurveFamily, sigma: np.ndarray, grid):
         self.model = model
-        self.sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+        self.cov = _covariance(sigma)
         self.grid = grid
         self._rows = self._solved
         if isinstance(model, AffineModel):
@@ -450,7 +446,7 @@ class RiskNeutralDrift:
                                              rcond=RANK_TOL)
             if rank == model.d:
                 self._p, self._q = pq[:, 0], pq[:, 1:]
-                self._half_w = 0.5 * np.diag(_diffusion_weights(self.sigma))
+                self._half_a = 0.5 * np.diag(self.cov)
                 self._rows = self._closed_form
 
     def _closed_form(self, Y: np.ndarray) -> np.ndarray:
@@ -459,10 +455,10 @@ class RiskNeutralDrift:
         # a row-local sum, not a matmul, so a row never depends on the batch
         qa = (fm.value(Y)[:, None, :] * self._q).sum(axis=-1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (self._p + qa - d2A * self._half_w) / dA
+            return (self._p + qa - d2A * self._half_a) / dA
 
     def _solved(self, Y: np.ndarray) -> np.ndarray:
-        return np.stack([solve_drift(self.model, y, self.sigma, self.grid).b
+        return np.stack([_solve_drift_cov(self.model, y, self.cov, self.grid).b
                          for y in Y])
 
     def __call__(self, y: np.ndarray) -> np.ndarray:

@@ -336,31 +336,32 @@ def probe_cases():
     return cases + [("custom_affine", custom_scenario_model(), GRID)]
 
 
-def reference_solve_drift(model, y, sigma, grid, rank_tol=RANK_TOL):
-    """The single-right-hand-side solve: its own tables, lstsq and rn_residual."""
+def reference_solve_drift(model, y, cov, grid, rank_tol=RANK_TOL):
+    """The single-right-hand-side solve for the covariance cov: its own
+    tables, lstsq and residuals (in the library's arithmetic order)."""
     xs = np.asarray(grid.nodes)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     dxg, grads, hesses = model.derivative_tables(xs, y)
-    target = dxg - 0.5 * np.einsum("ij,kij->k", sigma * sigma.T, hesses)
-    b, _, rank, sv = np.linalg.lstsq(grads, target, rcond=rank_tol)
+    trace = 0.5 * np.einsum("ij,kij->k", cov, hesses)
+    b, _, rank, sv = np.linalg.lstsq(grads, dxg - trace, rcond=rank_tol)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    rms, rmax = rn_residual(model, y, sigma, b, grid)
+    r = dxg - grads @ b - trace
+    rms, rmax = float(np.sqrt(np.mean(r**2))), float(np.max(np.abs(r)))
     return b, rms, rmax, cond, bool(rank == model.d)
 
 
 def reference_scc_probe(model, y, grid):
-    """One solve per sweep matrix, then the eta/gamma formulas."""
+    """One solve per sweep covariance, then the eta/gamma formulas."""
     d = model.d
     per_sigma = {label: reference_solve_drift(model, y, mat, grid)
                  for label, mat in sigma_sweep(d)}
     b_id = per_sigma["I"][0]
     eta = np.empty((d, d, d))
     for i in range(d):
-        eta[i, i] = (2.0 / 3.0) * (b_id - per_sigma[f"I+e{i + 1}{i + 1}"][0])
+        eta[i, i] = 2.0 * (b_id - per_sigma[f"I+e{i + 1}{i + 1}"][0])
         for j in range(i + 1, d):
             eta[i, j] = eta[j, i] = b_id - per_sigma[f"I+e{i + 1}{j + 1}"][0]
-    gamma = (4.0 * b_id - per_sigma["2I"][0]) / 3.0
+    gamma = 2.0 * b_id - per_sigma["2I"][0]
     dxg, grads, hesses = model.derivative_tables(np.asarray(grid.nodes), y)
     hess_res = float(np.max(np.abs(hesses - np.einsum("km,ijm->kij", grads, eta))))
     x_res = float(np.max(np.abs(dxg - grads @ gamma)))
@@ -373,10 +374,25 @@ def test_solve_drift_equals_single_rhs_reference_bitwise():
         y = rng.uniform(-1.0, 1.0, m.d)
         sigma = rng.uniform(-1.0, 1.0, (m.d, m.d))
         res = solve_drift(m, y, sigma, grid)
-        b, rms, rmax, cond, rank_ok = reference_solve_drift(m, y, sigma, grid)
+        b, rms, rmax, cond, rank_ok = reference_solve_drift(m, y, sigma @ sigma.T, grid)
         assert np.array_equal(res.b, b), name
         assert (res.residual_rms, res.residual_max) == (rms, rmax), name
         assert (res.condition_number, res.rank_ok) == (cond, rank_ok), name
+
+
+def test_scc_probe_eta_and_gamma_are_least_squares_projections():
+    # eta[i][j] = G^+ hess_y g[i,j] and gamma = G^+ dx g, with G = grad_y g:
+    # linear in the solve's target, so independent of the sweep's convention
+    rng = np.random.default_rng(29)
+    for name, m, grid in probe_cases():
+        for y in rng.uniform(-1.0, 1.0, (3, m.d)):
+            rep = scc_probe(m, y, grid)
+            dxg, grads, hesses = m.derivative_tables(np.asarray(grid.nodes), y)
+            rhs = np.column_stack([dxg, hesses.reshape(len(dxg), -1)])
+            proj = np.linalg.lstsq(grads, rhs, rcond=RANK_TOL)[0]
+            assert np.max(np.abs(rep.gamma - proj[:, 0])) <= 1e-12, name
+            eta = proj[:, 1:].reshape(m.d, m.d, m.d).transpose(1, 2, 0)
+            assert np.max(np.abs(rep.eta - eta)) <= 1e-12, name
 
 
 def test_scc_probe_matches_per_sigma_solve_loop():

@@ -7,18 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdcurves.families import (AffineModel, GaussianExampleModel, IdentityMap,
-                               builtin_models, model_from_dict)
+from fdcurves.families import (AffineModel, ExpMinusOneMap, GaussianExampleModel,
+                               IdentityMap, builtin_models, model_from_dict)
 from fdcurves.noarb import XGrid, rn_residual, solve_drift
 from fdcurves.qe import QEFunction, qe_integral
 from fdcurves.sim import (PATHSET_MAGIC, FuturesSpec, PathSet, SccLoopReport, SdeSpec,
                           SimulationError, corollary_split, estimate_vol,
-                          futures_price, martingale_test, nearest_psd_factor,
+                          futures_price, martingale_test, nearest_psd,
                           rn_drift, scc_loop, simulate)
 
 GRID = XGrid.chebyshev()
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 FS12 = FuturesSpec(1.0, 2.0)
+CUSTOM_SIGMA = [[0.5, 0.0], [0.45, 0.2]]
 
 
 def ou_spec(sigma=1.0, y0=0.0):
@@ -142,6 +143,27 @@ def test_pathset_csv_export(tmp_path):
     assert first[0] == "0" and float(first[1]) == 0.0
 
 
+def row_loop_csv(ps, path):
+    """The row-by-row writer the joined export must match byte for byte."""
+    cols = ",".join(f"y_{i + 1}" for i in range(ps.d))
+    with open(path, "w", newline="") as fh:
+        fh.write(f"path,time,{cols}\n")
+        for p in range(ps.n_paths):
+            for k in range(ps.n_times):
+                vals = ",".join(repr(float(v)) for v in ps.paths[p, k])
+                fh.write(f"{p},{float(ps.times[k])!r},{vals}\n")
+
+
+def test_pathset_csv_export_bytes_match_row_loop(tmp_path):
+    rng = np.random.default_rng(31)
+    paths = rng.standard_normal((3, 7, 2)) * np.logspace(-12, 12, 7)[None, :, None]
+    paths[0, 1] = [0.0, -0.0]
+    ps = PathSet(times=0.1 * np.arange(7), paths=paths, seed=3)
+    ps.export_csv(tmp_path / "joined.csv")
+    row_loop_csv(ps, tmp_path / "rows.csv")
+    assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 # -- futures_price ----------------------------------------------------------------
 
 
@@ -220,6 +242,17 @@ def test_martingale_rn_drift_small_z():
     ps = simulate(ou_spec(1.0, 1.0), 1e-3, 0.5, 2000, seed=20260810)
     res = martingale_test(simple_affine(), ps, FS12)
     assert abs(res.z_score) <= 3.0
+
+
+def test_martingale_rn_drift_small_z_under_correlated_sigma():
+    # the drift must be risk neutral for the covariance sigma sigma^T that
+    # the Euler scheme produces, not for the pattern sigma[i,j] sigma[j,i]
+    m = AffineModel(c=QEFunction.constant(0.0),
+                    u=[QEFunction.exponential(-1.0), QEFunction.exponential(-2.0)],
+                    factor_map=ExpMinusOneMap(2))
+    ps = simulate(SdeSpec(d=2, drift=rn_drift(m, CUSTOM_SIGMA, GRID),
+                          sigma=CUSTOM_SIGMA, y0=[0.0, 0.0]), 0.02, 1.0, 5000, seed=7)
+    assert abs(martingale_test(m, ps, FS12).z_score) <= 3.0
 
 
 def test_martingale_wrong_drift_large_z():
@@ -313,9 +346,6 @@ def test_lattice_drift_batch_queries():
     assert np.allclose(out[:, 0], -Y[:, 0], atol=1e-10)
 
 
-CUSTOM_SIGMA = [[0.5, 0.0], [0.45, 0.2]]
-
-
 def custom_model():
     scenario = json.loads((SCENARIOS / "custom_affine.json").read_text())
     return model_from_dict(scenario["model"])
@@ -356,6 +386,41 @@ def test_rn_drift_solves_the_drift_identity_on_custom_model():
     out = rn_drift(m, CUSTOM_SIGMA, GRID)(Y)
     worst = max(rn_residual(m, y, CUSTOM_SIGMA, b, GRID)[0] for y, b in zip(Y, out))
     assert worst <= 1e-10
+
+
+def finite_difference_drift_residual(model, y, b, cov, h=1e-4):
+    """Max grid residual of the drift identity with grad_y g and hess_y g
+    from central differences of curve_matrix, weighted by the covariance."""
+    d = model.d
+    xs = np.asarray(GRID.nodes)
+    e = h * np.eye(d)
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
+    states = np.vstack([y] + [y + s * e[i] for i in range(d) for s in (1.0, -1.0)]
+                       + [y + si * e[i] + sj * e[j] for i, j in pairs for si, sj in signs])
+    g = model.curve_matrix(xs, states)
+    grad = np.empty((xs.size, d))
+    hess = np.empty((xs.size, d, d))
+    for i in range(d):
+        up, down = g[:, 1 + 2 * i], g[:, 2 + 2 * i]
+        grad[:, i] = (up - down) / (2 * h)
+        hess[:, i, i] = (up - 2 * g[:, 0] + down) / h**2
+    for n, (i, j) in enumerate(pairs):
+        pp, pm, mp, mm = g[:, 1 + 2 * d + 4 * n: 5 + 2 * d + 4 * n].T
+        hess[:, i, j] = hess[:, j, i] = (pp - pm - mp + mm) / (4 * h**2)
+    dxg = model.derivative_tables(xs, y)[0]
+    r = dxg - grad @ b - 0.5 * np.einsum("ij,kij->k", cov, hess)
+    return float(np.max(np.abs(r)))
+
+
+def test_rn_drift_closed_form_against_finite_difference_oracle():
+    m = custom_model()
+    sigma = np.array(CUSTOM_SIGMA)
+    Y = off_lattice_states(2, 10)
+    out = rn_drift(m, sigma, GRID)(Y)
+    worst = max(finite_difference_drift_residual(m, y, b, sigma @ sigma.T)
+                for y, b in zip(Y, out))
+    assert worst <= 1e-6
 
 
 def test_rn_drift_solves_state_by_state_without_full_rank_loadings():
@@ -411,11 +476,46 @@ def test_scc_loop_report_serialises():
     assert len(d["per_state"]) == len(rep.per_state)
 
 
+def test_scc_loop_verdict_fails_on_nan_residuals():
+    class NanHessianAbove(AffineModel):
+        def derivative_tables(self, xs, y):
+            dxg, grads, hesses = super().derivative_tables(xs, y)
+            if np.atleast_1d(y)[0] > 1.2:
+                hesses = np.full_like(hesses, np.nan)
+            return dxg, grads, hesses
+
+    base = simple_affine()
+    m = NanHessianAbove(c=base.c, u=base.u, factor_map=base.factor_map)
+    ps = simulate(SdeSpec(d=1, drift=rn_drift(base, [[1.0]], GRID),
+                          sigma=[[1.0]], y0=[1.0]), 1e-3, 1.0, 4, seed=11)
+    rep = scc_loop(m, ps, GRID)
+    residuals = [r.residual_rms for r in rep.per_state]
+    assert np.isfinite(residuals[0]) and np.isnan(residuals).any()
+    assert np.isnan(rep.max_residual) and np.isnan(rep.max_drift_norm)
+    assert not rep.verdict
+
+
+def test_scc_loop_solves_with_the_override_covariance():
+    m = custom_model()
+    ps = simulate(driftless(0.3, 0.0, d=2), 1e-2, 1.0, 2, seed=3)
+    rep = scc_loop(m, ps, GRID, sigma_override=CUSTOM_SIGMA, n_y_samples=4)
+    sigma = np.array(CUSTOM_SIGMA)
+    assert np.array_equal(rep.covariance, sigma @ sigma.T)
+    assert np.array_equal(rep.sigma_sq_hat, sigma @ sigma.T)
+    assert not rep.psd_projected
+    assert rep.verdict and rep.max_residual <= 1e-10
+    for y, r in zip(rep.y_samples, rep.per_state):
+        assert np.array_equal(r.b, solve_drift(m, y, sigma, GRID).b)
+
+
 def test_nearest_psd_projection_flags_and_repairs():
-    factor, projected = nearest_psd_factor(np.array([[1.0, 0.0], [0.0, -0.5]]))
+    a, projected = nearest_psd(np.array([[1.0, 0.0], [0.0, -0.5]]))
     assert projected
-    rebuilt = factor @ factor.T
-    assert np.allclose(rebuilt, np.diag([1.0, 0.0]), atol=1e-12)
-    factor2, projected2 = nearest_psd_factor(np.eye(2))
+    assert np.allclose(a, np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.linalg.eigvalsh(a).min() >= -1e-15
+    a2, projected2 = nearest_psd(np.eye(2))
     assert not projected2
-    assert np.allclose(factor2 @ factor2.T, np.eye(2))
+    assert np.array_equal(a2, np.eye(2))
+    a3, projected3 = nearest_psd(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    assert not projected3
+    assert np.array_equal(a3, np.ones((2, 2)))

@@ -20,9 +20,9 @@ from .noarb import (AffineDetection, DegenerateFamilyError, DriftSolveResult,
 from .qe import (MatrixExponentialOverflowError, OdeFitResult, QEFunction,
                  fit_linear_ode, mat_exp, qe_derivative, qe_eval, qe_integral)
 from .sim import (FuturesSpec, MartingaleTestResult, PathSet, RiskNeutralDrift,
-                  SccLoopReport, SdeSpec, SimulationError, corollary_split,
-                  estimate_vol, futures_price, martingale_test,
-                  nearest_psd, rn_drift, scc_loop, simulate)
+                  SccLoopReport, SdeSpec, SimulationError, estimate_vol,
+                  futures_price, martingale_test, nearest_psd, rn_drift,
+                  scc_loop, simulate)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "PathSet", "QEFunction", "RiskNeutralDrift", "SCCReport",
     "SccLoopReport", "SdeSpec",
     "SimulationError", "XGrid", "builtin_models", "check_c12",
-    "corollary_split", "curve_hilbert_norm", "detect_affine",
+    "curve_hilbert_norm", "detect_affine",
     "estimate_vol", "eta_field_from_model", "eval_curve", "fit_linear_ode",
     "futures_price", "hilbert_norm", "martingale_test", "mat_exp",
     "model_from_dict", "nearest_psd", "qe_derivative", "qe_eval",

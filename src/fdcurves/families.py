@@ -251,7 +251,8 @@ class AffineModel(CurveFamily):
         xs = np.asarray(xs, dtype=float)
         U = np.stack([f.eval_grid(xs) for f in self.u], axis=1)
         A = self.factor_map.value(np.atleast_2d(np.asarray(Y, dtype=float)))
-        return self.c.eval_grid(xs)[:, None] + U @ A.T
+        # row-local sums, not matmuls, so a node never depends on the batch
+        return self.c.eval_grid(xs)[:, None] + (U[:, None, :] * A).sum(axis=-1)
 
     def derivative_tables(self, xs, y):
         xs = np.asarray(xs, dtype=float)
@@ -261,7 +262,8 @@ class AffineModel(CurveFamily):
         hesses = np.zeros(U.shape + (self.d,))
         diag = np.arange(self.d)
         hesses[:, diag, diag] = U * d2A
-        return dc_vals + dU @ self.factor_map.value(y), U * dA, hesses
+        dxg = dc_vals + (dU * self.factor_map.value(y)).sum(axis=-1)
+        return dxg, U * dA, hesses
 
     def to_dict(self) -> dict:
         return {

@@ -11,7 +11,9 @@ delivery window,
 
     F_t(T1, T2) = 1/(T2 - T1) * int_T1^T2 g(u - t, Y_t) du,
 
-evaluated by composite Simpson quadrature. Under the risk-neutral drift
+evaluated by composite Simpson quadrature on N_QUAD = 129 fixed nodes. An
+affine family prices as F_t = cbar(t) + sum_k ubar_k(t) A_k(Y_t), with its
+intercept and loadings averaged over the window. Under the risk-neutral drift
 these prices are local martingales, which :func:`martingale_test` checks
 with a Monte Carlo z-score on terminal-minus-initial increments. The loop
 closes with :func:`estimate_vol` (realised covariation of the factor
@@ -34,7 +36,7 @@ from .noarb import RANK_TOL, DriftSolveResult, _covariance, _solve_drift_cov
 from .qe import _reject_unknown
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes
-DEFAULT_N_QUAD = 129  # Simpson nodes per delivery window; 65 misses 1e-10 on slow decays
+N_QUAD = 129  # Simpson nodes per delivery window; 65 misses 1e-10 on slow decays
 
 
 class SimulationError(RuntimeError):
@@ -238,18 +240,26 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
 
 
 def futures_price(model: CurveFamily, y: np.ndarray, t: float,
-                  fs: FuturesSpec, n_quad: int = DEFAULT_N_QUAD) -> float:
-    """Delivery-period price 1/(T2-T1) * int_T1^T2 g(u - t, y) du at time t."""
+                  fs: FuturesSpec) -> float:
+    """Delivery-period price 1/(T2-T1) * int_T1^T2 g(u - t, y) du at time t,
+    by Simpson on N_QUAD nodes (affine families: cbar(t) + ubar(t) . A(y))."""
     if t > fs.T1:
         raise ValueError(f"contract in delivery: t={t} > T1={fs.T1}")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(_futures_prices_batch(model, y[None, :], t, fs, n_quad)[0])
+    return float(_futures_prices_batch(model, y[None, :], t, fs)[0])
 
 
 def _futures_prices_batch(model: CurveFamily, Y: np.ndarray, t: float,
-                          fs: FuturesSpec, n_quad: int) -> np.ndarray:
-    us, w = _simpson_weights(fs.T1, fs.T2, n_quad)
-    return (w @ model.curve_matrix(us - t, Y)) / (fs.T2 - fs.T1)
+                          fs: FuturesSpec) -> np.ndarray:
+    # row-local sums, not matmuls, so a row's price never depends on the batch
+    us, w = _simpson_weights(fs.T1, fs.T2, N_QUAD)
+    xs, length = us - t, fs.T2 - fs.T1
+    if isinstance(model, AffineModel):
+        c_avg = (w @ model.c.eval_grid(xs)) / length
+        u_avg = np.array([w @ f.eval_grid(xs) for f in model.u]) / length
+        return c_avg + (model.factor_map.value(Y) * u_avg).sum(axis=1)
+    M = model.curve_matrix(xs, Y)
+    return (np.ascontiguousarray(M.T) * w).sum(axis=1) / length
 
 
 @dataclass(frozen=True)
@@ -272,14 +282,16 @@ class MartingaleTestResult:
         }
 
 
-def martingale_test(model: CurveFamily, ps: PathSet, fs: FuturesSpec,
-                    n_quad: int = DEFAULT_N_QUAD) -> MartingaleTestResult:
+def martingale_test(model: CurveFamily, ps: PathSet,
+                    fs: FuturesSpec) -> MartingaleTestResult:
     """Check that futures prices have no systematic drift along the paths.
 
-    Prices F(t_k, Y_k) are evaluated at every sample time; the statistic is
-    the cross-path mean of the terminal-minus-initial change divided by its
-    standard error. Under the risk-neutral drift the z-score is standard
-    normal; a misspecified drift shows up as |z| far outside [-3, 3].
+    Prices F(t_k, Y_k) are those of :func:`futures_price`, bit for bit, at
+    every sample time (no curve is built for an affine family); the
+    statistic is the cross-path mean of the terminal-minus-initial change
+    divided by its standard error. Under the risk-neutral drift the z-score
+    is standard normal; a misspecified drift shows up as |z| far outside
+    [-3, 3].
     """
     if ps.horizon > fs.T1 + 1e-12:
         raise ValueError(
@@ -288,7 +300,7 @@ def martingale_test(model: CurveFamily, ps: PathSet, fs: FuturesSpec,
     prices = np.empty((ps.n_paths, n_times))
     for k in range(n_times):
         prices[:, k] = _futures_prices_batch(
-            model, ps.paths[:, k, :], float(ps.times[k]), fs, n_quad)
+            model, ps.paths[:, k, :], float(ps.times[k]), fs)
     increments = np.diff(prices, axis=1)
     total = prices[:, -1] - prices[:, 0]
     drift_estimate = float(np.mean(total))
@@ -475,21 +487,3 @@ LatticeDrift = RiskNeutralDrift
 def rn_drift(model: CurveFamily, sigma: np.ndarray, grid) -> RiskNeutralDrift:
     """The model's risk-neutral drift for `sigma`, as a batched callable."""
     return RiskNeutralDrift(model, sigma, grid)
-
-
-def corollary_split(model: AffineModel, y: np.ndarray, t: float,
-                    fs: FuturesSpec, n_quad: int = DEFAULT_N_QUAD) -> float:
-    """Futures price of an affine model through its transformed factor.
-
-    Averages the intercept and loading curves over the delivery window
-    separately and contracts with z = A(y): algebraically identical to
-    :func:`futures_price`, which makes the transformed factor an observable
-    affine state.
-    """
-    us, w = _simpson_weights(fs.T1, fs.T2, n_quad)
-    xs = us - t
-    length = fs.T2 - fs.T1
-    c_avg = float(w @ model.c.eval_grid(xs)) / length
-    u_avg = np.array([float(w @ f.eval_grid(xs)) for f in model.u]) / length
-    z = model.factor_map.value(np.atleast_1d(np.asarray(y, dtype=float)))
-    return c_avg + float(u_avg @ z)

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from fdcurves.families import (AffineModel, ExpMinusOneMap, GaussianExampleModel,
-                               IdentityMap, builtin_models, model_from_dict)
+                               IdentityMap, NumericCurveFamily, _simpson_weights,
+                               builtin_models, model_from_dict)
 from fdcurves.noarb import XGrid, rn_residual, solve_drift
 from fdcurves.qe import QEFunction, qe_integral
-from fdcurves.sim import (PATHSET_MAGIC, FuturesSpec, PathSet, SccLoopReport, SdeSpec,
-                          SimulationError, corollary_split, estimate_vol,
-                          futures_price, martingale_test, nearest_psd,
-                          rn_drift, scc_loop, simulate)
+from fdcurves.sim import (N_QUAD, PATHSET_MAGIC, FuturesSpec, PathSet, SccLoopReport,
+                          SdeSpec, SimulationError, _futures_prices_batch,
+                          estimate_vol, futures_price, martingale_test,
+                          nearest_psd, rn_drift, scc_loop, simulate)
 
 GRID = XGrid.chebyshev()
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -35,6 +36,22 @@ def simple_affine():
     return AffineModel(c=QEFunction.constant(0.0),
                        u=[QEFunction.exponential(-1.0)],
                        factor_map=IdentityMap(1))
+
+
+def pricing_models():
+    models = dict(builtin_models())
+    custom = json.loads((SCENARIOS / "custom_affine.json").read_text())["model"]
+    models["custom_affine.json"] = model_from_dict(custom)
+    models["numeric-d1"] = NumericCurveFamily(
+        lambda x, y: float(np.exp(-x) * np.sin(y[0])), d=1)
+    return models
+
+
+def window_average(m, y, t, fs=FS12):
+    """Simpson over the whole curve g(u - t, y): the generic reference price."""
+    us, w = _simpson_weights(fs.T1, fs.T2, N_QUAD)
+    return float(w @ m.curve_matrix(us - t, np.asarray(y, dtype=float)[None])[:, 0]
+                 / (fs.T2 - fs.T1))
 
 
 # -- simulate -----------------------------------------------------------------
@@ -195,11 +212,12 @@ def test_futures_spec_validation():
         FuturesSpec(0.0, 1.0)
 
 
-@pytest.mark.parametrize("name", ["affine1-exp-identity", "affine2-identity",
-                                  "affine3-cubic"])
+@pytest.mark.parametrize("name", ["affine1-exp-identity", "affine1-exp-expmap",
+                                  "affine2-identity", "affine2-oscillator",
+                                  "affine3-cubic", "custom_affine.json"])
 def test_price_quadrature_matches_exact_qe_integrals(name):
     # Simpson against the closed-form antiderivative of each QE component
-    m = builtin_models()[name]
+    m = pricing_models()[name]
     y = np.linspace(0.3, -0.4, m.d)
     z = m.factor_map.value(y)
     length = FS12.T2 - FS12.T1
@@ -212,13 +230,11 @@ def test_price_quadrature_matches_exact_qe_integrals(name):
 
 def test_corollary_transformed_factor_reprices_exactly():
     # averaging intercept and loadings separately, then contracting with
-    # A(y), must equal the direct quadrature bit for bit
+    # A(y), matches the quadrature over the whole curve to rounding
     for name in ("affine1-exp-expmap", "affine3-cubic"):
         m = builtin_models()[name]
         y = np.full(m.d, 0.4)
-        direct = futures_price(m, y, 0.25, FS12)
-        split = corollary_split(m, y, 0.25, FS12)
-        assert abs(direct - split) <= 1e-14
+        assert abs(futures_price(m, y, 0.25, FS12) - window_average(m, y, 0.25)) <= 1e-14
 
 
 def test_corollary_holds_at_every_simulation_step():
@@ -231,8 +247,16 @@ def test_corollary_holds_at_every_simulation_step():
         for k in range(ps.n_times):
             t = float(ps.times[k])
             y = ps.paths[p, k]
-            assert abs(futures_price(m, y, t, FS12)
-                       - corollary_split(m, y, t, FS12)) <= 1e-12
+            assert abs(futures_price(m, y, t, FS12) - window_average(m, y, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(pricing_models()))
+def test_batch_prices_equal_single_state_prices_bit_for_bit(name):
+    # martingale_test and price must report the same number for one state
+    m = pricing_models()[name]
+    Y = np.random.default_rng(37).uniform(-1.0, 1.0, (37, m.d))
+    batch = _futures_prices_batch(m, Y, 0.3, FS12)
+    assert np.array_equal(batch, [futures_price(m, y, 0.3, FS12) for y in Y])
 
 
 # -- martingale_test ----------------------------------------------------------------
@@ -267,6 +291,21 @@ def test_martingale_zero_vol_transport_is_deterministic():
     ps = simulate(spec, 1e-5, 5e-4, 2, seed=0)
     res = martingale_test(m, ps, FS12)
     assert res.max_abs_increment <= 1e-10
+
+
+def test_martingale_builds_no_curve_for_an_affine_model(monkeypatch):
+    m = builtin_models()["affine2-identity"]
+    curve_matrix = m.curve_matrix
+    calls = []
+
+    def counted(xs, Y):
+        calls.append(len(xs))
+        return curve_matrix(xs, Y)
+
+    monkeypatch.setattr(m, "curve_matrix", counted)
+    ps = simulate(driftless(0.3, 0.1, d=2), 0.01, 0.2, 5, seed=3)
+    martingale_test(m, ps, FS12)
+    assert calls == []
 
 
 def test_martingale_rejects_paths_beyond_delivery():

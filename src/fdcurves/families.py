@@ -317,16 +317,55 @@ class GaussianExampleModel(CurveFamily):
         return {"type": "gaussian-example"}
 
 
+def _fd_tables(curve_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray],
+               xs: np.ndarray, y: np.ndarray, h1: float,
+               h2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Finite-difference (dx g, grad_y g, hess_y g) over ``xs x {y}``.
+
+    dx g is a central difference with step h1 where x >= h1 and the
+    one-sided second-order stencil otherwise, so g is never evaluated at
+    x < 0; grad_y g uses central differences with step h1 and hess_y g the
+    second-difference stencils with step h2. ``curve_matrix`` runs twice:
+    once on the stacked x stencils at y, once on the grid for the stacked
+    y offsets.
+    """
+    K, d = xs.shape[0], y.shape[0]
+    central = xs >= h1
+    edge = xs[~central]
+    fx = curve_matrix(np.concatenate([xs + h1, np.where(central, xs - h1, xs),
+                                      edge + 2 * h1]), y[None, :])[:, 0]
+    up, lo = fx[:K], fx[K:2 * K]
+    dxg = np.empty(K)
+    dxg[central] = (up[central] - lo[central]) / (2 * h1)
+    dxg[~central] = (-3 * lo[~central] + 4 * up[~central] - fx[2 * K:]) / (2 * h1)
+
+    e1, e2 = np.diag(np.full(d, h1)), np.diag(np.full(d, h2))
+    iu, ju = np.triu_indices(d, 1)
+    p2, m2 = y + e2, y - e2
+    F = curve_matrix(xs, np.vstack([y[None, :], y + e1, y - e1, p2, m2,
+                                    p2[iu] + e2[ju], p2[iu] - e2[ju],
+                                    m2[iu] + e2[ju], m2[iu] - e2[ju]]))
+    f1p, f1m, f2p, f2m = np.split(F[:, 1:1 + 4 * d], 4, axis=1)
+    pp, pm, mp, mm = np.split(F[:, 1 + 4 * d:], 4, axis=1)
+    grads = (f1p - f1m) / (2 * h1)
+    hesses = np.empty((K, d, d))
+    diag = np.arange(d)
+    hesses[:, diag, diag] = (f2p - 2 * F[:, :1] + f2m) / h2**2
+    hesses[:, iu, ju] = hesses[:, ju, iu] = (pp - pm - mp + mm) / (4 * h2**2)
+    return dxg, grads, hesses
+
+
 class NumericCurveFamily(CurveFamily):
     """Closure-backed family with finite-difference derivatives.
 
-    ``fn(x, y) -> float`` defines the curve; first derivatives use central
-    differences with ``first_step`` (one-sided at the x = 0 boundary) and
-    second derivatives use ``second_step``. Cross-checks against analytic
-    derivatives do not apply here: the finite differences *are* the
-    definition, so ``derivative_mode`` is "finite-difference". It is the
-    one pointwise family: ``curve_matrix`` and ``derivative_tables`` loop
-    over the grid nodes and apply ``fn`` and the stencils at each.
+    ``fn(x, y) -> float`` defines the curve; ``derivative_tables`` applies
+    the stencils of :func:`_fd_tables` to ``curve_matrix``, with
+    ``first_step`` for first derivatives (one-sided at the x = 0 boundary)
+    and ``second_step`` for second derivatives. Cross-checks against
+    analytic derivatives do not apply here: the finite differences *are*
+    the definition, so ``derivative_mode`` is "finite-difference". It is
+    the one pointwise family: ``curve_matrix`` calls ``fn`` once per node
+    and state.
     """
 
     derivative_mode = "finite-difference"
@@ -339,64 +378,18 @@ class NumericCurveFamily(CurveFamily):
         self.h1 = float(first_step)
         self.h2 = float(second_step)
 
-    def _f(self, x, y):
-        return float(self.fn(float(x), y))
-
     def curve_matrix(self, xs, Y):
         xs = np.asarray(xs, dtype=float)
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         out = np.empty((xs.shape[0], Y.shape[0]))
         for k, x in enumerate(xs):
             for j in range(Y.shape[0]):
-                out[k, j] = self._f(x, Y[j])
+                out[k, j] = float(self.fn(float(x), Y[j]))
         return out
 
     def derivative_tables(self, xs, y):
-        xs = np.asarray(xs, dtype=float)
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        K = xs.shape[0]
-        dxg = np.empty(K)
-        grads = np.empty((K, self.d))
-        hesses = np.empty((K, self.d, self.d))
-        for k, x in enumerate(xs):
-            dxg[k] = self._dx(float(x), y)
-            grads[k] = self._grad_y(float(x), y)
-            hesses[k] = self._hess_y(float(x), y)
-        return dxg, grads, hesses
-
-    def _dx(self, x, y):
-        h = self.h1
-        if x >= h:
-            return (self._f(x + h, y) - self._f(x - h, y)) / (2 * h)
-        # one-sided second-order stencil inside the x >= 0 domain
-        return (-3 * self._f(x, y) + 4 * self._f(x + h, y)
-                - self._f(x + 2 * h, y)) / (2 * h)
-
-    def _grad_y(self, x, y):
-        h = self.h1
-        g = np.empty(self.d)
-        for i in range(self.d):
-            e = np.zeros(self.d)
-            e[i] = h
-            g[i] = (self._f(x, y + e) - self._f(x, y - e)) / (2 * h)
-        return g
-
-    def _hess_y(self, x, y):
-        h = self.h2
-        H = np.empty((self.d, self.d))
-        f0 = self._f(x, y)
-        for i in range(self.d):
-            ei = np.zeros(self.d)
-            ei[i] = h
-            H[i, i] = (self._f(x, y + ei) - 2 * f0 + self._f(x, y - ei)) / h**2
-            for j in range(i + 1, self.d):
-                ej = np.zeros(self.d)
-                ej[j] = h
-                H[i, j] = (self._f(x, y + ei + ej) - self._f(x, y + ei - ej)
-                           - self._f(x, y - ei + ej) + self._f(x, y - ei - ej)
-                           ) / (4 * h**2)
-                H[j, i] = H[i, j]
-        return H
+        return _fd_tables(self.curve_matrix, np.asarray(xs, dtype=float),
+                          np.atleast_1d(np.asarray(y, dtype=float)), self.h1, self.h2)
 
 
 # ---------------------------------------------------------------------------
@@ -432,19 +425,19 @@ def check_c12(model: CurveFamily, y: np.ndarray, grid,
 
     Returns the maximum absolute discrepancy between the model's
     ``derivative_tables`` (dx g, grad_y g, hess_y g) over ``grid x {y}``,
-    the tables the drift solvers read, and those of a
-    :class:`NumericCurveFamily` probe on the model's values. A NaN
-    discrepancy makes the result NaN. Only defined for analytic-mode
-    families; finite-difference families skip the check by definition.
+    the tables the drift solvers read, and the finite-difference tables of
+    :func:`_fd_tables` on the model's ``curve_matrix`` (the stencils of
+    :class:`NumericCurveFamily`). A NaN discrepancy makes the result NaN.
+    Only defined for analytic-mode families; finite-difference families
+    skip the check by definition.
     """
     if model.derivative_mode != "analytic":
         raise ValueError("cross-check requires analytic derivatives; "
                          "finite-difference mode is its own definition")
     xs = _grid_nodes(grid)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    probe = NumericCurveFamily(model.value, model.d,
-                               first_step=first_step, second_step=second_step)
-    tables = zip(model.derivative_tables(xs, y), probe.derivative_tables(xs, y))
+    fd = _fd_tables(model.curve_matrix, xs, y, float(first_step), float(second_step))
+    tables = zip(model.derivative_tables(xs, y), fd)
     return float(np.max([np.max(np.abs(got - fd), initial=0.0) for got, fd in tables]))
 
 

@@ -7,11 +7,13 @@ drift b through the pointwise identity
     dx g(x, y) = grad_y g(x, y) . b + 1/2 * sum_ij a[i,j] * hess_y g(x, y)[i,j]
 
 for all maturities x. On a finite maturity grid this is an overdetermined
-linear system in b, solved here by SVD least squares. Comparing the solved
-drifts across a fixed sweep of covariance matrices (identity, single-entry
-bumps, doubled identity) extracts vector fields eta[i][j] and gamma that
-must express the y-Hessian and the x-derivative through the y-gradient
-alone whenever one drift exists per covariance:
+linear system in b, solved here by SVD least squares: with G = grad_y g on
+the grid, b = G^+ (dx g - trace term). Every least-squares solve in this
+module is one call of that projection. The consistency probe projects
+dx g and each hess_y g[i,j] at once, giving vector fields gamma and
+eta[i][j] with b = gamma - 1/2 sum_ij a[i,j] eta[i][j] for every
+covariance a. One drift exists per covariance exactly when they express
+the x-derivative and the y-Hessian through the y-gradient alone:
 
     hess_y g[i,j] = grad_y g . eta[i][j]        (Hessian identity)
     dx g          = grad_y g . gamma            (x identity)
@@ -38,7 +40,7 @@ import numpy as np
 from .families import CurveFamily, _grid_nodes
 from .qe import _reject_unknown
 
-RANK_TOL = 1e-10         # relative singular-value cutoff for drift solves
+RANK_TOL = 1e-10         # relative singular-value cutoff for drift projections
 AFFINE_RANK_TOL = 1e-8   # relative singular-value cutoff for rank detection
 
 
@@ -142,55 +144,44 @@ def rn_residual(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     return _residual_stats(dxg, grads, _trace_term(_covariance(sigma), hesses), b)
 
 
-def _lstsq_drifts(tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  covs: np.ndarray, y: np.ndarray, rank_tol: float):
-    """Drifts B (one row per covariance matrix), the trace terms, rank and
-    singular values of the design matrix."""
-    # Every covariance shares the design matrix grad_y g, so one SVD
-    # least-squares call with one target column per matrix solves them all.
-    dxg, grads, hesses = tables
+def _project(grads: np.ndarray, rhs: np.ndarray,
+             y: np.ndarray) -> tuple[np.ndarray, bool, float]:
+    """G^+ rhs by SVD least squares, with G = grad_y g on the grid: the
+    solution, whether G has full column rank at the relative cutoff
+    ``RANK_TOL``, and the condition number of G."""
     if not np.any(grads):
         raise DegenerateFamilyError(f"degenerate family at y={y.tolist()}")
-    traces = [_trace_term(cov, hesses) for cov in covs]
-    target = np.stack([dxg - t for t in traces], axis=1)
-    B, _, rank, sv = np.linalg.lstsq(grads, target, rcond=rank_tol)
-    return B.T.copy(), traces, rank, sv
-
-
-def _solve_drifts(tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  covs: np.ndarray, y: np.ndarray,
-                  rank_tol: float) -> list[DriftSolveResult]:
-    dxg, grads, _ = tables
-    B, traces, rank, sv = _lstsq_drifts(tables, covs, y, rank_tol)
+    sol, _, rank, sv = np.linalg.lstsq(grads, rhs, rcond=RANK_TOL)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    rank_ok = bool(rank == grads.shape[1])
-    return [DriftSolveResult(b, *_residual_stats(dxg, grads, t, b), cond, rank_ok)
-            for b, t in zip(B, traces)]
+    return sol, bool(rank == grads.shape[1]), cond
 
 
 def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
-                grid, rank_tol: float = RANK_TOL) -> DriftSolveResult:
+                grid) -> DriftSolveResult:
     """Least-squares drift b making the family risk neutral at y.
 
     Builds one equation per grid node (design row grad_y g, target
     dx g minus the trace term of the covariance sigma sigma^T) and solves
     by SVD with minimal-norm fallback. ``rank_ok`` is False when the design
-    matrix has numerical rank below d at the relative cutoff ``rank_tol``.
+    matrix has numerical rank below d at the relative cutoff ``RANK_TOL``.
     The reported residuals come from the same residual helper that
     :func:`rn_residual` uses, in the same arithmetic order, so solver and
     checker always agree.
     """
-    return _solve_drift_cov(model, y, _covariance(sigma), grid, rank_tol)
+    return _solve_drift_cov(model, y, _covariance(sigma), grid)
 
 
 def _solve_drift_cov(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
-                     grid, rank_tol: float = RANK_TOL) -> DriftSolveResult:
+                     grid) -> DriftSolveResult:
     """:func:`solve_drift` for the covariance ``cov`` in place of sigma."""
     xs = _grid_nodes(grid)
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if xs.shape[0] < model.d:
         raise ValueError(f"grid has {xs.shape[0]} nodes, need at least d={model.d}")
-    return _solve_drifts(model.derivative_tables(xs, y), cov[None], y, rank_tol)[0]
+    dxg, grads, hesses = model.derivative_tables(xs, y)
+    trace = _trace_term(cov, hesses)
+    b, rank_ok, cond = _project(grads, dxg - trace, y)
+    return DriftSolveResult(b, *_residual_stats(dxg, grads, trace, b), cond, rank_ok)
 
 
 def sigma_sweep(d: int) -> list[tuple[str, np.ndarray]]:
@@ -210,42 +201,42 @@ def sigma_sweep(d: int) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def _sweep_inputs(model: CurveFamily, grid) -> tuple[np.ndarray, tuple, np.ndarray]:
-    """Grid nodes, labels and stacked covariances of the probe sweep."""
+def _probe_nodes(model: CurveFamily, grid) -> np.ndarray:
+    """Grid nodes of the consistency probe, checked against its minimum size."""
     xs = _grid_nodes(grid)
-    d = model.d
-    if xs.shape[0] < 2 * d + 2:
+    if xs.shape[0] < 2 * model.d + 2:
         raise ValueError(
-            f"probe grid has {xs.shape[0]} nodes, need at least {2 * d + 2}")
-    labels, mats = zip(*sigma_sweep(d))
-    return xs, labels, np.stack(mats)
+            f"probe grid has {xs.shape[0]} nodes, need at least {2 * model.d + 2}")
+    return xs
 
 
-def _sweep_eta(B: np.ndarray) -> np.ndarray:
-    """eta from the sweep drifts B, one row per matrix in sigma_sweep order."""
-    d = B.shape[1]
+def _probe_fields(dxg: np.ndarray, grads: np.ndarray, hesses: np.ndarray,
+                  y: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, float]:
+    """(gamma, eta, rank_ok, cond): gamma = G^+ dx g and the symmetric
+    eta[i][j] = G^+ hess_y g[i,j] from one projection of the columns
+    [dx g | hess_y g[i,j] for i <= j]."""
+    d = grads.shape[1]
+    # pairs i <= j in row-major order; np.triu_indices costs as much as the lstsq
+    iu, ju = np.array([(i, j) for i in range(d) for j in range(i, d)]).T
+    sol, rank_ok, cond = _project(grads, np.column_stack([dxg, hesses[:, iu, ju]]), y)
     eta = np.empty((d, d, d))
-    pair = d + 1  # first I+e_ij row
-    for i in range(d):
-        eta[i, i] = 2.0 * (B[0] - B[1 + i])
-        for j in range(i + 1, d):
-            eta[i, j] = eta[j, i] = B[0] - B[pair]
-            pair += 1
-    return eta
+    eta[iu, ju] = eta[ju, iu] = sol[:, 1:].T
+    return sol[:, 0], eta, rank_ok, cond
 
 
 @dataclass(frozen=True)
 class SCCReport:
     """Result of the diffusion-consistency probe at one state y.
 
-    ``eta[i, j]`` (shape (d, d, d), symmetric in the first two indices) and
-    ``gamma`` are the drift-comparison fields; the two residuals measure
-    how badly the Hessian identity and the x identity fail on the grid.
-    ``inconclusive`` is set when the sweep's drift solves are rank
-    deficient. Every solve in the sweep shares one design matrix,
-    grad_y g on the grid, so rank deficiency is a property of the state y,
-    not of a diffusion matrix: either every ``per_sigma`` entry has
-    ``rank_ok`` or none has.
+    ``eta[i, j]`` (shape (d, d, d), exactly symmetric in the first two
+    indices) and ``gamma`` are the projections of hess_y g[i,j] and dx g
+    onto grad_y g; the two residuals measure how badly the Hessian identity
+    and the x identity fail on the grid. ``per_sigma`` holds the drift for
+    each :func:`sigma_sweep` covariance, read off eta and gamma.
+    ``inconclusive`` is set when grad_y g on the grid is rank deficient.
+    That design matrix is the same for every covariance, so rank deficiency
+    is a property of the state y, not of a diffusion matrix: either every
+    ``per_sigma`` entry has ``rank_ok`` or none has.
     """
 
     eta: np.ndarray
@@ -270,35 +261,33 @@ class SCCReport:
         }
 
 
-def scc_probe(model: CurveFamily, y: np.ndarray, grid,
-              rank_tol: float = RANK_TOL) -> SCCReport:
-    """Sweep the probe covariances and extract eta / gamma fields.
+def scc_probe(model: CurveFamily, y: np.ndarray, grid) -> SCCReport:
+    """Project dx g and hess_y g onto grad_y g and check the identities.
 
-    The drift solved for covariance a is b_a = G^+ (dx g - 1/2 sum_ij a_ij
-    hess_y g[i,j]) with G = grad_y g on the grid, so the drift differences
-    across the :func:`sigma_sweep` covariances are
+    With G = grad_y g on the grid, one least-squares projection gives
 
-        eta[i][i] = 2 (b_I - b_{I+E_ii})      = G^+ hess_y g[i,i]
-        eta[i][j] = b_I - b_{I+E_ij+E_ji}     = G^+ hess_y g[i,j]   (i != j)
-        gamma     = 2 b_I - b_{2I}            = G^+ dx g
+        gamma     = G^+ dx g
+        eta[i][j] = G^+ hess_y g[i,j]
 
-    and the report carries the worst-case grid residuals of the Hessian and
-    x identities they are supposed to satisfy. Large residuals certify that
-    no single drift can repair the corresponding covariance, i.e. the
-    family's shape is incompatible with freely estimated volatility. The
-    paper's index pattern sigma[i,j] sigma[j,i] is the covariance only for
-    diagonal sigma; eta and gamma are the same projections either way.
+    and the drift for any covariance a is their combination
+    b_a = G^+ (dx g - 1/2 sum_ij a_ij hess_y g[i,j])
+        = gamma - 1/2 sum_ij a_ij eta[i][j].
+    ``per_sigma`` reports that drift, with its residuals, for each
+    :func:`sigma_sweep` covariance. The report carries the worst-case grid
+    residuals of the Hessian and x identities. Large residuals certify
+    that no single drift can repair the corresponding covariance, i.e. the
+    family's shape is incompatible with freely estimated volatility.
     """
-    xs, labels, mats = _sweep_inputs(model, grid)
+    xs = _probe_nodes(model, grid)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    tables = model.derivative_tables(xs, y)
-    results = _solve_drifts(tables, mats, y, rank_tol)
-    per_sigma = dict(zip(labels, results))
-    B = np.stack([r.b for r in results])
-    eta = _sweep_eta(B)
-    gamma = 2.0 * B[0] - B[-1]
+    dxg, grads, hesses = model.derivative_tables(xs, y)
+    gamma, eta, rank_ok, cond = _probe_fields(dxg, grads, hesses, y)
+    per_sigma = {}
+    for label, cov in sigma_sweep(model.d):
+        b = gamma - 0.5 * np.einsum("ij,ijk->k", cov, eta)
+        stats = _residual_stats(dxg, grads, _trace_term(cov, hesses), b)
+        per_sigma[label] = DriftSolveResult(b, *stats, cond, rank_ok)
 
-    dxg, grads, hesses = tables
     hess_res = float(np.max(np.abs(hesses - np.einsum("km,ijm->kij", grads, eta))))
     x_res = float(np.max(np.abs(dxg - grads @ gamma)))
     return SCCReport(
@@ -306,23 +295,22 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid,
         hessian_identity_residual=hess_res,
         x_identity_residual=x_res,
         per_sigma=per_sigma,
-        inconclusive=not all(r.rank_ok for r in per_sigma.values()),
+        inconclusive=not rank_ok,
     )
 
 
-def eta_field_from_model(model: CurveFamily, grid,
-                         rank_tol: float = RANK_TOL) -> Callable[[np.ndarray], np.ndarray]:
+def eta_field_from_model(model: CurveFamily,
+                         grid) -> Callable[[np.ndarray], np.ndarray]:
     """The state-dependent eta tensor y -> eta(y) obtained by probing the model.
 
-    Each call equals ``scc_probe(model, y, grid, rank_tol).eta`` bit for bit
-    but skips the residual statistics and the report.
+    Each call equals ``scc_probe(model, y, grid).eta`` bit for bit: it makes
+    the same projection but skips the drifts, residuals and the report.
     """
-    xs, _, mats = _sweep_inputs(model, grid)
+    xs = _probe_nodes(model, grid)
 
     def field_fn(y: np.ndarray) -> np.ndarray:
         y = np.atleast_1d(np.asarray(y, dtype=float))
-        tables = model.derivative_tables(xs, y)
-        return _sweep_eta(_lstsq_drifts(tables, mats, y, rank_tol)[0])
+        return _probe_fields(*model.derivative_tables(xs, y), y)[1]
 
     return field_fn
 

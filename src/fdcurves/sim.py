@@ -130,8 +130,11 @@ class PathSet:
             raw = fh.read()
         if raw[:16] != PATHSET_MAGIC:
             raise ValueError("not a path-set file (bad magic header)")
-        n_paths, n_times, d, dt, horizon, seed = struct.unpack_from("<QQQddQ", raw, 16)
         offset = 16 + struct.calcsize("<QQQddQ")
+        if len(raw) < offset:
+            raise ValueError(
+                f"path-set file has {len(raw)} bytes, its header needs {offset}")
+        n_paths, n_times, d, dt, horizon, seed = struct.unpack_from("<QQQddQ", raw, 16)
         expected = n_paths * n_times * d
         data = np.frombuffer(raw, dtype="<f8", offset=offset)
         if data.shape[0] != expected:
@@ -296,13 +299,14 @@ def martingale_test(model: CurveFamily, ps: PathSet,
     if ps.horizon > fs.T1 + 1e-12:
         raise ValueError(
             f"path horizon {ps.horizon} exceeds delivery start T1={fs.T1}")
-    n_times = ps.n_times
-    prices = np.empty((ps.n_paths, n_times))
-    for k in range(n_times):
-        prices[:, k] = _futures_prices_batch(
-            model, ps.paths[:, k, :], float(ps.times[k]), fs)
-    increments = np.diff(prices, axis=1)
-    total = prices[:, -1] - prices[:, 0]
+    # stream the slices: keep the previous one and each path's max |increment|
+    first = prev = _futures_prices_batch(model, ps.paths[:, 0, :], float(ps.times[0]), fs)
+    max_inc = np.zeros(ps.n_paths)
+    for k in range(1, ps.n_times):
+        cur = _futures_prices_batch(model, ps.paths[:, k, :], float(ps.times[k]), fs)
+        np.maximum(max_inc, np.abs(cur - prev), out=max_inc)
+        prev = cur
+    total = prev - first
     drift_estimate = float(np.mean(total))
     if ps.n_paths > 1:
         std_error = float(np.std(total, ddof=1) / np.sqrt(ps.n_paths))
@@ -314,7 +318,7 @@ def martingale_test(model: CurveFamily, ps: PathSet,
         z = 0.0 if drift_estimate == 0.0 else float("inf") * np.sign(drift_estimate)
     return MartingaleTestResult(
         drift_estimate=drift_estimate, std_error=std_error, z_score=float(z),
-        max_abs_increment=float(np.max(np.abs(increments))) if increments.size else 0.0,
+        max_abs_increment=float(np.max(max_inc)) if ps.n_paths else 0.0,
         n_paths=ps.n_paths)
 
 

@@ -205,6 +205,19 @@ def test_estimate_vol_from_saved_paths(tmp_path, capsys):
     assert result["numbers"]["paths_simulated"] == 0
 
 
+def test_estimate_vol_truncated_paths_file_is_config_error(tmp_path, capsys):
+    out1 = tmp_path / "out1"
+    scenario = write_scenario(tmp_path, affine_scenario(out1), "sim.json")
+    assert main(["simulate", "--scenario", scenario]) == 0
+    paths = out1 / "paths.bin"
+    paths.write_bytes(paths.read_bytes()[:18])
+    raw = affine_scenario(tmp_path / "out2", paths_file=str(paths))
+    scenario2 = write_scenario(tmp_path, raw, "vol.json")
+    capsys.readouterr()
+    assert main(["estimate-vol", "--scenario", scenario2]) == 2
+    assert "error:" in capsys.readouterr().out
+
+
 def test_estimate_vol_says_when_it_simulates(tmp_path, capsys):
     out = tmp_path / "out"
     scenario = write_scenario(tmp_path, affine_scenario(out))

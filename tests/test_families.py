@@ -201,6 +201,66 @@ def test_check_c12_certifies_the_tables_the_solvers_read(monkeypatch):
     assert check_c12(m, [0.0], np.linspace(0.0, 5.0, 9)) > 1e-3
 
 
+def per_node_fd_tables(f, xs, y, h1, h2):
+    """Reference stencils, node by node and one f(x, y) call per point."""
+    d = y.shape[0]
+    dxg, grads, hesses = np.empty(len(xs)), np.empty((len(xs), d)), np.empty((len(xs), d, d))
+    for k, x in enumerate(xs):
+        x = float(x)
+        if x >= h1:
+            dxg[k] = (f(x + h1, y) - f(x - h1, y)) / (2 * h1)
+        else:
+            dxg[k] = (-3 * f(x, y) + 4 * f(x + h1, y) - f(x + 2 * h1, y)) / (2 * h1)
+        for i in range(d):
+            e = np.zeros(d)
+            e[i] = h1
+            grads[k, i] = (f(x, y + e) - f(x, y - e)) / (2 * h1)
+        f0 = f(x, y)
+        for i in range(d):
+            ei = np.zeros(d)
+            ei[i] = h2
+            hesses[k, i, i] = (f(x, y + ei) - 2 * f0 + f(x, y - ei)) / h2**2
+            for j in range(i + 1, d):
+                ej = np.zeros(d)
+                ej[j] = h2
+                hesses[k, i, j] = hesses[k, j, i] = (
+                    f(x, y + ei + ej) - f(x, y + ei - ej)
+                    - f(x, y - ei + ej) + f(x, y - ei - ej)) / (4 * h2**2)
+    return dxg, grads, hesses
+
+
+@pytest.mark.parametrize("name", ["affine1-exp-expmap", "affine2-oscillator",
+                                  "affine3-cubic"])
+def test_fd_stencils_match_per_node_reference_bitwise(name):
+    m = builtin_models()[name]
+    rng = np.random.default_rng(41)
+    # x = 0 and 5e-7 take the one-sided stencil, x = 1e-6 the central one
+    xs = np.concatenate([[0.0, 5e-7, 1e-6], XGrid.chebyshev(12, 5.0).nodes[1:]])
+    numeric = NumericCurveFamily(m.value, m.d)
+    for y in rng.uniform(-1.0, 1.0, (2, m.d)):
+        ref = per_node_fd_tables(m.value, xs, y, numeric.h1, numeric.h2)
+        for got, want in zip(numeric.derivative_tables(xs, y), ref):
+            assert np.array_equal(got, want), name
+        discrepancy = max(np.max(np.abs(got - want))
+                          for got, want in zip(m.derivative_tables(xs, y), ref))
+        assert check_c12(m, y, xs) == discrepancy, name
+
+
+def test_check_c12_evaluates_the_curve_twice(monkeypatch):
+    # one curve_matrix call for the x stencils, one for the y offsets
+    m = builtin_models()["affine3-cubic"]
+    curve_matrix = m.curve_matrix
+    calls = []
+
+    def counted(xs, Y):
+        calls.append(np.atleast_2d(Y).shape[0])
+        return curve_matrix(xs, Y)
+
+    monkeypatch.setattr(m, "curve_matrix", counted)
+    check_c12(m, [0.3, -0.5, 0.8], XGrid.chebyshev().nodes)
+    assert len(calls) == 2
+
+
 # -- factor maps ----------------------------------------------------------------
 
 

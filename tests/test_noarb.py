@@ -395,6 +395,26 @@ def test_scc_probe_eta_and_gamma_are_least_squares_projections():
             assert np.max(np.abs(rep.eta - eta)) <= 1e-12, name
 
 
+def test_scc_probe_reads_eta_gamma_and_drifts_off_one_projection():
+    # gamma and eta[i][j] (i <= j) are the columns of one projection of
+    # [dx g | hess_y g[i,j]]; each sweep drift is gamma - 1/2 sum a_ij eta_ij
+    rng = np.random.default_rng(31)
+    for name, m, grid in probe_cases():
+        iu, ju = np.triu_indices(m.d)
+        for y in rng.uniform(-1.0, 1.0, (3, m.d)):
+            rep = scc_probe(m, y, grid)
+            dxg, grads, hesses = m.derivative_tables(np.asarray(grid.nodes), y)
+            rhs = np.column_stack([dxg, hesses[:, iu, ju]])
+            proj, _, rank, _ = np.linalg.lstsq(grads, rhs, rcond=RANK_TOL)
+            assert np.array_equal(rep.gamma, proj[:, 0]), name
+            assert np.array_equal(rep.eta[iu, ju], proj[:, 1:].T), name
+            assert np.array_equal(rep.eta, rep.eta.transpose(1, 0, 2)), name
+            assert rep.inconclusive == (rank < m.d), name
+            for label, cov in sigma_sweep(m.d):
+                b = rep.gamma - 0.5 * np.einsum("ij,ijk->k", cov, rep.eta)
+                assert np.array_equal(rep.per_sigma[label].b, b), (name, label)
+
+
 def test_scc_probe_matches_per_sigma_solve_loop():
     rng = np.random.default_rng(17)
     for name, m, grid in probe_cases():

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +147,13 @@ def test_pathset_load_rejects_single_time(tmp_path):
     header = PATHSET_MAGIC + struct.pack("<QQQddQ", 3, 1, 1, 0.1, 0.0, 5)
     target.write_bytes(header + np.zeros(3, dtype="<f8").tobytes())
     with pytest.raises(ValueError, match="n_times=1"):
+        PathSet.load(target)
+
+
+def test_pathset_load_rejects_truncated_header(tmp_path):
+    target = tmp_path / "truncated.bin"
+    target.write_bytes(PATHSET_MAGIC + b"\x00\x01")
+    with pytest.raises(ValueError, match="18 bytes"):
         PathSet.load(target)
 
 
@@ -306,6 +314,26 @@ def test_martingale_builds_no_curve_for_an_affine_model(monkeypatch):
     ps = simulate(driftless(0.3, 0.1, d=2), 0.01, 0.2, 5, seed=3)
     martingale_test(m, ps, FS12)
     assert calls == []
+
+
+def test_martingale_streams_its_price_slices():
+    ps = simulate(ou_spec(1.0, 1.0), 1e-3, 0.5, 2000, seed=20260810)
+    price_matrix_bytes = ps.n_paths * ps.n_times * 8
+    tracemalloc.start()
+    try:
+        martingale_test(simple_affine(), ps, FS12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < price_matrix_bytes
+
+
+def test_martingale_without_paths_has_no_increment():
+    ps = PathSet(times=np.linspace(0.0, 0.5, 6), paths=np.zeros((0, 6, 1)), seed=0)
+    with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning):
+        res = martingale_test(simple_affine(), ps, FS12)
+    assert res.max_abs_increment == 0.0
+    assert res.n_paths == 0
 
 
 def test_martingale_rejects_paths_beyond_delivery():

@@ -33,7 +33,7 @@ import numpy as np
 from .families import CurveFamily, model_from_dict
 from .noarb import (XGrid, detect_affine, eta_field_from_model,
                     reconstruct_from_eta, scc_probe, solve_drift)
-from .qe import _reject_unknown
+from .qe import _plain, _reject_unknown
 from .sim import (FuturesSpec, PathSet, SdeSpec, estimate_vol, futures_price,
                   martingale_test, rn_drift, simulate)
 
@@ -163,14 +163,7 @@ class RunResult:
     artifacts: list[str] = field(default_factory=list)
     wall_time_s: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "verdicts": self.verdicts,
-            "numbers": self.numbers,
-            "artifacts": self.artifacts,
-            "wall_time_s": self.wall_time_s,
-        }
+    to_dict = _plain
 
 
 def _fmt(value) -> str:

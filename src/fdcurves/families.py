@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erfc
 
-from .qe import QEFunction, _reject_unknown, qe_derivative
+from .qe import QEFunction, _plain, _reject_unknown, qe_derivative
 
 # Default finite-difference steps for cross-checks and closure-based
 # families: central first differences and second-difference stencils on
@@ -460,13 +460,7 @@ class HilbertNormResult:
     def total(self) -> float:
         return self.value + self.tail_estimate
 
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "tail_estimate": self.tail_estimate,
-            "total": self.total,
-            "divergence_warning": self.divergence_warning,
-        }
+    to_dict = _plain
 
 
 def _simpson_weights(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .families import CurveFamily, _grid_nodes
-from .qe import _reject_unknown
+from .qe import _plain, _reject_unknown
 
 RANK_TOL = 1e-10         # relative singular-value cutoff for drift projections
 AFFINE_RANK_TOL = 1e-8   # relative singular-value cutoff for rank detection
@@ -79,8 +79,7 @@ class XGrid:
     def uniform(cls, n: int, x_max: float) -> XGrid:
         return cls(np.linspace(0.0, float(x_max), n))
 
-    def to_dict(self) -> dict:
-        return {"nodes": self.nodes.tolist()}
+    to_dict = _plain
 
     @classmethod
     def from_dict(cls, data: dict) -> XGrid:
@@ -108,14 +107,7 @@ class DriftSolveResult:
     condition_number: float
     rank_ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "b": np.asarray(self.b).tolist(),
-            "residual_rms": self.residual_rms,
-            "residual_max": self.residual_max,
-            "condition_number": self.condition_number,
-            "rank_ok": self.rank_ok,
-        }
+    to_dict = _plain
 
 
 def _trace_term(cov: np.ndarray, hesses: np.ndarray) -> np.ndarray:
@@ -232,7 +224,10 @@ class SCCReport:
     indices) and ``gamma`` are the projections of hess_y g[i,j] and dx g
     onto grad_y g; the two residuals measure how badly the Hessian identity
     and the x identity fail on the grid. ``per_sigma`` holds the drift for
-    each :func:`sigma_sweep` covariance, read off eta and gamma.
+    each :func:`sigma_sweep` covariance, read off eta and gamma. With r_x
+    and r_H[i,j] the x and Hessian identity residuals on the grid, its
+    residual is r_a = r_x - 1/2 sum_ij a[i,j] r_H[i,j], so every covariance
+    a is consistent exactly when both identities hold.
     ``inconclusive`` is set when grad_y g on the grid is rank deficient.
     That design matrix is the same for every covariance, so rank deficiency
     is a property of the state y, not of a diffusion matrix: either every
@@ -250,15 +245,7 @@ class SCCReport:
     def max_residual(self) -> float:
         return float(np.max([self.hessian_identity_residual, self.x_identity_residual]))
 
-    def to_dict(self) -> dict:
-        return {
-            "eta": np.asarray(self.eta).tolist(),
-            "gamma": np.asarray(self.gamma).tolist(),
-            "hessian_identity_residual": self.hessian_identity_residual,
-            "x_identity_residual": self.x_identity_residual,
-            "per_sigma": {k: v.to_dict() for k, v in self.per_sigma.items()},
-            "inconclusive": self.inconclusive,
-        }
+    to_dict = _plain
 
 
 def scc_probe(model: CurveFamily, y: np.ndarray, grid) -> SCCReport:
@@ -282,18 +269,19 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid) -> SCCReport:
     y = np.atleast_1d(np.asarray(y, dtype=float))
     dxg, grads, hesses = model.derivative_tables(xs, y)
     gamma, eta, rank_ok, cond = _probe_fields(dxg, grads, hesses, y)
-    per_sigma = {}
-    for label, cov in sigma_sweep(model.d):
-        b = gamma - 0.5 * np.einsum("ij,ijk->k", cov, eta)
-        stats = _residual_stats(dxg, grads, _trace_term(cov, hesses), b)
-        per_sigma[label] = DriftSolveResult(b, *stats, cond, rank_ok)
-
-    hess_res = float(np.max(np.abs(hesses - np.einsum("km,ijm->kij", grads, eta))))
-    x_res = float(np.max(np.abs(dxg - grads @ gamma)))
+    r_x = dxg - grads @ gamma
+    r_hess = hesses - np.einsum("km,ijm->kij", grads, eta)
+    labels, covs = zip(*sigma_sweep(model.d))
+    covs = np.array(covs)
+    b = gamma - 0.5 * np.einsum("sij,ijk->sk", covs, eta)
+    r = r_x - 0.5 * np.einsum("sij,kij->sk", covs, r_hess)
+    stats = zip(np.sqrt(np.mean(r**2, axis=1)).tolist(), np.max(np.abs(r), axis=1).tolist())
+    per_sigma = {label: DriftSolveResult(b_a, rms, r_max, cond, rank_ok)
+                 for label, b_a, (rms, r_max) in zip(labels, b, stats)}
     return SCCReport(
         eta=eta, gamma=gamma,
-        hessian_identity_residual=hess_res,
-        x_identity_residual=x_res,
+        hessian_identity_residual=float(np.max(np.abs(r_hess))),
+        x_identity_residual=float(np.max(np.abs(r_x))),
         per_sigma=per_sigma,
         inconclusive=not rank_ok,
     )
@@ -323,12 +311,7 @@ class AffineDetection:
     singular_values: np.ndarray
     degenerate: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "singular_values": np.asarray(self.singular_values).tolist(),
-            "degenerate": self.degenerate,
-        }
+    to_dict = _plain
 
 
 def detect_affine(model: CurveFamily, y_samples: Sequence[np.ndarray],

@@ -18,7 +18,7 @@ functions, so everything here is safe to use from multiple threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,6 +33,21 @@ def _reject_unknown(data: dict, allowed: set, what: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _plain(value):
+    """The JSON form of a result: a dataclass is the dict of its fields in
+    field order, containers recurse and numpy values go through ``tolist``.
+    Result dataclasses set ``to_dict = _plain``."""
+    if is_dataclass(value) and not isinstance(value, type):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    return value
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from scipy.special import ndtri
 
 from .families import AffineModel, CurveFamily, _grid_nodes, _simpson_weights
 from .noarb import RANK_TOL, DriftSolveResult, _covariance, _solve_drift_cov
-from .qe import _reject_unknown
+from .qe import _plain, _reject_unknown
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes
 N_QUAD = 129  # Simpson nodes per delivery window; 65 misses 1e-10 on slow decays
@@ -73,9 +73,9 @@ class SdeSpec:
 class PathSet:
     """Simulated factor paths on a uniform time grid.
 
-    ``paths`` has shape (n_paths, n_times, d), n_times >= 2, with
-    ``paths[:, 0] == y0``. Identical (spec, dt, T, n_paths, seed) reproduce
-    the same array bit for bit; the seed is carried along for provenance.
+    ``paths`` has shape (n_paths, n_times, d), n_paths >= 1, n_times >= 2,
+    with ``paths[:, 0] == y0``. Identical (spec, dt, T, n_paths, seed)
+    reproduce the same array bit for bit; the seed is kept for provenance.
     """
 
     times: np.ndarray
@@ -91,6 +91,9 @@ class PathSet:
         if times.shape[0] < 2:
             raise ValueError(
                 f"a path set needs at least 2 times, got n_times={times.shape[0]}")
+        if paths.shape[0] < 1:
+            raise ValueError(
+                f"a path set needs at least 1 path, got n_paths={paths.shape[0]}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "paths", paths)
 
@@ -168,8 +171,7 @@ class FuturesSpec:
         if not (0.0 < self.T1 < self.T2):
             raise ValueError(f"need 0 < T1 < T2, got T1={self.T1}, T2={self.T2}")
 
-    def to_dict(self) -> dict:
-        return {"T1": self.T1, "T2": self.T2}
+    to_dict = _plain
 
     @classmethod
     def from_dict(cls, data: dict) -> FuturesSpec:
@@ -275,14 +277,7 @@ class MartingaleTestResult:
     max_abs_increment: float
     n_paths: int
 
-    def to_dict(self) -> dict:
-        return {
-            "drift_estimate": self.drift_estimate,
-            "std_error": self.std_error,
-            "z_score": self.z_score,
-            "max_abs_increment": self.max_abs_increment,
-            "n_paths": self.n_paths,
-        }
+    to_dict = _plain
 
 
 def martingale_test(model: CurveFamily, ps: PathSet,
@@ -318,7 +313,7 @@ def martingale_test(model: CurveFamily, ps: PathSet,
         z = 0.0 if drift_estimate == 0.0 else float("inf") * np.sign(drift_estimate)
     return MartingaleTestResult(
         drift_estimate=drift_estimate, std_error=std_error, z_score=float(z),
-        max_abs_increment=float(np.max(max_inc)) if ps.n_paths else 0.0,
+        max_abs_increment=float(np.max(max_inc)),
         n_paths=ps.n_paths)
 
 
@@ -361,8 +356,9 @@ class SccLoopReport:
     whether that moved it) or the override's covariance. The verdict is
     positive when every sampled state admits a drift with residual at or
     below ``tol`` for it. ``y_box`` bounds the sampled states: the verdict
-    certifies nothing outside that box. ``max_drift_norm`` tracks local
-    boundedness of the solved drifts over the box.
+    certifies nothing outside that box. ``y_samples`` are the states the
+    drift was re-solved at; ``to_dict`` carries them. ``max_drift_norm``
+    tracks local boundedness of the solved drifts over the box.
     """
 
     sigma_sq_hat: np.ndarray
@@ -377,20 +373,7 @@ class SccLoopReport:
     verdict: bool = False
     any_rank_deficient: bool = False
 
-    def to_dict(self) -> dict:
-        lo, hi = self.y_box
-        return {
-            "sigma_sq_hat": np.asarray(self.sigma_sq_hat).tolist(),
-            "covariance": np.asarray(self.covariance).tolist(),
-            "psd_projected": self.psd_projected,
-            "max_residual": self.max_residual,
-            "max_drift_norm": self.max_drift_norm,
-            "y_box": [np.asarray(lo).tolist(), np.asarray(hi).tolist()],
-            "tol": self.tol,
-            "verdict": self.verdict,
-            "any_rank_deficient": self.any_rank_deficient,
-            "per_state": [r.to_dict() for r in self.per_state],
-        }
+    to_dict = _plain
 
 
 def scc_loop(model: CurveFamily, observed: PathSet, grid,

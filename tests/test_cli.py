@@ -10,7 +10,10 @@ import pytest
 
 from fdcurves import cli
 from fdcurves.cli import Scenario, ScenarioError, load_scenario, main
-from fdcurves.sim import PathSet
+from fdcurves.families import builtin_models, hilbert_norm
+from fdcurves.noarb import XGrid, detect_affine, scc_probe, solve_drift
+from fdcurves.sim import (FuturesSpec, PathSet, SdeSpec, martingale_test,
+                          rn_drift, scc_loop, simulate)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -272,6 +275,27 @@ def test_n_paths_override(tmp_path):
     assert PathSet.load(out / "paths.bin").n_paths == 5
 
 
+def test_dt_override(tmp_path):
+    scenario = str(SCENARIOS / "affine_demo.json")
+    assert main(["simulate", "--scenario", scenario, "--dt", "0.01",
+                 "--n-paths", "10", "--output-dir", str(tmp_path)]) == 0
+    ps = PathSet.load(tmp_path / "paths.bin")
+    assert ps.n_times == 51
+    assert ps.dt == 0.01
+
+
+def test_tolerance_override(tmp_path, capsys):
+    # the shipped affine scenario's residual is about 1e-16: it passes the
+    # scenario's 1e-6 and fails a tolerance below it
+    scenario = str(SCENARIOS / "affine_demo.json")
+    out = ["--output-dir", str(tmp_path)]
+    assert main(["check-drift", "--scenario", scenario, *out]) == 0
+    assert main(["check-drift", "--scenario", scenario, "--tolerance", "1e-30", *out]) == 1
+    assert "DRIFT-VIOLATION" in capsys.readouterr().out
+    result = json.loads((tmp_path / "run_result.json").read_text())
+    assert result["numbers"]["tolerance"] == 1e-30
+
+
 def test_output_dir_env_fallback(tmp_path, monkeypatch):
     raw = affine_scenario(tmp_path / "ignored")
     del raw["output_dir"]
@@ -404,3 +428,40 @@ def test_readme_command_line(line, tmp_path, monkeypatch, capsys):
     result = json.loads((tmp_path / out_dir / "run_result.json").read_text())
     assert result["artifacts"] == [str(out_dir / name) for name in artifacts]
     assert all((tmp_path / out_dir / name).exists() for name in artifacts)
+
+
+# -- result serialisation -------------------------------------------------------
+
+
+def result_objects():
+    """One instance of each result dataclass, as the library builds it."""
+    m = builtin_models()["affine1-exp-identity"]
+    grid = XGrid.chebyshev(12)
+    fs = FuturesSpec(1.0, 2.0)
+    ps = simulate(SdeSpec(d=1, drift=rn_drift(m, [[1.0]], grid), sigma=[[1.0]],
+                          y0=[1.0]), 0.01, 0.5, 4, seed=3)
+    return [
+        grid,
+        solve_drift(m, [1.0], [[1.0]], grid),
+        scc_probe(m, [1.0], grid),
+        detect_affine(m, [[0.1], [0.2], [0.3], [0.4]], [0.0], grid),
+        fs,
+        martingale_test(m, ps, fs),
+        scc_loop(m, ps, grid),
+        hilbert_norm(lambda x: np.exp(-x), lambda x: -np.exp(-x)),
+        cli.RunResult("check-drift", verdicts={"drift_ok": np.bool_(True)},
+                      numbers={"tolerance": np.float64(1e-6)},
+                      artifacts=["residuals.csv"]),
+    ]
+
+
+def test_results_serialise_as_their_dataclass_fields():
+    objects = result_objects()
+    assert len({type(obj) for obj in objects}) == 9
+    for obj in objects:
+        name = type(obj).__name__
+        d = obj.to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(obj)], name
+        assert json.loads(json.dumps(d)) == d, name
+    loop = objects[6]
+    assert loop.to_dict()["y_samples"] == loop.y_samples.tolist()

@@ -341,11 +341,19 @@ def test_hilbert_norm_validates_inputs():
 
 
 def test_affine_model_json_round_trip():
-    m = builtin_models()["affine3-cubic"]
-    m2 = model_from_dict(m.to_dict())
-    y = [0.2, -0.4, 0.9]
-    xs = np.linspace(0.0, 4.0, 7)
-    assert np.allclose(m.curve(y, xs), m2.curve(y, xs), rtol=0, atol=0)
+    # every factor-map tag of the zoo (identity, exp-minus-one, cubic)
+    # survives a JSON round trip bit for bit
+    rng = np.random.default_rng(23)
+    xs = np.sort(rng.uniform(0.0, 4.0, 9))
+    affine = {name: m for name, m in builtin_models().items()
+              if isinstance(m, AffineModel)}
+    tags = {m.factor_map.tag for m in affine.values()}
+    assert tags == {"identity", "exp-minus-one", "componentwise-cubic"}
+    for name, m in affine.items():
+        m2 = model_from_dict(json.loads(json.dumps(m.to_dict())))
+        Y = rng.uniform(-1.0, 1.0, (4, m.d))
+        assert type(m2.factor_map) is type(m.factor_map), name
+        assert np.array_equal(m.curve_matrix(xs, Y), m2.curve_matrix(xs, Y)), name
 
 
 def test_gaussian_model_json_round_trip():

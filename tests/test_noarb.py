@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fdcurves import noarb
 from fdcurves.families import (AffineModel, GaussianExampleModel, IdentityMap,
                                builtin_models, model_from_dict)
 from fdcurves.noarb import (AFFINE_RANK_TOL, RANK_TOL, DegenerateFamilyError,
@@ -457,6 +458,14 @@ def test_solve_drift_and_scc_probe_build_one_derivative_table(monkeypatch):
     assert len(calls) == 1
     scc_probe(m, [0.2, -0.1, 0.4], GRID)
     assert len(calls) == 2
+
+
+def test_scc_probe_makes_no_trace_term_call(monkeypatch):
+    # r_a = r_x - 1/2 a:r_H for every covariance: no per-covariance trace term
+    calls = count_calls(monkeypatch, noarb, "_trace_term")
+    for _, m, grid in probe_cases():
+        scc_probe(m, np.full(m.d, 0.3), grid)
+    assert calls == []
 
 
 def test_detect_affine_makes_one_curve_matrix_call(monkeypatch):

@@ -328,12 +328,13 @@ def test_martingale_streams_its_price_slices():
     assert peak < price_matrix_bytes
 
 
-def test_martingale_without_paths_has_no_increment():
-    ps = PathSet(times=np.linspace(0.0, 0.5, 6), paths=np.zeros((0, 6, 1)), seed=0)
-    with np.errstate(invalid="ignore"), pytest.warns(RuntimeWarning):
-        res = martingale_test(simple_affine(), ps, FS12)
-    assert res.max_abs_increment == 0.0
-    assert res.n_paths == 0
+def test_pathset_rejects_zero_paths(tmp_path):
+    with pytest.raises(ValueError, match="n_paths=0"):
+        PathSet(times=np.linspace(0.0, 0.5, 6), paths=np.zeros((0, 6, 1)), seed=0)
+    path = tmp_path / "empty.bin"
+    path.write_bytes(PATHSET_MAGIC + struct.pack("<QQQddQ", 0, 6, 1, 0.1, 0.5, 0))
+    with pytest.raises(ValueError, match="n_paths=0"):
+        PathSet.load(path)
 
 
 def test_martingale_rejects_paths_beyond_delivery():

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -176,6 +177,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _finite_or_null(value):
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
+def _write_json(path: Path, data) -> None:
+    """Strict JSON: a NaN or infinite number is written as null."""
+    with open(path, "w") as fh:
+        json.dump(_finite_or_null(data), fh, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -245,8 +262,7 @@ def cmd_scc_probe(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
     _write_csv(csv_path, ["y_index", "sigma_label", "residual_rms",
                           "residual_max", "rank_ok"], rows)
     report_path = out_dir / "scc_report.json"
-    with open(report_path, "w") as fh:
-        json.dump(reports, fh, indent=2, sort_keys=True)
+    _write_json(report_path, reports)
     ok = worst <= scenario.tolerance and not inconclusive
     print("AFFINE-CONSISTENT" if ok else f"SCC-VIOLATION (residual={worst:.6g})")
     result = RunResult(
@@ -447,8 +463,7 @@ def main(argv=None) -> int:
         started = time.perf_counter()
         exit_code, result = _COMMANDS[args.command](scenario, out_dir)
         result.wall_time_s = time.perf_counter() - started
-        with open(out_dir / "run_result.json", "w") as fh:
-            json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
+        _write_json(out_dir / "run_result.json", result.to_dict())
     except (ScenarioError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}")
         return 2

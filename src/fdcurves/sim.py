@@ -37,6 +37,7 @@ from .qe import _plain, _reject_unknown
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes
 N_QUAD = 129  # Simpson nodes per delivery window; 65 misses 1e-10 on slow decays
+_CHUNK = 32  # time slices martingale_test prices per loading evaluation
 
 
 class SimulationError(RuntimeError):
@@ -256,15 +257,26 @@ def futures_price(model: CurveFamily, y: np.ndarray, t: float,
 
 def _futures_prices_batch(model: CurveFamily, Y: np.ndarray, t: float,
                           fs: FuturesSpec) -> np.ndarray:
-    # row-local sums, not matmuls, so a row's price never depends on the batch
+    return _price_block(model, Y[:, None, :], np.array([float(t)]), fs)[:, 0]
+
+
+def _price_block(model: CurveFamily, Y: np.ndarray, ts: np.ndarray,
+                 fs: FuturesSpec) -> np.ndarray:
+    """Prices of the states Y (n, m, d) at the slice times ts (m,), as (n, m).
+
+    An affine family evaluates c and each u_k once on the whole (m, N_QUAD)
+    node block. Every sum is row-local, not a matmul, so a price never
+    depends on the block it was computed in.
+    """
     us, w = _simpson_weights(fs.T1, fs.T2, N_QUAD)
-    xs, length = us - t, fs.T2 - fs.T1
+    xs, length = us[None, :] - ts[:, None], fs.T2 - fs.T1
     if isinstance(model, AffineModel):
-        c_avg = (w @ model.c.eval_grid(xs)) / length
-        u_avg = np.array([w @ f.eval_grid(xs) for f in model.u]) / length
-        return c_avg + (model.factor_map.value(Y) * u_avg).sum(axis=1)
-    M = model.curve_matrix(xs, Y)
-    return (np.ascontiguousarray(M.T) * w).sum(axis=1) / length
+        c_avg = (model.c.eval_grid(xs) * w).sum(axis=-1) / length
+        u_avg = np.stack([(f.eval_grid(xs) * w).sum(axis=-1) for f in model.u],
+                         axis=-1) / length
+        return c_avg + (model.factor_map.value(Y) * u_avg).sum(axis=-1)
+    return np.stack([(np.ascontiguousarray(model.curve_matrix(x, Y[:, j]).T) * w)
+                     .sum(axis=1) for j, x in enumerate(xs)], axis=1) / length
 
 
 @dataclass(frozen=True)
@@ -285,7 +297,8 @@ def martingale_test(model: CurveFamily, ps: PathSet,
     """Check that futures prices have no systematic drift along the paths.
 
     Prices F(t_k, Y_k) are those of :func:`futures_price`, bit for bit, at
-    every sample time (no curve is built for an affine family); the
+    every sample time, priced ``_CHUNK`` times at once (an affine family
+    evaluates its loadings once per chunk and builds no curve); the
     statistic is the cross-path mean of the terminal-minus-initial change
     divided by its standard error. Under the risk-neutral drift the z-score
     is standard normal; a misspecified drift shows up as |z| far outside
@@ -294,13 +307,16 @@ def martingale_test(model: CurveFamily, ps: PathSet,
     if ps.horizon > fs.T1 + 1e-12:
         raise ValueError(
             f"path horizon {ps.horizon} exceeds delivery start T1={fs.T1}")
-    # stream the slices: keep the previous one and each path's max |increment|
-    first = prev = _futures_prices_batch(model, ps.paths[:, 0, :], float(ps.times[0]), fs)
+    # stream the slices in chunks: keep the last price column and each
+    # path's max |increment|, never the (n_paths, n_times) price matrix
     max_inc = np.zeros(ps.n_paths)
-    for k in range(1, ps.n_times):
-        cur = _futures_prices_batch(model, ps.paths[:, k, :], float(ps.times[k]), fs)
-        np.maximum(max_inc, np.abs(cur - prev), out=max_inc)
-        prev = cur
+    for k in range(0, ps.n_times, _CHUNK):
+        block = _price_block(model, ps.paths[:, k:k + _CHUNK], ps.times[k:k + _CHUNK], fs)
+        if k == 0:
+            first = prev = block[:, 0]
+        steps = np.diff(block, axis=1, prepend=prev[:, None])
+        np.maximum(max_inc, np.abs(steps).max(axis=1), out=max_inc)
+        prev = block[:, -1]
     total = prev - first
     drift_estimate = float(np.mean(total))
     if ps.n_paths > 1:

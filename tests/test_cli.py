@@ -328,6 +328,14 @@ def test_run_result_repeats_summary_numbers(tmp_path, capsys):
 # -- non-finite statistics fail closed ---------------------------------------------------
 
 
+def strict_json(path):
+    """Parse a CLI artifact, refusing the non-JSON tokens NaN and Infinity."""
+    def refuse(token):
+        raise ValueError(f"{path.name} holds the non-JSON token {token}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_check_drift_nan_residual_fails(tmp_path, capsys, monkeypatch):
     real = cli.solve_drift
 
@@ -338,6 +346,8 @@ def test_check_drift_nan_residual_fails(tmp_path, capsys, monkeypatch):
     scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
     assert main(["check-drift", "--scenario", scenario]) == 1
     assert "DRIFT-VIOLATION (residual=nan)" in capsys.readouterr().out
+    result = strict_json(tmp_path / "out" / "run_result.json")
+    assert result["numbers"]["max_residual_rms"] is None
 
 
 def test_scc_probe_nan_residual_fails(tmp_path, capsys, monkeypatch):
@@ -351,6 +361,10 @@ def test_scc_probe_nan_residual_fails(tmp_path, capsys, monkeypatch):
     scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
     assert main(["scc-probe", "--scenario", scenario]) == 1
     assert "SCC-VIOLATION (residual=nan)" in capsys.readouterr().out
+    result = strict_json(tmp_path / "out" / "run_result.json")
+    assert result["numbers"]["max_identity_residual"] is None
+    reports = strict_json(tmp_path / "out" / "scc_report.json")
+    assert all(rep["x_identity_residual"] is None for rep in reports)
 
 
 def test_martingale_nan_z_fails(tmp_path, capsys, monkeypatch):
@@ -363,6 +377,8 @@ def test_martingale_nan_z_fails(tmp_path, capsys, monkeypatch):
     scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
     assert main(["martingale-test", "--scenario", scenario]) == 1
     assert "MARTINGALE-VIOLATION (|z|=nan)" in capsys.readouterr().out
+    result = strict_json(tmp_path / "out" / "run_result.json")
+    assert result["numbers"]["max_abs_z"] is None
 
 
 def test_check_drift_residuals_csv_bytes_on_shipped_scenario(tmp_path):

@@ -1,6 +1,7 @@
 """Curve families: evaluation, derivative cross-checks, Hilbert norms."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,23 @@ def test_cubic_map_derivatives():
     assert np.array_equal(batch_dA[0], dA) and np.array_equal(batch_d2A[0], d2A)
 
 
+def test_cubic_map_value_matches_exact_closed_form():
+    # exact rational arithmetic as the oracle: every value is within
+    # 2 eps of the sum of the term magnitudes
+    fm = ComponentwiseCubicMap(linear=[1.0, -0.7], quadratic=[0.3, 0.0],
+                               cubic=[0.1, 2.5])
+    Y = np.random.default_rng(125).normal(scale=3.0, size=(50, 32, 2))
+    got = fm.value(Y)
+    for idx in np.ndindex(*Y.shape[:2]):
+        for k in range(2):
+            y = Fraction(Y[idx][k])
+            coef = [Fraction(c[k]) for c in (fm.linear, fm.quadratic, fm.cubic)]
+            terms = [coef[0] * y, coef[1] * y**2, coef[2] * y**3]
+            scale = float(sum(abs(t) for t in terms))
+            err = abs(Fraction(got[idx][k]) - sum(terms))
+            assert float(err) <= 2 * np.finfo(float).eps * scale, (idx, k)
+
+
 def test_exp_map_vanishes_at_origin():
     fm = ExpMinusOneMap(3)
     assert np.array_equal(fm.value(np.zeros(3)), np.zeros(3))
@@ -364,12 +382,37 @@ def test_gaussian_model_json_round_trip():
 def test_model_from_dict_builtin_and_errors():
     m = model_from_dict({"builtin": "affine1-exp-identity"})
     assert m.d == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         model_from_dict({"builtin": "no-such-model"})
+    assert str(err.value) == (f"unknown builtin model 'no-such-model'; "
+                              f"available: {sorted(builtin_models())}")
     with pytest.raises(ValueError):
         model_from_dict({"type": "affine", "c": {}, "u": [], "amap": {}, "x": 1})
     with pytest.raises(ValueError):
         model_from_dict({"type": "mystery"})
+
+
+def test_model_from_dict_builds_only_the_named_builtin(monkeypatch):
+    built = []
+    init = AffineModel.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AffineModel, "__init__", counted)
+    m = model_from_dict({"builtin": "affine3-cubic"})
+    assert built == [m]
+    assert m.to_dict() == builtin_models()["affine3-cubic"].to_dict()
+
+
+def test_model_from_dict_builtin_is_a_fresh_instance_per_call():
+    # no two callers may share an AffineModel's basis cache
+    a = model_from_dict({"builtin": "affine2-identity"})
+    b = model_from_dict({"builtin": "affine2-identity"})
+    assert a is not b and a._tables is not b._tables
+    a.derivative_tables(XGrid.chebyshev().nodes, [0.1, 0.2])
+    assert a._tables and not b._tables
 
 
 def test_builtin_zoo_contains_all_documented_models():

@@ -13,6 +13,7 @@ from fdcurves.families import (AffineModel, ExpMinusOneMap, GaussianExampleModel
                                builtin_models, model_from_dict)
 from fdcurves.noarb import XGrid, rn_residual, solve_drift
 from fdcurves.qe import QEFunction, qe_integral
+from fdcurves import sim
 from fdcurves.sim import (N_QUAD, PATHSET_MAGIC, FuturesSpec, PathSet, SccLoopReport,
                           SdeSpec, SimulationError, _futures_prices_batch,
                           estimate_vol, futures_price, martingale_test,
@@ -326,6 +327,43 @@ def test_martingale_streams_its_price_slices():
     finally:
         tracemalloc.stop()
     assert peak < price_matrix_bytes
+
+
+def reference_martingale(m, ps, fs):
+    """martingale_test's statistics from one futures_price call per path and slice."""
+    F = np.array([[futures_price(m, ps.paths[p, k], float(ps.times[k]), fs)
+                   for k in range(ps.n_times)] for p in range(ps.n_paths)])
+    total = F[:, -1] - F[:, 0]
+    drift = float(np.mean(total))
+    z = drift / float(np.std(total, ddof=1) / np.sqrt(ps.n_paths))
+    return drift, z, float(np.max(np.abs(np.diff(F, axis=1))))
+
+
+@pytest.mark.parametrize("n_steps", [100, 32])
+@pytest.mark.parametrize("name", ["affine3-cubic", "gaussian-example"])
+def test_martingale_equals_a_futures_price_loop_bit_for_bit(name, n_steps):
+    # 101 and 33 slices put a chunk boundary inside the run
+    m = builtin_models()[name]
+    ps = simulate(driftless(0.4, 0.2, d=m.d), 0.5 / n_steps, 0.5, 7, seed=11)
+    res = martingale_test(m, ps, FS12)
+    assert (res.drift_estimate, res.z_score, res.max_abs_increment) == \
+        reference_martingale(m, ps, FS12)
+
+
+def test_martingale_evaluates_each_loading_once_per_chunk(monkeypatch):
+    m = builtin_models()["affine3-cubic"]
+    calls = []
+    eval_grid = QEFunction.eval_grid
+
+    def counted(self, xs):
+        calls.append(np.shape(xs))
+        return eval_grid(self, xs)
+
+    monkeypatch.setattr(QEFunction, "eval_grid", counted)
+    ps = simulate(driftless(0.3, 0.1, d=3), 0.005, 0.5, 4, seed=2)
+    martingale_test(m, ps, FS12)
+    assert len(calls) == (m.d + 1) * -(-ps.n_times // sim._CHUNK)
+    assert sum(shape[0] for shape in calls) == (m.d + 1) * ps.n_times
 
 
 def test_pathset_rejects_zero_paths(tmp_path):

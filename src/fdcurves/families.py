@@ -60,7 +60,11 @@ def norm_pdf(t):
 
 class FactorMap:
     """Componentwise smooth map A(y) with analytic first and second derivatives;
-    every method also maps a batch (n, d) row by row."""
+    every method also maps a batch (..., d) row by row.
+
+    ``value`` gives A alone; ``jet`` gives A with its derivatives from one
+    call, bit for bit the same A.
+    """
 
     tag: str
     d: int
@@ -68,9 +72,9 @@ class FactorMap:
     def value(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def derivatives(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(dA_k / dy_k, d^2 A_k / dy_k^2); the Jacobian and every Hessian
-        of A are diagonal, with these entries."""
+    def jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(A_k, dA_k / dy_k, d^2 A_k / dy_k^2); the Jacobian and every
+        Hessian of A are diagonal, with these entries."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -86,9 +90,9 @@ class IdentityMap(FactorMap):
     def value(self, y):
         return np.asarray(y, dtype=float)
 
-    def derivatives(self, y):
+    def jet(self, y):
         y = np.asarray(y, dtype=float)
-        return np.ones_like(y), np.zeros_like(y)
+        return y, np.ones_like(y), np.zeros_like(y)
 
 
 class ExpMinusOneMap(FactorMap):
@@ -102,9 +106,9 @@ class ExpMinusOneMap(FactorMap):
     def value(self, y):
         return np.exp(np.asarray(y, dtype=float)) - 1.0
 
-    def derivatives(self, y):
+    def jet(self, y):
         e = np.exp(np.asarray(y, dtype=float))
-        return e, e
+        return e - 1.0, e, e
 
 
 class ComponentwiseCubicMap(FactorMap):
@@ -122,15 +126,28 @@ class ComponentwiseCubicMap(FactorMap):
         if self.quadratic.shape != (self.d,) or self.cubic.shape != (self.d,):
             raise ValueError("coefficient arrays must share one length")
 
-    def value(self, y):
-        y = np.asarray(y, dtype=float)
-        # y * y * y, not y**3: numpy sends cubes through pow, about 5x slower
-        return self.linear * y + self.quadratic * y**2 + self.cubic * (y * y * y)
+    # Both methods work on a contiguous component-major copy y.T (d, ...),
+    # with each coefficient a (d, 1, ...) column, and return .T views: a
+    # (d,) vector broadcast over a short last axis runs one inner loop of
+    # length d per state. The arithmetic order is that of the row-major
+    # formulas, so the results are the same bits.
+    def _component_major(self, y):
+        yt = np.ascontiguousarray(np.asarray(y, dtype=float).T)
+        col = (-1,) + (1,) * (yt.ndim - 1)
+        coefs = (self.linear, self.quadratic, self.cubic)
+        return yt, yt * yt, [c.reshape(col) for c in coefs]
 
-    def derivatives(self, y):
-        y = np.asarray(y, dtype=float)
-        return (self.linear + 2.0 * self.quadratic * y + 3.0 * self.cubic * y**2,
-                2.0 * self.quadratic + 6.0 * self.cubic * y)
+    def value(self, y):
+        # y2 * y, not y**3: numpy sends cubes through pow, about 5x slower
+        yt, y2, (lin, quad, cub) = self._component_major(y)
+        return (lin * yt + quad * y2 + cub * (y2 * yt)).T
+
+    def jet(self, y):
+        yt, y2, (lin, quad, cub) = self._component_major(y)
+        A = lin * yt + quad * y2 + cub * (y2 * yt)
+        dA = lin + (2.0 * quad) * yt + (3.0 * cub) * y2
+        d2A = 2.0 * quad + (6.0 * cub) * yt
+        return A.T, dA.T, d2A.T
 
     def to_dict(self) -> dict:
         return {
@@ -259,11 +276,11 @@ class AffineModel(CurveFamily):
         xs = np.asarray(xs, dtype=float)
         y = np.atleast_1d(np.asarray(y, dtype=float))
         dc_vals, U, dU = self._basis(xs)
-        dA, d2A = self.factor_map.derivatives(y)
+        A, dA, d2A = self.factor_map.jet(y)
         hesses = np.zeros(U.shape + (self.d,))
         diag = np.arange(self.d)
         hesses[:, diag, diag] = U * d2A
-        dxg = dc_vals + (dU * self.factor_map.value(y)).sum(axis=-1)
+        dxg = dc_vals + (dU * A).sum(axis=-1)
         return dxg, U * dA, hesses
 
     def to_dict(self) -> dict:

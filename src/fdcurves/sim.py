@@ -2,9 +2,10 @@
 
 The factor process follows dY = b(Y) dt + sigma dW and is discretised by
 Euler-Maruyama with a fixed step. Randomness comes from one counter-based
-Philox stream per path, keyed by (seed, path index), with normal variates
-drawn through the inverse CDF -- so path sets are reproducible bit for bit
-on any platform and independent of execution order.
+Philox stream per path, keyed exactly by the 128-bit key (seed, path index)
+for a seed in [0, 2**64), with normal variates drawn through the inverse
+CDF -- so path sets are reproducible bit for bit on any platform and
+independent of execution order. One bit generator is re-keyed per path.
 
 Delivery-period futures prices average the instantaneous curve over the
 delivery window,
@@ -24,6 +25,7 @@ risk-neutral drift for it.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Callable
@@ -185,12 +187,23 @@ class FuturesSpec:
 # ---------------------------------------------------------------------------
 
 
-def _normals(seed: int, path_index: int, n_steps: int, d: int) -> np.ndarray:
-    # One Philox substream per path: key = (seed, path index). Inverse-CDF
-    # normals keep the stream identical across platforms.
-    gen = np.random.Generator(np.random.Philox(key=[seed, path_index]))
-    u = gen.random((n_steps, d))
-    return ndtri(np.maximum(u, 1e-300))
+def _normals(seed: int, n_paths: int, n_steps: int, d: int) -> np.ndarray:
+    """Standard normals (n_paths, n_steps, d); path p reads the Philox stream
+    keyed (seed, p) from counter 0, through the inverse CDF so the stream is
+    identical across platforms."""
+    # one generator, re-keyed per path through its state: constructing a
+    # Philox runs a SeedSequence (and reads OS entropy) even given a key
+    bg = np.random.Philox()
+    gen = np.random.Generator(bg)
+    state = bg.state
+    key = state["state"]["key"]
+    key[0] = seed
+    u = np.empty((n_paths, n_steps, d))
+    for p in range(n_paths):
+        key[1] = p
+        bg.state = state
+        gen.random(out=u[p])
+    return ndtri(np.maximum(u, 1e-300, out=u), out=u)
 
 
 def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> PathSet:
@@ -205,8 +218,9 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     n_paths : int
         Path count, >= 1.
     seed : int
-        Base seed; path p consumes the Philox stream keyed (seed, p), so
-        enlarging n_paths never changes existing paths.
+        Base seed, an integer in [0, 2**64) (the u64 that ``PathSet.save``
+        stores). Path p consumes the Philox stream keyed exactly by
+        (seed, p), so enlarging n_paths never changes existing paths.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -215,10 +229,14 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
         raise ValueError(f"horizon {T} shorter than one step {dt}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    try:
+        key = operator.index(seed)
+    except TypeError:
+        key = -1
+    if not 0 <= key < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     d = spec.d
-    z = np.empty((n_paths, n_steps, d))
-    for p in range(n_paths):
-        z[p] = _normals(seed, p, n_steps, d)
+    z = _normals(key, n_paths, n_steps, d)
 
     paths = np.empty((n_paths, n_steps + 1, d))
     paths[:, 0] = spec.y0
@@ -230,14 +248,13 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
         if mu.shape != y.shape:
             raise ValueError(f"drift must map a batch (n_paths, d) = {y.shape} "
                              f"to the same shape, got {mu.shape}")
-        finite = np.isfinite(mu).all(axis=1)
-        if not finite.all():
-            bad = int(np.flatnonzero(~finite)[0])
+        if not np.isfinite(mu).all():
+            bad = int(np.flatnonzero(~np.isfinite(mu).all(axis=1))[0])
             raise SimulationError(
                 f"drift returned non-finite values on path {bad} at t={k * dt:.6g}")
         y = y + mu * dt + (z[:, k] @ sigma_t) * sqrt_dt
         paths[:, k + 1] = y
-    return PathSet(times=dt * np.arange(n_steps + 1), paths=paths, seed=int(seed))
+    return PathSet(times=dt * np.arange(n_steps + 1), paths=paths, seed=key)
 
 
 # ---------------------------------------------------------------------------
@@ -460,17 +477,20 @@ class RiskNeutralDrift:
             pq, _, rank, _ = np.linalg.lstsq(U, np.column_stack([dc, dU]),
                                              rcond=RANK_TOL)
             if rank == model.d:
-                self._p, self._q = pq[:, 0], pq[:, 1:]
-                self._half_a = 0.5 * np.diag(self.cov)
+                # (d, 1) columns: the closed form runs component-major
+                self._p, self._q = pq[:, :1], pq[:, 1:]
+                self._half_a = 0.5 * np.diag(self.cov)[:, None]
                 self._rows = self._closed_form
 
     def _closed_form(self, Y: np.ndarray) -> np.ndarray:
-        fm = self.model.factor_map
-        dA, d2A = fm.derivatives(Y)
-        # a row-local sum, not a matmul, so a row never depends on the batch
-        qa = (fm.value(Y)[:, None, :] * self._q).sum(axis=-1)
+        A, dA, d2A = (a.T for a in self.model.factor_map.jet(Y))
+        # Q A(y) as a row-local sum in j order, not a matmul, so a row never
+        # depends on the batch
+        qa = self._q[:, :1] * A[0]
+        for j in range(1, A.shape[0]):
+            qa += self._q[:, j:j + 1] * A[j]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return (self._p + qa - d2A * self._half_a) / dA
+            return ((self._p + qa - d2A * self._half_a) / dA).T
 
     def _solved(self, Y: np.ndarray) -> np.ndarray:
         return np.stack([_solve_drift_cov(self.model, y, self.cov, self.grid).b

@@ -117,6 +117,18 @@ def test_simulate_zero_paths_is_config_error(tmp_path):
     assert main(["simulate", "--scenario", scenario]) == 2
 
 
+def test_negative_seed_is_config_error(tmp_path, capsys):
+    scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
+    assert main(["simulate", "--scenario", scenario, "--seed", "-1"]) == 2
+    assert "error: seed must be an integer in [0, 2**64)" in capsys.readouterr().out
+
+
+def test_largest_seed_round_trips_through_paths_bin(tmp_path):
+    scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
+    assert main(["simulate", "--scenario", scenario, "--seed", str(2**64 - 1)]) == 0
+    assert PathSet.load(tmp_path / "out" / "paths.bin").seed == 2**64 - 1
+
+
 def test_missing_required_section_is_config_error(tmp_path):
     raw = affine_scenario(tmp_path / "out")
     del raw["futures"]

@@ -270,29 +270,34 @@ def test_cubic_map_derivatives():
                                cubic=[0.0, 1.0])
     y = np.array([2.0, -1.0])
     assert np.allclose(fm.value(y), [1 * 2 + 0.5 * 4, 2 * -1 + 1 * -1])
-    dA, d2A = fm.derivatives(y)
+    _, dA, d2A = fm.jet(y)
     assert np.allclose(dA, [1 + 2 * 0.5 * 2, 2 + 3 * 1 * 1])
     assert np.allclose(d2A, [1.0, -6.0])
-    batch_dA, batch_d2A = fm.derivatives(np.stack([y, 2 * y]))
+    _, batch_dA, batch_d2A = fm.jet(np.stack([y, 2 * y]))
     assert batch_dA.shape == batch_d2A.shape == (2, 2)
     assert np.array_equal(batch_dA[0], dA) and np.array_equal(batch_d2A[0], d2A)
 
 
 def test_cubic_map_value_matches_exact_closed_form():
-    # exact rational arithmetic as the oracle: every value is within
-    # 2 eps of the sum of the term magnitudes
+    # exact rational arithmetic as the oracle: A, A' and A'' are each within
+    # 2 eps of the sum of their term magnitudes, and jet's A is value's A
     fm = ComponentwiseCubicMap(linear=[1.0, -0.7], quadratic=[0.3, 0.0],
                                cubic=[0.1, 2.5])
     Y = np.random.default_rng(125).normal(scale=3.0, size=(50, 32, 2))
     got = fm.value(Y)
+    jet = fm.jet(Y)
+    assert np.array_equal(jet[0], got)
     for idx in np.ndindex(*Y.shape[:2]):
         for k in range(2):
             y = Fraction(Y[idx][k])
-            coef = [Fraction(c[k]) for c in (fm.linear, fm.quadratic, fm.cubic)]
-            terms = [coef[0] * y, coef[1] * y**2, coef[2] * y**3]
-            scale = float(sum(abs(t) for t in terms))
-            err = abs(Fraction(got[idx][k]) - sum(terms))
-            assert float(err) <= 2 * np.finfo(float).eps * scale, (idx, k)
+            lin, quad, cub = [Fraction(c[k]) for c in (fm.linear, fm.quadratic, fm.cubic)]
+            exact = ([lin * y, quad * y**2, cub * y**3],
+                     [lin, 2 * quad * y, 3 * cub * y**2],
+                     [2 * quad, 6 * cub * y])
+            for value, terms in zip((got, *jet[1:]), exact):
+                scale = float(sum(abs(t) for t in terms))
+                err = abs(Fraction(value[idx][k]) - sum(terms))
+                assert float(err) <= 2 * np.finfo(float).eps * scale, (idx, k)
 
 
 def test_exp_map_vanishes_at_origin():

@@ -7,11 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from fdcurves.families import (AffineModel, ExpMinusOneMap, GaussianExampleModel,
                                IdentityMap, NumericCurveFamily, _simpson_weights,
                                builtin_models, model_from_dict)
-from fdcurves.noarb import XGrid, rn_residual, solve_drift
+from fdcurves.noarb import RANK_TOL, XGrid, rn_residual, solve_drift
 from fdcurves.qe import QEFunction, qe_integral
 from fdcurves import sim
 from fdcurves.sim import (N_QUAD, PATHSET_MAGIC, FuturesSpec, PathSet, SccLoopReport,
@@ -121,6 +122,70 @@ def test_simulate_validates_parameters():
         simulate(ou_spec(), 0.5, 0.1, 1, seed=0)
     with pytest.raises(ValueError):
         simulate(ou_spec(), 0.1, 1.0, 0, seed=0)
+
+
+def per_path_philox_paths(spec, dt, n_steps, n_paths, seed):
+    """Euler paths from one freshly built Philox per path, keyed by the exact
+    uint64 pair (seed, p): the reference simulate must reproduce."""
+    z = np.stack([ndtri(np.maximum(np.random.Generator(np.random.Philox(
+        key=np.array([seed, p], np.uint64))).random((n_steps, spec.d)), 1e-300))
+        for p in range(n_paths)])
+    paths = np.empty((n_paths, n_steps + 1, spec.d))
+    paths[:, 0] = y = np.tile(spec.y0, (n_paths, 1))
+    for k in range(n_steps):
+        y = y + spec.drift(y) * dt + (z[:, k] @ spec.sigma.T) * np.sqrt(dt)
+        paths[:, k + 1] = y
+    return paths
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 - 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("n_paths", [1, 257])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_simulate_equals_per_path_philox_reference(d, n_paths, seed):
+    spec = SdeSpec(d=d, drift=lambda y: -0.5 * y,
+                   sigma=np.tril(0.3 * np.ones((d, d))) + 0.4 * np.eye(d),
+                   y0=np.linspace(-0.2, 0.3, d))
+    ps = simulate(spec, 0.05, 0.25, n_paths, seed)
+    assert ps.seed == seed
+    assert np.array_equal(ps.paths, per_path_philox_paths(spec, 0.05, 5, n_paths, seed))
+
+
+def test_seeds_at_and_above_two_to_the_63_are_keyed_exactly():
+    paths = [simulate(ou_spec(), 0.1, 0.5, 3, seed).paths
+             for seed in (0, 2**63, 2**63 + 1, 2**64 - 1)]
+    for i in range(4):
+        for j in range(i):
+            assert not np.array_equal(paths[i], paths[j]), (i, j)
+
+
+def test_simulate_builds_one_philox_per_call(monkeypatch):
+    built = []
+    philox = np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    simulate(driftless(d=2), 0.1, 0.5, 9, seed=4)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+def test_simulate_rejects_seeds_outside_u64(seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+        simulate(ou_spec(), 0.1, 0.5, 2, seed=seed)
+
+
+def test_non_finite_drift_names_the_first_failing_path():
+    def bad_drift(y):
+        out = -y.copy()
+        out[3:, 0] = np.inf
+        return out
+
+    spec = SdeSpec(d=2, drift=bad_drift, sigma=np.eye(2), y0=[0.0, 0.0])
+    with pytest.raises(SimulationError, match="path 3 at t=0"):
+        simulate(spec, 0.01, 0.1, 6, seed=0)
 
 
 # -- PathSet persistence ---------------------------------------------------------
@@ -484,6 +549,37 @@ def test_rn_drift_rows_do_not_depend_on_the_batch():
         Y = off_lattice_states(m.d, 7)
         drift = rn_drift(m, sigma, GRID)
         assert np.array_equal(drift(Y), np.stack([drift(y) for y in Y])), name
+
+
+def row_major_jet(fm, Y):
+    """(A, A', A'') by the row-major formulas, (d,) coefficients broadcast
+    over the last axis."""
+    if isinstance(fm, IdentityMap):
+        return Y, np.ones_like(Y), np.zeros_like(Y)
+    if isinstance(fm, ExpMinusOneMap):
+        return np.exp(Y) - 1.0, np.exp(Y), np.exp(Y)
+    return (fm.linear * Y + fm.quadratic * Y**2 + fm.cubic * (Y * Y * Y),
+            fm.linear + 2.0 * fm.quadratic * Y + 3.0 * fm.cubic * Y**2,
+            2.0 * fm.quadratic + 6.0 * fm.cubic * Y)
+
+
+def broadcast_closed_form(m, sigma, Y):
+    """b(y) = (p + Q A(y) - 1/2 A''(y) diag(a)) / A'(y), row by row, with Q A
+    summed over a broadcast (n, d, d) product."""
+    dc, U, dU = m._basis(GRID.nodes)
+    pq = np.linalg.lstsq(U, np.column_stack([dc, dU]), rcond=RANK_TOL)[0]
+    sigma = np.asarray(sigma, dtype=float)
+    A, dA, d2A = row_major_jet(m.factor_map, Y)
+    qa = (A[:, None, :] * pq[:, 1:]).sum(axis=-1)
+    return (pq[:, 0] + qa - d2A * (0.5 * np.diag(sigma @ sigma.T))) / dA
+
+
+def test_rn_drift_equals_the_broadcast_closed_form_bit_for_bit():
+    for name, m, sigma in affine_drift_cases():
+        drift = rn_drift(m, sigma, GRID)
+        block = np.random.default_rng(31).uniform(-0.6, 0.6, (64, 3, m.d))
+        for Y in (np.ascontiguousarray(block[:, 0]), block[:, 1], block[::3, 2]):
+            assert np.array_equal(drift(Y), broadcast_closed_form(m, sigma, Y)), name
 
 
 def test_rn_drift_solves_the_drift_identity_on_custom_model():

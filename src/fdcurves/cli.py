@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -32,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .families import CurveFamily, model_from_dict
-from .noarb import (XGrid, detect_affine, eta_field_from_model,
-                    reconstruct_from_eta, scc_probe, solve_drift)
+from .noarb import (XGrid, _covariance, _solve_drift_cov, detect_affine,
+                    eta_field_from_model, reconstruct_from_eta, scc_probe)
 from .qe import _plain, _reject_unknown
 from .sim import (FuturesSpec, PathSet, SdeSpec, estimate_vol, futures_price,
                   martingale_test, rn_drift, simulate)
@@ -43,6 +44,17 @@ OUTPUT_DIR_ENV = "FDCURVES_OUTPUT_DIR"
 
 class ScenarioError(ValueError):
     """The scenario file is malformed or misses a required field."""
+
+
+def _integer(data: dict, key: str) -> int:
+    """An exact JSON integer: 1.5 or true is an error, never truncated to 1."""
+    value = data[key]
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ScenarioError(f"sim.{key} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -60,7 +72,7 @@ class SimConfig:
             if key not in data:
                 raise ScenarioError(f"sim is missing required key {key!r}")
         return cls(dt=float(data["dt"]), T=float(data["T"]),
-                   n_paths=int(data["n_paths"]), seed=int(data["seed"]),
+                   n_paths=_integer(data, "n_paths"), seed=_integer(data, "seed"),
                    y0=np.atleast_1d(np.asarray(data["y0"], dtype=float)))
 
 
@@ -221,13 +233,10 @@ def _require(scenario: Scenario, attr: str, what: str):
 def cmd_check_drift(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
     sigma = _require(scenario, "sigma", "sigma")
     ys = _require(scenario, "y_samples", "y_samples")
-    rows = []
-    all_ranks_ok = True
-    for idx, y in enumerate(ys):
-        res = solve_drift(scenario.model, y, sigma, scenario.grid)
-        rows.append([idx, "sigma", res.residual_rms, res.residual_max,
-                     res.rank_ok])
-        all_ranks_ok = all_ranks_ok and res.rank_ok
+    solved = _solve_drift_cov(scenario.model, ys, _covariance(sigma), scenario.grid)
+    rows = [[idx, "sigma", res.residual_rms, res.residual_max, res.rank_ok]
+            for idx, res in enumerate(solved)]
+    all_ranks_ok = all(res.rank_ok for res in solved)
     worst = _worst(row[2] for row in rows)
     csv_path = out_dir / "residuals.csv"
     _write_csv(csv_path, ["y_index", "sigma_label", "residual_rms",

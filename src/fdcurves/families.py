@@ -200,9 +200,12 @@ class CurveFamily:
     def derivative_tables(
         self, xs: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(dx g, grad_y g, hess_y g) stacked over the grid.
+        """(dx g, grad_y g, hess_y g) stacked over the grid, for a state
+        y (d,) or a batch of states y (..., d).
 
-        Returns arrays of shapes (K,), (K, d) and (K, d, d).
+        Returns arrays of shapes (..., K), (..., K, d) and (..., K, d, d),
+        where ... are the batch axes of y (none for a single state). Each
+        state's tables equal the tables of that state alone, bit for bit.
         """
         raise NotImplementedError
 
@@ -276,12 +279,15 @@ class AffineModel(CurveFamily):
         xs = np.asarray(xs, dtype=float)
         y = np.atleast_1d(np.asarray(y, dtype=float))
         dc_vals, U, dU = self._basis(xs)
-        A, dA, d2A = self.factor_map.jet(y)
-        hesses = np.zeros(U.shape + (self.d,))
+        # (..., 1, d): one factor row per state, broadcast over the grid. The
+        # jet may return transposed views; C-ordered products keep every
+        # later matmul on the BLAS path a single state takes
+        A, dA, d2A = (a[..., None, :] for a in self.factor_map.jet(y))
+        hesses = np.zeros(y.shape[:-1] + U.shape + (self.d,))
         diag = np.arange(self.d)
-        hesses[:, diag, diag] = U * d2A
-        dxg = dc_vals + (dU * A).sum(axis=-1)
-        return dxg, U * dA, hesses
+        hesses[..., diag, diag] = U * d2A
+        dxg = dc_vals + np.multiply(dU, A, order="C").sum(axis=-1)
+        return dxg, np.multiply(U, dA, order="C"), hesses
 
     def to_dict(self) -> dict:
         return {
@@ -322,13 +328,13 @@ class GaussianExampleModel(CurveFamily):
 
     def derivative_tables(self, xs, y):
         xs = np.asarray(xs, dtype=float)
-        y0 = float(np.atleast_1d(y)[0])
+        w = 1.0 - np.atleast_1d(np.asarray(y, dtype=float))  # (..., 1)
         s = np.sqrt(1.0 + xs)
-        z = (1.0 - y0) / s
+        z = w / s
         pdf = norm_pdf(z)
-        dxg = -(1.0 - y0) / (2.0 * s**3) * pdf
-        grads = (-pdf / s)[:, None]
-        hesses = (-z * pdf / (1.0 + xs))[:, None, None]
+        dxg = -w / (2.0 * s**3) * pdf
+        grads = (-pdf / s)[..., None]
+        hesses = (-z * pdf / (1.0 + xs))[..., None, None]
         return dxg, grads, hesses
 
     def to_dict(self) -> dict:
@@ -338,39 +344,48 @@ class GaussianExampleModel(CurveFamily):
 def _fd_tables(curve_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray],
                xs: np.ndarray, y: np.ndarray, h1: float,
                h2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Finite-difference (dx g, grad_y g, hess_y g) over ``xs x {y}``.
+    """Finite-difference (dx g, grad_y g, hess_y g) over ``xs x {y}``, for a
+    state y (d,) or a batch y (..., d), shaped as ``derivative_tables``.
 
     dx g is a central difference with step h1 where x >= h1 and the
     one-sided second-order stencil otherwise, so g is never evaluated at
     x < 0; grad_y g uses central differences with step h1 and hess_y g the
-    second-difference stencils with step h2. ``curve_matrix`` runs twice:
-    once on the stacked x stencils at y, once on the grid for the stacked
-    y offsets.
+    second-difference stencils with step h2. ``curve_matrix`` runs twice
+    whatever the batch: once on the stacked x stencils at every y, once on
+    the grid for the y stencil states of every y.
     """
-    K, d = xs.shape[0], y.shape[0]
+    batch, d = y.shape[:-1], y.shape[-1]
+    Y = y.reshape(-1, d)
+    K = xs.shape[0]
     central = xs >= h1
     edge = xs[~central]
     fx = curve_matrix(np.concatenate([xs + h1, np.where(central, xs - h1, xs),
-                                      edge + 2 * h1]), y[None, :])[:, 0]
-    up, lo = fx[:K], fx[K:2 * K]
-    dxg = np.empty(K)
-    dxg[central] = (up[central] - lo[central]) / (2 * h1)
-    dxg[~central] = (-3 * lo[~central] + 4 * up[~central] - fx[2 * K:]) / (2 * h1)
+                                      edge + 2 * h1]), Y).T
+    up, lo = fx[:, :K], fx[:, K:2 * K]
+    dxg = np.empty((Y.shape[0], K))
+    dxg[:, central] = (up[:, central] - lo[:, central]) / (2 * h1)
+    dxg[:, ~central] = (-3 * lo[:, ~central] + 4 * up[:, ~central]
+                        - fx[:, 2 * K:]) / (2 * h1)
 
     e1, e2 = np.diag(np.full(d, h1)), np.diag(np.full(d, h2))
     iu, ju = np.triu_indices(d, 1)
-    p2, m2 = y + e2, y - e2
-    F = curve_matrix(xs, np.vstack([y[None, :], y + e1, y - e1, p2, m2,
-                                    p2[iu] + e2[ju], p2[iu] - e2[ju],
-                                    m2[iu] + e2[ju], m2[iu] - e2[ju]]))
-    f1p, f1m, f2p, f2m = np.split(F[:, 1:1 + 4 * d], 4, axis=1)
-    pp, pm, mp, mm = np.split(F[:, 1 + 4 * d:], 4, axis=1)
+    y1 = Y[:, None, :]
+    p2, m2 = y1 + e2, y1 - e2
+    S = np.concatenate([y1, y1 + e1, y1 - e1, p2, m2,
+                        p2[:, iu] + e2[ju], p2[:, iu] - e2[ju],
+                        m2[:, iu] + e2[ju], m2[:, iu] - e2[ju]], axis=1)
+    # (K, n * m) -> (n, K, m), C-ordered: the m stencil states of each y
+    F = np.ascontiguousarray(
+        curve_matrix(xs, S.reshape(-1, d)).reshape(K, *S.shape[:2]).transpose(1, 0, 2))
+    f1p, f1m, f2p, f2m = np.split(F[..., 1:1 + 4 * d], 4, axis=-1)
+    pp, pm, mp, mm = np.split(F[..., 1 + 4 * d:], 4, axis=-1)
     grads = (f1p - f1m) / (2 * h1)
-    hesses = np.empty((K, d, d))
+    hesses = np.empty((Y.shape[0], K, d, d))
     diag = np.arange(d)
-    hesses[:, diag, diag] = (f2p - 2 * F[:, :1] + f2m) / h2**2
-    hesses[:, iu, ju] = hesses[:, ju, iu] = (pp - pm - mp + mm) / (4 * h2**2)
-    return dxg, grads, hesses
+    hesses[..., diag, diag] = (f2p - 2 * F[..., :1] + f2m) / h2**2
+    hesses[..., iu, ju] = hesses[..., ju, iu] = (pp - pm - mp + mm) / (4 * h2**2)
+    return (dxg.reshape(batch + (K,)), grads.reshape(batch + (K, d)),
+            hesses.reshape(batch + (K, d, d)))
 
 
 class NumericCurveFamily(CurveFamily):

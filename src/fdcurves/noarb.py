@@ -36,12 +36,23 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .families import CurveFamily, _grid_nodes
 from .qe import _plain, _reject_unknown
 
 RANK_TOL = 1e-10         # relative singular-value cutoff for drift projections
 AFFINE_RANK_TOL = 1e-8   # relative singular-value cutoff for rank detection
+
+# The gufunc np.linalg.lstsq itself runs: LAPACK gelsd on every slice of a
+# stack, so a stacked solve equals a loop of lstsq calls bit for bit. It is
+# private and may be named differently in other numpy versions, so a numpy
+# without it fails here, at import, not in the middle of a solve.
+_LSTSQ = getattr(_umath_linalg, "lstsq", None)
+if _LSTSQ is None:
+    raise ImportError(
+        "fdcurves needs numpy.linalg._umath_linalg.lstsq, the gufunc behind "
+        f"np.linalg.lstsq; numpy {np.__version__} has no such gufunc")
 
 
 class DegenerateFamilyError(ValueError):
@@ -112,7 +123,7 @@ class DriftSolveResult:
 
 def _trace_term(cov: np.ndarray, hesses: np.ndarray) -> np.ndarray:
     """1/2 sum_ij a[i,j] hess_y g[i,j] on the grid, for the covariance a."""
-    return 0.5 * np.einsum("ij,kij->k", cov, hesses)
+    return 0.5 * np.einsum("ij,...kij->...k", cov, hesses)
 
 
 def _covariance(sigma: np.ndarray) -> np.ndarray:
@@ -121,9 +132,12 @@ def _covariance(sigma: np.ndarray) -> np.ndarray:
 
 
 def _residual_stats(dxg: np.ndarray, grads: np.ndarray, trace_term: np.ndarray,
-                    b: np.ndarray) -> tuple[float, float]:
-    r = dxg - grads @ b - trace_term
-    return float(np.sqrt(np.mean(r**2))), float(np.max(np.abs(r)))
+                    b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rms, max) of the drift residual over the grid, per state of a stack."""
+    # a column matmul equals grads @ b bit for bit (einsum does not for
+    # d >= 2); the rms is np.mean's sum and division, without its overhead
+    r = dxg - np.matmul(grads, b[..., None])[..., 0] - trace_term
+    return np.sqrt(np.add.reduce(r * r, axis=-1) / r.shape[-1]), np.abs(r).max(axis=-1)
 
 
 def rn_residual(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
@@ -133,19 +147,38 @@ def rn_residual(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     y = np.atleast_1d(np.asarray(y, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     dxg, grads, hesses = model.derivative_tables(xs, y)
-    return _residual_stats(dxg, grads, _trace_term(_covariance(sigma), hesses), b)
+    rms, r_max = _residual_stats(dxg, grads, _trace_term(_covariance(sigma), hesses), b)
+    return float(rms), float(r_max)
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def _project(grads: np.ndarray, rhs: np.ndarray,
-             y: np.ndarray) -> tuple[np.ndarray, bool, float]:
-    """G^+ rhs by SVD least squares, with G = grad_y g on the grid: the
-    solution, whether G has full column rank at the relative cutoff
-    ``RANK_TOL``, and the condition number of G."""
-    if not np.any(grads):
-        raise DegenerateFamilyError(f"degenerate family at y={y.tolist()}")
-    sol, _, rank, sv = np.linalg.lstsq(grads, rhs, rcond=RANK_TOL)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    return sol, bool(rank == grads.shape[1]), cond
+             y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G^+ rhs by SVD least squares, with G = grad_y g on the grid, for every
+    slice of a stack: grads (..., K, d), rhs (..., K, r) and the states
+    y (..., d) share their leading axes, which may be none.
+
+    Returns the solutions (..., d, r), whether each G has full column rank
+    at the relative cutoff ``RANK_TOL``, and the condition number of each
+    G. One gufunc call runs the LAPACK solve of ``np.linalg.lstsq`` on each
+    slice, so every slice equals its own ``lstsq`` bit for bit and a NaN
+    stays in its slice. A G that vanishes on the whole grid raises
+    :class:`DegenerateFamilyError` naming the first such state.
+    """
+    nonzero = grads.any(axis=(-2, -1))
+    if not nonzero.all():
+        first = np.unravel_index(np.argmin(nonzero), nonzero.shape)
+        raise DegenerateFamilyError(f"degenerate family at y={y[first].tolist()}")
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        sol, _, rank, sv = _LSTSQ(grads, rhs, RANK_TOL, signature="ddd->ddid")
+        # a non-finite G fails the SVD above, so sv is finite: a zero last
+        # singular value gives an infinite condition number
+        cond = sv[..., 0] / sv[..., -1]
+    return sol, rank == grads.shape[-1], cond
 
 
 def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
@@ -160,20 +193,37 @@ def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     :func:`rn_residual` uses, in the same arithmetic order, so solver and
     checker always agree.
     """
-    return _solve_drift_cov(model, y, _covariance(sigma), grid)
-
-
-def _solve_drift_cov(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
-                     grid) -> DriftSolveResult:
-    """:func:`solve_drift` for the covariance ``cov`` in place of sigma."""
-    xs = _grid_nodes(grid)
     y = np.atleast_1d(np.asarray(y, dtype=float))
+    b, *stats = _drift_stack(model, y, _covariance(sigma), grid)
+    return DriftSolveResult(b, *(a.tolist() for a in stats))
+
+
+def _drift_stack(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
+                 grid) -> tuple[np.ndarray, ...]:
+    """Drift solves for the covariance ``cov`` at a state y (d,) or a stack
+    of states y (..., d): (b, residual_rms, residual_max, condition_number,
+    rank_ok), each with the batch axes of y leading. One table evaluation
+    and one stacked projection serve every state; each row equals the
+    solve at its state alone bit for bit.
+    """
+    xs = _grid_nodes(grid)
     if xs.shape[0] < model.d:
         raise ValueError(f"grid has {xs.shape[0]} nodes, need at least d={model.d}")
     dxg, grads, hesses = model.derivative_tables(xs, y)
     trace = _trace_term(cov, hesses)
-    b, rank_ok, cond = _project(grads, dxg - trace, y)
-    return DriftSolveResult(b, *_residual_stats(dxg, grads, trace, b), cond, rank_ok)
+    b, rank_ok, cond = _project(grads, (dxg - trace)[..., None], y)
+    b = b[..., 0]
+    return (b, *_residual_stats(dxg, grads, trace, b), cond, rank_ok)
+
+
+def _solve_drift_cov(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
+                     grid) -> list[DriftSolveResult]:
+    """:func:`solve_drift` for the covariance ``cov`` in place of sigma, at
+    every state of the stack y (n, d), from one :func:`_drift_stack`."""
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    b, *stats = _drift_stack(model, y, cov, grid)
+    return [DriftSolveResult(b_k, *row)
+            for b_k, row in zip(b, zip(*(a.tolist() for a in stats)))]
 
 
 def sigma_sweep(d: int) -> list[tuple[str, np.ndarray]]:
@@ -213,7 +263,7 @@ def _probe_fields(dxg: np.ndarray, grads: np.ndarray, hesses: np.ndarray,
     sol, rank_ok, cond = _project(grads, np.column_stack([dxg, hesses[:, iu, ju]]), y)
     eta = np.empty((d, d, d))
     eta[iu, ju] = eta[ju, iu] = sol[:, 1:].T
-    return sol[:, 0], eta, rank_ok, cond
+    return sol[:, 0], eta, bool(rank_ok), float(cond)
 
 
 @dataclass(frozen=True)

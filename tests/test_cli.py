@@ -97,6 +97,28 @@ def test_check_drift_gaussian_off_vol_fails(tmp_path, capsys):
     assert "DRIFT-VIOLATION" in capsys.readouterr().out
 
 
+def test_check_drift_solves_every_state_in_one_stack(tmp_path, monkeypatch):
+    raw = affine_scenario(tmp_path / "out", y_samples=[[1.0], [2.0], [-0.5]])
+    scenario = Scenario.from_dict(raw)
+    tables = []
+    inner = scenario.model.derivative_tables
+
+    def recorded(xs, y):
+        tables.append(np.shape(y))
+        return inner(xs, y)
+
+    monkeypatch.setattr(scenario.model, "derivative_tables", recorded)
+    (tmp_path / "out").mkdir()
+    code, result = cli.cmd_check_drift(scenario, tmp_path / "out")
+    assert code == 0 and tables == [(3, 1)]
+    rows = (tmp_path / "out" / "residuals.csv").read_text().splitlines()[1:]
+    model = builtin_models()["affine1-exp-identity"]
+    for row, y in zip(rows, raw["y_samples"]):
+        res = solve_drift(model, y, raw["sigma"], XGrid.chebyshev())
+        assert row.split(",")[2:] == [repr(res.residual_rms), repr(res.residual_max),
+                                      str(res.rank_ok)]
+
+
 def test_malformed_scenario_is_config_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{definitely not json")
@@ -121,6 +143,16 @@ def test_negative_seed_is_config_error(tmp_path, capsys):
     scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
     assert main(["simulate", "--scenario", scenario, "--seed", "-1"]) == 2
     assert "error: seed must be an integer in [0, 2**64)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key,value", [("seed", 1.5), ("seed", True), ("n_paths", 2.5)])
+def test_non_integer_sim_count_is_config_error(tmp_path, capsys, key, value):
+    raw = affine_scenario(tmp_path / "out")
+    raw["sim"][key] = value
+    scenario = write_scenario(tmp_path, raw)
+    assert main(["simulate", "--scenario", scenario]) == 2
+    assert f"error: sim.{key} must be an integer, got {value!r}" in capsys.readouterr().out
+    assert not (tmp_path / "out" / "paths.bin").exists()
 
 
 def test_largest_seed_round_trips_through_paths_bin(tmp_path):
@@ -349,12 +381,13 @@ def strict_json(path):
 
 
 def test_check_drift_nan_residual_fails(tmp_path, capsys, monkeypatch):
-    real = cli.solve_drift
+    real = cli._solve_drift_cov
 
     def nan_residual(*args, **kwargs):
-        return dataclasses.replace(real(*args, **kwargs), residual_rms=float("nan"))
+        return [dataclasses.replace(res, residual_rms=float("nan"))
+                for res in real(*args, **kwargs)]
 
-    monkeypatch.setattr(cli, "solve_drift", nan_residual)
+    monkeypatch.setattr(cli, "_solve_drift_cov", nan_residual)
     scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
     assert main(["check-drift", "--scenario", scenario]) == 1
     assert "DRIFT-VIOLATION (residual=nan)" in capsys.readouterr().out

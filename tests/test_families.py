@@ -262,6 +262,37 @@ def test_check_c12_evaluates_the_curve_twice(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("name", sorted(contract_models()))
+def test_batched_derivative_tables_equal_per_state_tables_bitwise(name):
+    m = contract_models()[name]
+    xs = np.concatenate([[0.0, 5e-7], XGrid.chebyshev(12, 5.0).nodes[1:]])
+    Y = np.random.default_rng(29).uniform(-1.2, 1.2, (2, 3, m.d))
+    batch = m.derivative_tables(xs, Y)
+    K, d = xs.shape[0], m.d
+    for got, shape in zip(batch, [(K,), (K, d), (K, d, d)]):
+        assert got.shape == Y.shape[:-1] + shape
+        # C order keeps a stacked solve on the BLAS path of a single state
+        assert got.flags.c_contiguous
+    for idx in np.ndindex(Y.shape[:-1]):
+        for got, want in zip(batch, m.derivative_tables(xs, Y[idx])):
+            assert np.array_equal(got[idx], want), (name, idx)
+
+
+def test_fd_tables_evaluate_the_curve_twice_for_any_batch(monkeypatch):
+    m = contract_models()["numeric"]
+    curve_matrix = m.curve_matrix
+    calls = []
+
+    def counted(xs, Y):
+        calls.append(np.atleast_2d(Y).shape[0])
+        return curve_matrix(xs, Y)
+
+    monkeypatch.setattr(m, "curve_matrix", counted)
+    m.derivative_tables(XGrid.chebyshev(8, 5.0).nodes, np.zeros((7, 2)))
+    # x stencils at 7 states, then 7 x (1 + 4d + 4 d(d-1)/2) y stencil states
+    assert calls == [7, 7 * 13]
+
+
 # -- factor maps ----------------------------------------------------------------
 
 

@@ -1,14 +1,15 @@
 """Drift condition, consistency probe, affine detection, reconstruction."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fdcurves import noarb
-from fdcurves.families import (AffineModel, GaussianExampleModel, IdentityMap,
-                               builtin_models, model_from_dict)
+from fdcurves.families import (AffineModel, ComponentwiseCubicMap, GaussianExampleModel,
+                               IdentityMap, builtin_models, model_from_dict)
 from fdcurves.noarb import (AFFINE_RANK_TOL, RANK_TOL, DegenerateFamilyError,
                             XGrid, detect_affine,
                             eta_field_from_model, reconstruct_from_eta,
@@ -541,3 +542,78 @@ def test_reconstruct_matches_four_probe_rk4():
     probed = eta_field_from_model(m, GRID)
     got = reconstruct_from_eta(probed, 0.0, [1.0], [0.8], 1000)
     assert abs(got - four_probe_rk4(probed, 0.0, [1.0], [0.8], 1000)) <= 1e-12
+
+
+# -- the stacked projection ------------------------------------------------------
+
+
+def projection_stack(d, n_rhs, seed):
+    """Six design matrices with columns of mixed scale, the third rank
+    deficient when d >= 2, and their right-hand sides and states."""
+    rng = np.random.default_rng(seed)
+    grads = rng.standard_normal((6, 40, d)) * np.exp(rng.standard_normal((6, 1, d)))
+    grads[2, :, -1] = grads[2, :, 0]
+    return grads, rng.standard_normal((6, 40, n_rhs)), rng.standard_normal((6, d))
+
+
+def lstsq_cond(sv):
+    return float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+
+
+@pytest.mark.parametrize("n_rhs", [1, 4])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_stacked_projection_equals_per_slice_lstsq_bitwise(d, n_rhs):
+    grads, rhs, Y = projection_stack(d, n_rhs, seed=d)
+    sol, rank_ok, cond = noarb._project(grads, rhs, Y)
+    assert sol.shape == (6, d, n_rhs) and rank_ok.shape == cond.shape == (6,)
+    for k in range(6):
+        x, _, rank, sv = np.linalg.lstsq(grads[k], rhs[k], rcond=RANK_TOL)
+        assert np.array_equal(sol[k], x), k
+        assert (bool(rank_ok[k]), float(cond[k])) == (rank == d, lstsq_cond(sv)), k
+        if n_rhs == 1:  # the drift's single right-hand side
+            x1 = np.linalg.lstsq(grads[k], rhs[k, :, 0], rcond=RANK_TOL)[0]
+            assert np.array_equal(sol[k, :, 0], x1), k
+        # a single state is the same function with no batch axes
+        one, one_ok, one_cond = noarb._project(grads[k], rhs[k], Y[k])
+        assert np.array_equal(one, x) and one_ok.shape == one_cond.shape == ()
+        assert (bool(one_ok), float(one_cond)) == (rank == d, lstsq_cond(sv)), k
+    assert bool(rank_ok[2]) == (d == 1)
+
+
+def test_stacked_projection_keeps_a_nan_in_its_own_slice():
+    grads, rhs, Y = projection_stack(3, 1, seed=8)
+    rhs[4, 17, 0] = np.nan
+    sol, rank_ok, cond = noarb._project(grads, rhs, Y)
+    assert np.isnan(sol[4]).all()
+    for k in (0, 1, 2, 3, 5):
+        x = np.linalg.lstsq(grads[k], rhs[k], rcond=RANK_TOL)[0]
+        assert np.array_equal(sol[k], x)
+    assert np.isfinite(cond).all()
+
+
+def test_stacked_projection_names_the_first_degenerate_state():
+    rng = np.random.default_rng(3)
+    grads = rng.standard_normal((2, 3, 40, 2))
+    grads[1, 0] = grads[1, 2] = 0.0
+    Y = np.arange(12.0).reshape(2, 3, 2)
+    with pytest.raises(DegenerateFamilyError, match=re.escape("y=[6.0, 7.0]")):
+        noarb._project(grads, rng.standard_normal((2, 3, 40, 1)), Y)
+    # A(y) = y^2 has a vanishing gradient at y = 0 only
+    m = AffineModel(c=QEFunction.constant(0.0), u=[QEFunction.exponential(-1.0)],
+                    factor_map=ComponentwiseCubicMap([0.0], quadratic=[1.0]))
+    with pytest.raises(DegenerateFamilyError, match=re.escape("y=[0.0]")):
+        noarb._solve_drift_cov(m, [[1.0], [0.0], [2.0], [0.0]], np.eye(1), GRID)
+
+
+def test_stacked_drift_solves_equal_solve_drift_on_every_field():
+    rng = np.random.default_rng(19)
+    for name, m, grid in probe_cases():
+        Y = rng.uniform(-1.0, 1.0, (5, m.d))
+        sigma = rng.uniform(-1.0, 1.0, (m.d, m.d))
+        for y, got in zip(Y, noarb._solve_drift_cov(m, Y, sigma @ sigma.T, grid)):
+            want = solve_drift(m, y, sigma, grid)
+            assert np.array_equal(got.b, want.b) and got.b.shape == (m.d,), name
+            fields = (got.residual_rms, got.residual_max, got.condition_number, got.rank_ok)
+            assert fields == (want.residual_rms, want.residual_max,
+                              want.condition_number, want.rank_ok), name
+            assert [type(f) for f in fields] == [float, float, float, bool], name

@@ -637,6 +637,77 @@ def test_rn_drift_solves_state_by_state_without_full_rank_loadings():
         assert np.array_equal(rn_drift(m, sigma, GRID)(Y), ref)
 
 
+def state_shapes(monkeypatch, obj, name):
+    """Patch obj.name(first, y, ...) to record the shape of each y it gets."""
+    shapes = []
+    inner = getattr(obj, name)
+
+    def recorded(*args):
+        shapes.append(np.shape(args[1]))
+        return inner(*args)
+
+    monkeypatch.setattr(obj, name, recorded)
+    return shapes
+
+
+def collinear_affine():
+    """Loadings without full column rank: no closed form, every state solved."""
+    return AffineModel(c=QEFunction.constant(0.0),
+                       u=[QEFunction.exponential(-1.0),
+                          QEFunction.exponential(-1.0, 2.0)],
+                       factor_map=IdentityMap(2))
+
+
+def test_non_affine_rn_drift_rows_do_not_depend_on_the_batch(monkeypatch):
+    n = sim._DRIFT_CHUNK + 1
+    for m, sigma in ((GaussianExampleModel(), np.array([[1.2]])),
+                     (collinear_affine(), np.array(CUSTOM_SIGMA))):
+        Y = off_lattice_states(m.d, n)
+        drift = rn_drift(m, sigma, GRID)
+        stacks = state_shapes(monkeypatch, sim, "_drift_stack")
+        out = drift(Y)
+        assert stacks == [(n - 1, m.d), (1, m.d)]  # one stacked solve per chunk
+        monkeypatch.undo()
+        assert np.array_equal(drift(Y[::-1])[::-1], out)
+        for y, b in zip(Y, out):
+            assert np.array_equal(b, solve_drift(m, y, sigma, GRID).b)
+        assert np.array_equal(drift(Y[-1]), out[-1])
+
+
+def test_gaussian_example_paths_equal_a_per_state_euler_reference():
+    m = GaussianExampleModel()
+    sigma = np.array([[1.0]])
+
+    def per_state(Y):
+        return np.stack([solve_drift(m, y, sigma, GRID).b for y in Y])
+
+    n_paths = sim._DRIFT_CHUNK + 1
+    spec = SdeSpec(d=1, drift=rn_drift(m, sigma, GRID), sigma=sigma, y0=[0.5])
+    ps = simulate(spec, 0.01, 0.05, n_paths, seed=13)
+    ref = per_path_philox_paths(SdeSpec(d=1, drift=per_state, sigma=sigma, y0=[0.5]),
+                                0.01, 5, n_paths, 13)
+    assert np.array_equal(ps.paths, ref)
+
+
+@pytest.mark.parametrize("name", ["affine3-cubic", "custom_affine.json",
+                                  "gaussian-example", "numeric-d1"])
+def test_scc_loop_per_state_equals_solve_drift_on_every_field(monkeypatch, name):
+    m = pricing_models()[name]
+    sigma = np.tril(0.3 * np.ones((m.d, m.d))) + 0.4 * np.eye(m.d)
+    ps = simulate(driftless(0.4, 0.2, d=m.d), 1e-2, 0.5, 3, seed=17)
+    tables = state_shapes(monkeypatch, m, "derivative_tables")
+    rep = scc_loop(m, ps, GRID, sigma_override=sigma)
+    assert tables == [(32, m.d)]  # one stacked solve for every state
+    monkeypatch.undo()
+    for y, got in zip(rep.y_samples, rep.per_state):
+        want = solve_drift(m, y, sigma, GRID)
+        assert np.array_equal(got.b, want.b)
+        fields = ("residual_rms", "residual_max", "condition_number", "rank_ok")
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert rep.max_residual == max(r.residual_rms for r in rep.per_state)
+    assert rep.max_drift_norm == max(np.linalg.norm(r.b) for r in rep.per_state)
+
+
 def test_scc_loop_accepts_affine_data():
     m = simple_affine()
     drift = rn_drift(m, [[1.0]], GRID)
@@ -682,8 +753,8 @@ def test_scc_loop_verdict_fails_on_nan_residuals():
     class NanHessianAbove(AffineModel):
         def derivative_tables(self, xs, y):
             dxg, grads, hesses = super().derivative_tables(xs, y)
-            if np.atleast_1d(y)[0] > 1.2:
-                hesses = np.full_like(hesses, np.nan)
+            above = np.atleast_1d(y)[..., 0] > 1.2
+            hesses = np.where(above[..., None, None, None], np.nan, hesses)
             return dxg, grads, hesses
 
     base = simple_affine()

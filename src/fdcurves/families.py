@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erfc
 
 from .qe import QEFunction, _plain, _reject_unknown, qe_derivative
 
@@ -45,6 +44,8 @@ _SQRT2PI = np.sqrt(2.0 * np.pi)
 
 def norm_cdf(t):
     """Standard normal distribution function via the complementary error function."""
+    from scipy.special import erfc  # deferred: importing scipy triples start-up
+
     return 0.5 * erfc(-np.asarray(t, dtype=float) / _SQRT2)
 
 

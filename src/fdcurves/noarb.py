@@ -194,17 +194,18 @@ def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     checker always agree.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    b, *stats = _drift_stack(model, y, _covariance(sigma), grid)
+    b, *stats = _drift_fields(model, y, _covariance(sigma), grid)
     return DriftSolveResult(b, *(a.tolist() for a in stats))
 
 
 def _drift_stack(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
-                 grid) -> tuple[np.ndarray, ...]:
+                 grid) -> tuple[np.ndarray, tuple, np.ndarray, np.ndarray]:
     """Drift solves for the covariance ``cov`` at a state y (d,) or a stack
-    of states y (..., d): (b, residual_rms, residual_max, condition_number,
-    rank_ok), each with the batch axes of y leading. One table evaluation
-    and one stacked projection serve every state; each row equals the
-    solve at its state alone bit for bit.
+    of states y (..., d): (b, tables, condition_number, rank_ok), each with
+    the batch axes of y leading, where tables = (dx g, grad_y g, trace
+    term) are the grid tables b was solved on. One table evaluation and one
+    stacked projection serve every state; each row equals the solve at its
+    state alone bit for bit. The residual is left to :func:`_drift_fields`.
     """
     xs = _grid_nodes(grid)
     if xs.shape[0] < model.d:
@@ -212,16 +213,24 @@ def _drift_stack(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
     dxg, grads, hesses = model.derivative_tables(xs, y)
     trace = _trace_term(cov, hesses)
     b, rank_ok, cond = _project(grads, (dxg - trace)[..., None], y)
-    b = b[..., 0]
-    return (b, *_residual_stats(dxg, grads, trace, b), cond, rank_ok)
+    return b[..., 0], (dxg, grads, trace), cond, rank_ok
+
+
+def _drift_fields(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
+                  grid) -> tuple[np.ndarray, ...]:
+    """:func:`_drift_stack` with its residual: (b, residual_rms,
+    residual_max, condition_number, rank_ok), the fields of
+    :class:`DriftSolveResult` with the batch axes of y leading."""
+    b, tables, cond, rank_ok = _drift_stack(model, y, cov, grid)
+    return (b, *_residual_stats(*tables, b), cond, rank_ok)
 
 
 def _solve_drift_cov(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
                      grid) -> list[DriftSolveResult]:
     """:func:`solve_drift` for the covariance ``cov`` in place of sigma, at
-    every state of the stack y (n, d), from one :func:`_drift_stack`."""
+    every state of the stack y (n, d), from one :func:`_drift_fields`."""
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    b, *stats = _drift_stack(model, y, cov, grid)
+    b, *stats = _drift_fields(model, y, cov, grid)
     return [DriftSolveResult(b_k, *row)
             for b_k, row in zip(b, zip(*(a.tolist() for a in stats)))]
 

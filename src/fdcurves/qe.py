@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class MatrixExponentialOverflowError(ArithmeticError):
@@ -62,8 +61,10 @@ def mat_exp(matrix: np.ndarray, x) -> np.ndarray:
     Delegates to scipy's scaling-and-squaring Pade-13 implementation, which
     holds relative accuracy well below 1e-12 for ``||matrix * x|| <= 50``.
     A 1-d ``x`` goes to scipy as one (K, n, n) stack whose slices equal the
-    scalar calls bit for bit. An exponential that overflows the double
-    range raises instead of returning silent infinities.
+    scalar calls bit for bit. A 1x1 matrix takes ``np.exp``, which is what
+    scipy's ``expm`` returns for it, so scipy is imported only for n >= 2.
+    An exponential that overflows the double range raises instead of
+    returning silent infinities.
 
     Parameters
     ----------
@@ -88,7 +89,11 @@ def mat_exp(matrix: np.ndarray, x) -> np.ndarray:
         raise ValueError(f"scale factor must be finite, got {x!r}")
     scaled = m * x if xs.ndim == 0 else m[None] * xs[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        result = expm(scaled)
+        if m.shape == (1, 1):
+            result = np.exp(scaled)
+        else:
+            from scipy.linalg import expm  # deferred: importing scipy triples start-up
+            result = expm(scaled)
     if not np.isfinite(result).all():
         raise MatrixExponentialOverflowError(
             f"exp(M*x) overflowed for ||M*x||_inf = "

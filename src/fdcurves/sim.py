@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 from .families import AffineModel, CurveFamily, _grid_nodes, _simpson_weights
 from .noarb import (RANK_TOL, DriftSolveResult, _covariance, _drift_stack,
@@ -196,6 +195,8 @@ def _normals(seed: int, n_paths: int, n_steps: int, d: int) -> np.ndarray:
     """Standard normals (n_paths, n_steps, d); path p reads the Philox stream
     keyed (seed, p) from counter 0, through the inverse CDF so the stream is
     identical across platforms."""
+    from scipy.special import ndtri  # deferred: importing scipy triples start-up
+
     # one generator, re-keyed per path through its state: constructing a
     # Philox runs a SeedSequence (and reads OS entropy) even given a key
     bg = np.random.Philox()
@@ -445,11 +446,14 @@ def scc_loop(model: CurveFamily, observed: PathSet, grid,
     max_res = float(np.max([r.residual_rms for r in per_state]))
     max_b = float(np.max([np.linalg.norm(r.b) for r in per_state]))
     any_bad_rank = any(not r.rank_ok for r in per_state)
+    # the box from axis-1 reductions of the transposed copy: their inner
+    # loop runs over all states, not over the d columns of one state
+    cols = np.ascontiguousarray(flat.T)
     return SccLoopReport(
         sigma_sq_hat=sigma_sq, covariance=cov, psd_projected=projected,
         y_samples=samples, per_state=per_state,
         max_residual=max_res, max_drift_norm=max_b,
-        y_box=(flat.min(axis=0), flat.max(axis=0)),
+        y_box=(cols.min(axis=1), cols.max(axis=1)),
         tol=float(tol), verdict=bool(max_res <= tol and not any_bad_rank),
         any_rank_deficient=any_bad_rank)
 

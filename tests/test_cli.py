@@ -2,12 +2,16 @@
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdcurves
 from fdcurves import cli
 from fdcurves.cli import Scenario, ScenarioError, load_scenario, main
 from fdcurves.families import builtin_models, hilbert_norm
@@ -526,3 +530,36 @@ def test_results_serialise_as_their_dataclass_fields():
         assert json.loads(json.dumps(d)) == d, name
     loop = objects[6]
     assert loop.to_dict()["y_samples"] == loop.y_samples.tolist()
+
+
+# -- start-up -----------------------------------------------------------------
+
+SCIPY_SUBMODULES = {"scipy.linalg", "scipy.special"}
+
+
+def imported_modules(*args):
+    """Every module a fresh ``python -X importtime *args`` imports."""
+    src = str(Path(fdcurves.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_importing_the_package_leaves_scipy_submodules_out():
+    # importing scipy.linalg or scipy.special triples the CLI's start-up
+    modules = imported_modules("-c", "import fdcurves")
+    assert "fdcurves.sim" in modules
+    assert not modules & SCIPY_SUBMODULES
+
+
+@pytest.mark.parametrize("command, loaded", [("check-drift", set()),
+                                             ("simulate", {"scipy.special"})])
+def test_cli_imports_scipy_only_for_the_routines_it_calls(tmp_path, command, loaded):
+    modules = imported_modules("-m", "fdcurves", command, "--scenario",
+                               str(SCENARIOS / "affine_demo.json"), "--n-paths", "4",
+                               "--output-dir", str(tmp_path))
+    assert (tmp_path / "run_result.json").exists()
+    assert modules & SCIPY_SUBMODULES == loaded

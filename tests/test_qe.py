@@ -99,6 +99,25 @@ def test_mat_exp_scalar_result_unchanged():
     assert np.array_equal(out, expm(M * 0.7))
 
 
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_mat_exp_1x1_equals_scipy_expm_bitwise():
+    # mat_exp takes np.exp for a 1x1 generator, as scipy's expm does, so
+    # that it need not import scipy.linalg; this pins the two together
+    xs = np.array([0.0, 1.0, -1.0, 0.37, -45.2, 300.0, 709.0])
+    for a in (0.0, 1.0, -2.3, 0.75, -15.0):
+        A = np.array([[a]])
+        for x in xs:
+            assert same_bits(mat_exp(A, x), expm(A * x)), (a, x)
+        assert same_bits(mat_exp(A, xs), expm(A[None] * xs[:, None, None])), a
+    with pytest.raises(MatrixExponentialOverflowError):
+        mat_exp([[1000.0]], 1.0)
+    M = np.array([[0.0, -1.0], [1.0, -0.5]])
+    assert same_bits(mat_exp(M, xs[:5]), expm(M[None] * xs[:5, None, None]))
+
+
 def test_mat_exp_stack_overflow_raises():
     with pytest.raises(MatrixExponentialOverflowError):
         mat_exp([[1.0]], np.array([1.0, 1000.0]))

@@ -14,7 +14,7 @@ from fdcurves.families import (AffineModel, ExpMinusOneMap, GaussianExampleModel
                                builtin_models, model_from_dict)
 from fdcurves.noarb import RANK_TOL, XGrid, rn_residual, solve_drift
 from fdcurves.qe import QEFunction, qe_integral
-from fdcurves import sim
+from fdcurves import noarb, sim
 from fdcurves.sim import (N_QUAD, PATHSET_MAGIC, FuturesSpec, PathSet, SccLoopReport,
                           SdeSpec, SimulationError, _futures_prices_batch,
                           estimate_vol, futures_price, martingale_test,
@@ -674,6 +674,18 @@ def test_non_affine_rn_drift_rows_do_not_depend_on_the_batch(monkeypatch):
         assert np.array_equal(drift(Y[-1]), out[-1])
 
 
+def test_non_affine_rn_drift_computes_no_residual(monkeypatch):
+    m, sigma = GaussianExampleModel(), np.array([[1.2]])
+    Y = off_lattice_states(1, 9)
+    ref = np.stack([solve_drift(m, y, sigma, GRID).b for y in Y])
+
+    def unused(*args):
+        raise AssertionError("the drift discards the residual")
+
+    monkeypatch.setattr(noarb, "_residual_stats", unused)
+    assert np.array_equal(rn_drift(m, sigma, GRID)(Y), ref)
+
+
 def test_gaussian_example_paths_equal_a_per_state_euler_reference():
     m = GaussianExampleModel()
     sigma = np.array([[1.0]])
@@ -706,6 +718,20 @@ def test_scc_loop_per_state_equals_solve_drift_on_every_field(monkeypatch, name)
         assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
     assert rep.max_residual == max(r.residual_rms for r in rep.per_state)
     assert rep.max_drift_norm == max(np.linalg.norm(r.b) for r in rep.per_state)
+
+
+def test_scc_loop_box_equals_column_reductions_bitwise():
+    m = custom_model()
+    ps = simulate(driftless(0.4, 0.2, d=2), 1e-2, 0.5, 5, seed=3)
+    paths = ps.paths.copy()
+    paths[0, 1, 1] = np.nan  # flat row 1: a NaN path off the sampled states
+    rep = scc_loop(m, PathSet(ps.times, paths, ps.seed), GRID,
+                   sigma_override=CUSTOM_SIGMA)
+    flat = paths.reshape(-1, 2)
+    assert not np.isnan(rep.y_samples).any()
+    for got, want in zip(rep.y_box, (flat.min(axis=0), flat.max(axis=0))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert np.isnan(rep.y_box[0][1]) and np.isfinite(rep.y_box[0][0])
 
 
 def test_scc_loop_accepts_affine_data():

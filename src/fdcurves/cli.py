@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import operator
 import os
 import sys
 import time
@@ -33,9 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from .families import CurveFamily, model_from_dict
-from .noarb import (XGrid, _covariance, _solve_drift_cov, detect_affine,
-                    eta_field_from_model, reconstruct_from_eta, scc_probe)
-from .qe import _plain, _reject_unknown
+from .noarb import (AFFINE_RANK_TOL, XGrid, _covariance, _solve_drift_cov,
+                    detect_affine, eta_field_from_model, reconstruct_from_eta,
+                    scc_probe)
+from .qe import _integer, _plain, _reject_unknown
 from .sim import (FuturesSpec, PathSet, SdeSpec, estimate_vol, futures_price,
                   martingale_test, rn_drift, simulate)
 
@@ -46,15 +46,12 @@ class ScenarioError(ValueError):
     """The scenario file is malformed or misses a required field."""
 
 
-def _integer(data: dict, key: str) -> int:
-    """An exact JSON integer: 1.5 or true is an error, never truncated to 1."""
-    value = data[key]
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ScenarioError(f"sim.{key} must be an integer, got {value!r}")
+def _path(raw: dict, key: str) -> str | None:
+    """An optional file or directory name: a string, or absent or null."""
+    value = raw.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ScenarioError(f"{key} must be a string, got {value!r}")
+    return value
 
 
 @dataclass
@@ -72,7 +69,8 @@ class SimConfig:
             if key not in data:
                 raise ScenarioError(f"sim is missing required key {key!r}")
         return cls(dt=float(data["dt"]), T=float(data["T"]),
-                   n_paths=_integer(data, "n_paths"), seed=_integer(data, "seed"),
+                   n_paths=_integer(data["n_paths"], "sim.n_paths"),
+                   seed=_integer(data["seed"], "sim.seed"),
                    y0=np.atleast_1d(np.asarray(data["y0"], dtype=float)))
 
 
@@ -88,7 +86,8 @@ class ReconstructConfig:
         if "y" not in data:
             raise ScenarioError("reconstruct is missing required key 'y'")
         return cls(y=np.atleast_1d(np.asarray(data["y"], dtype=float)),
-                   n_steps=int(data.get("n_steps", 1000)),
+                   n_steps=(_integer(data["n_steps"], "reconstruct.n_steps")
+                            if "n_steps" in data else 1000),
                    x0=float(data.get("x0", 0.0)))
 
 
@@ -115,7 +114,7 @@ class Scenario:
     tolerance: float = 1e-6
     z_max: float = 3.0
     output_dir: str | None = None
-    rank_tol: float = 1e-8  # CLI-flag only; relative cutoff for detect-affine
+    rank_tol: float = AFFINE_RANK_TOL  # CLI-flag only; relative cutoff for detect-affine
 
     @classmethod
     def from_dict(cls, raw: dict) -> Scenario:
@@ -138,18 +137,18 @@ class Scenario:
             futures = [FuturesSpec.from_dict(f) for f in raw.get("futures", [])]
             reconstruct = (ReconstructConfig.from_dict(raw["reconstruct"])
                            if "reconstruct" in raw else None)
+            return cls(
+                model=model, grid=grid, raw=dict(raw), sigma=sigma,
+                y_samples=y_samples, base_y=base_y, sim=sim, futures=futures,
+                reconstruct=reconstruct, paths_file=_path(raw, "paths_file"),
+                tolerance=float(raw.get("tolerance", 1e-6)),
+                z_max=float(raw.get("z_max", 3.0)),
+                output_dir=_path(raw, "output_dir"),
+            )
         except ScenarioError:
             raise
         except (ValueError, TypeError, KeyError) as exc:
             raise ScenarioError(str(exc)) from exc
-        return cls(
-            model=model, grid=grid, raw=dict(raw), sigma=sigma,
-            y_samples=y_samples, base_y=base_y, sim=sim, futures=futures,
-            reconstruct=reconstruct, paths_file=raw.get("paths_file"),
-            tolerance=float(raw.get("tolerance", 1e-6)),
-            z_max=float(raw.get("z_max", 3.0)),
-            output_dir=raw.get("output_dir"),
-        )
 
     def to_dict(self) -> dict:
         return dict(self.raw)
@@ -383,7 +382,7 @@ def cmd_estimate_vol(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]
             for j in range(vol.shape[1])]
     csv_path = out_dir / "vol.csv"
     _write_csv(csv_path, ["i", "j", "value"], rows)
-    print(f"sigma_sq_hat={json.dumps(vol.tolist())}")
+    print(f"sigma_sq_hat={json.dumps(_finite_or_null(vol.tolist()), allow_nan=False)}")
     numbers = {f"sigma_sq_{i}{j}": float(vol[i, j])
                for i in range(vol.shape[0]) for j in range(vol.shape[1])}
     numbers["paths_simulated"] = simulated

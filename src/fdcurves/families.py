@@ -63,15 +63,15 @@ class FactorMap:
     """Componentwise smooth map A(y) with analytic first and second derivatives;
     every method also maps a batch (..., d) row by row.
 
-    ``value`` gives A alone; ``jet`` gives A with its derivatives from one
-    call, bit for bit the same A.
+    A map implements ``jet`` alone, so each formula for A exists once;
+    ``value`` reads A off it.
     """
 
     tag: str
     d: int
 
     def value(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self.jet(y)[0]
 
     def jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(A_k, dA_k / dy_k, d^2 A_k / dy_k^2); the Jacobian and every
@@ -88,9 +88,6 @@ class IdentityMap(FactorMap):
     def __init__(self, d: int):
         self.d = int(d)
 
-    def value(self, y):
-        return np.asarray(y, dtype=float)
-
     def jet(self, y):
         y = np.asarray(y, dtype=float)
         return y, np.ones_like(y), np.zeros_like(y)
@@ -103,9 +100,6 @@ class ExpMinusOneMap(FactorMap):
 
     def __init__(self, d: int):
         self.d = int(d)
-
-    def value(self, y):
-        return np.exp(np.asarray(y, dtype=float)) - 1.0
 
     def jet(self, y):
         e = np.exp(np.asarray(y, dtype=float))
@@ -127,24 +121,17 @@ class ComponentwiseCubicMap(FactorMap):
         if self.quadratic.shape != (self.d,) or self.cubic.shape != (self.d,):
             raise ValueError("coefficient arrays must share one length")
 
-    # Both methods work on a contiguous component-major copy y.T (d, ...),
-    # with each coefficient a (d, 1, ...) column, and return .T views: a
-    # (d,) vector broadcast over a short last axis runs one inner loop of
-    # length d per state. The arithmetic order is that of the row-major
-    # formulas, so the results are the same bits.
-    def _component_major(self, y):
+    # The jet works on a contiguous component-major copy y.T (d, ...), with
+    # each coefficient a (d, 1, ...) column, and returns .T views: a (d,)
+    # vector broadcast over a short last axis runs one inner loop of length
+    # d per state. The arithmetic order is that of the row-major formulas,
+    # so the results are the same bits.
+    def jet(self, y):
         yt = np.ascontiguousarray(np.asarray(y, dtype=float).T)
         col = (-1,) + (1,) * (yt.ndim - 1)
-        coefs = (self.linear, self.quadratic, self.cubic)
-        return yt, yt * yt, [c.reshape(col) for c in coefs]
-
-    def value(self, y):
+        lin, quad, cub = (c.reshape(col) for c in (self.linear, self.quadratic, self.cubic))
         # y2 * y, not y**3: numpy sends cubes through pow, about 5x slower
-        yt, y2, (lin, quad, cub) = self._component_major(y)
-        return (lin * yt + quad * y2 + cub * (y2 * yt)).T
-
-    def jet(self, y):
-        yt, y2, (lin, quad, cub) = self._component_major(y)
+        y2 = yt * yt
         A = lin * yt + quad * y2 + cub * (y2 * yt)
         dA = lin + (2.0 * quad) * yt + (3.0 * cub) * y2
         d2A = 2.0 * quad + (6.0 * cub) * yt

@@ -39,7 +39,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .families import CurveFamily, _grid_nodes
-from .qe import _plain, _reject_unknown
+from .qe import _integer, _plain, _reject_unknown
 
 RANK_TOL = 1e-10         # relative singular-value cutoff for drift projections
 AFFINE_RANK_TOL = 1e-8   # relative singular-value cutoff for rank detection
@@ -99,7 +99,7 @@ class XGrid:
             return cls(np.asarray(data["nodes"], dtype=float))
         kind = data.get("kind", "chebyshev")
         _reject_unknown(data, {"kind", "n", "x_max"}, "grid")
-        n = int(data.get("n", 40))
+        n = _integer(data["n"], "grid.n") if "n" in data else 40
         x_max = float(data.get("x_max", 5.0))
         if kind == "chebyshev":
             return cls.chebyshev(n, x_max)
@@ -131,13 +131,27 @@ def _covariance(sigma: np.ndarray) -> np.ndarray:
     return sigma @ sigma.T
 
 
+def _rms_max(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rms, max |r|) of residuals r over the grid, their last axis."""
+    # the rms is np.mean's sum and division, without its overhead
+    return np.sqrt(np.add.reduce(r * r, axis=-1) / r.shape[-1]), np.abs(r).max(axis=-1)
+
+
 def _residual_stats(dxg: np.ndarray, grads: np.ndarray, trace_term: np.ndarray,
                     b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rms, max) of the drift residual over the grid, per state of a stack."""
-    # a column matmul equals grads @ b bit for bit (einsum does not for
-    # d >= 2); the rms is np.mean's sum and division, without its overhead
-    r = dxg - np.matmul(grads, b[..., None])[..., 0] - trace_term
-    return np.sqrt(np.add.reduce(r * r, axis=-1) / r.shape[-1]), np.abs(r).max(axis=-1)
+    # a column matmul equals grads @ b bit for bit (einsum does not for d >= 2)
+    return _rms_max(dxg - np.matmul(grads, b[..., None])[..., 0] - trace_term)
+
+
+def _drift_results(b: np.ndarray, *fields) -> list[DriftSolveResult]:
+    """One :class:`DriftSolveResult` per state: drifts b (n, d), or (d,) for
+    one state, then residual_rms, residual_max, condition_number and
+    rank_ok, each one value per state or one value for every state."""
+    b = b.reshape(-1, b.shape[-1])
+    cols = [np.asarray(a).tolist() for a in fields]
+    cols = [c if isinstance(c, list) else [c] * len(b) for c in cols]
+    return [DriftSolveResult(b_k, *row) for b_k, row in zip(b, zip(*cols))]
 
 
 def rn_residual(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
@@ -194,8 +208,7 @@ def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     checker always agree.
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    b, *stats = _drift_fields(model, y, _covariance(sigma), grid)
-    return DriftSolveResult(b, *(a.tolist() for a in stats))
+    return _solve_drift_cov(model, y, _covariance(sigma), grid)[0]
 
 
 def _drift_stack(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
@@ -205,7 +218,7 @@ def _drift_stack(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
     the batch axes of y leading, where tables = (dx g, grad_y g, trace
     term) are the grid tables b was solved on. One table evaluation and one
     stacked projection serve every state; each row equals the solve at its
-    state alone bit for bit. The residual is left to :func:`_drift_fields`.
+    state alone bit for bit. Callers that report the residual compute it.
     """
     xs = _grid_nodes(grid)
     if xs.shape[0] < model.d:
@@ -216,23 +229,14 @@ def _drift_stack(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
     return b[..., 0], (dxg, grads, trace), cond, rank_ok
 
 
-def _drift_fields(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
-                  grid) -> tuple[np.ndarray, ...]:
-    """:func:`_drift_stack` with its residual: (b, residual_rms,
-    residual_max, condition_number, rank_ok), the fields of
-    :class:`DriftSolveResult` with the batch axes of y leading."""
-    b, tables, cond, rank_ok = _drift_stack(model, y, cov, grid)
-    return (b, *_residual_stats(*tables, b), cond, rank_ok)
-
-
 def _solve_drift_cov(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
                      grid) -> list[DriftSolveResult]:
     """:func:`solve_drift` for the covariance ``cov`` in place of sigma, at
-    every state of the stack y (n, d), from one :func:`_drift_fields`."""
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    b, *stats = _drift_fields(model, y, cov, grid)
-    return [DriftSolveResult(b_k, *row)
-            for b_k, row in zip(b, zip(*(a.tolist() for a in stats)))]
+    a state y (d,) or every state of a stack y (n, d), from one
+    :func:`_drift_stack`: one result per state."""
+    y = np.asarray(y, dtype=float)
+    b, tables, cond, rank_ok = _drift_stack(model, y, cov, grid)
+    return _drift_results(b, *_residual_stats(*tables, b), cond, rank_ok)
 
 
 def sigma_sweep(d: int) -> list[tuple[str, np.ndarray]]:
@@ -334,9 +338,7 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid) -> SCCReport:
     covs = np.array(covs)
     b = gamma - 0.5 * np.einsum("sij,ijk->sk", covs, eta)
     r = r_x - 0.5 * np.einsum("sij,kij->sk", covs, r_hess)
-    stats = zip(np.sqrt(np.mean(r**2, axis=1)).tolist(), np.max(np.abs(r), axis=1).tolist())
-    per_sigma = {label: DriftSolveResult(b_a, rms, r_max, cond, rank_ok)
-                 for label, b_a, (rms, r_max) in zip(labels, b, stats)}
+    per_sigma = dict(zip(labels, _drift_results(b, *_rms_max(r), cond, rank_ok)))
     return SCCReport(
         eta=eta, gamma=gamma,
         hessian_identity_residual=float(np.max(np.abs(r_hess))),

@@ -18,6 +18,7 @@ functions, so everything here is safe to use from multiple threads.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Iterable, Sequence
 
@@ -32,6 +33,17 @@ def _reject_unknown(data: dict, allowed: set, what: str) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _integer(value, name: str) -> int:
+    """An exact integer: 1.5 or true is a ValueError naming ``name``, such as
+    the scenario field ``sim.seed``, never truncated to 1."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _plain(value):

@@ -35,7 +35,7 @@ import numpy as np
 from .families import AffineModel, CurveFamily, _grid_nodes, _simpson_weights
 from .noarb import (RANK_TOL, DriftSolveResult, _covariance, _drift_stack,
                     _solve_drift_cov)
-from .qe import _plain, _reject_unknown
+from .qe import _integer, _plain, _reject_unknown
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes
 N_QUAD = 129  # Simpson nodes per delivery window; 65 misses 1e-10 on slow decays
@@ -275,12 +275,7 @@ def futures_price(model: CurveFamily, y: np.ndarray, t: float,
     if t > fs.T1:
         raise ValueError(f"contract in delivery: t={t} > T1={fs.T1}")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(_futures_prices_batch(model, y[None, :], t, fs)[0])
-
-
-def _futures_prices_batch(model: CurveFamily, Y: np.ndarray, t: float,
-                          fs: FuturesSpec) -> np.ndarray:
-    return _price_block(model, Y[:, None, :], np.array([float(t)]), fs)[:, 0]
+    return float(_price_block(model, y[None, None, :], np.array([float(t)]), fs)[0, 0])
 
 
 def _price_block(model: CurveFamily, Y: np.ndarray, ts: np.ndarray,
@@ -431,7 +426,10 @@ def scc_loop(model: CurveFamily, observed: PathSet, grid,
 
     ``sigma_override`` replaces the estimate with the covariance of a
     prescribed sigma (useful for stress-testing a perturbed estimate).
+    ``n_y_samples``, an integer >= 1, caps the number of sampled states.
     """
+    if _integer(n_y_samples, "n_y_samples") < 1:
+        raise ValueError(f"n_y_samples must be >= 1, got {n_y_samples}")
     if sigma_override is not None:
         sigma_sq = cov = _covariance(sigma_override)
         projected = False

@@ -159,6 +159,32 @@ def test_non_integer_sim_count_is_config_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "out" / "paths.bin").exists()
 
 
+@pytest.mark.parametrize("key,value", [("tolerance", None), ("z_max", [1]),
+                                       ("output_dir", 5), ("paths_file", 7)])
+def test_malformed_scenario_scalar_is_config_error(tmp_path, capsys, key, value):
+    # check-drift reads none of these fields: the scenario parse must refuse them
+    scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out", **{key: value}))
+    assert main(["check-drift", "--scenario", scenario]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("error:")
+    if key in ("output_dir", "paths_file"):
+        assert f"error: {key} must be a string, got {value!r}" in out
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("grid", "n", 40.7), ("grid", "n", 40.0), ("grid", "n", True),
+    ("reconstruct", "n_steps", 1000.9), ("reconstruct", "n_steps", 1000.0)])
+def test_non_integer_grid_and_step_counts_are_config_errors(tmp_path, capsys, section,
+                                                            key, value):
+    raw = affine_scenario(tmp_path / "out")
+    raw[section][key] = value
+    scenario = write_scenario(tmp_path, raw)
+    assert main(["reconstruct", "--scenario", scenario]) == 2
+    assert (f"error: {section}.{key} must be an integer, got {value!r}"
+            in capsys.readouterr().out)
+    assert not (tmp_path / "out" / "run_result.json").exists()
+
+
 def test_largest_seed_round_trips_through_paths_bin(tmp_path):
     scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
     assert main(["simulate", "--scenario", scenario, "--seed", str(2**64 - 1)]) == 0
@@ -428,6 +454,23 @@ def test_martingale_nan_z_fails(tmp_path, capsys, monkeypatch):
     assert "MARTINGALE-VIOLATION (|z|=nan)" in capsys.readouterr().out
     result = strict_json(tmp_path / "out" / "run_result.json")
     assert result["numbers"]["max_abs_z"] is None
+
+
+def test_estimate_vol_stdout_is_strict_json_on_nan_paths(tmp_path, capsys):
+    paths = np.full((2, 101, 1), 0.5)
+    paths[1, 50, 0] = np.nan
+    PathSet(times=0.01 * np.arange(101), paths=paths, seed=0).save(tmp_path / "nan.bin")
+    raw = affine_scenario(tmp_path / "out", paths_file=str(tmp_path / "nan.bin"))
+    assert main(["estimate-vol", "--scenario", write_scenario(tmp_path, raw)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("sigma_sq_hat=")
+
+    def refuse(token):
+        raise ValueError(f"stdout holds the non-JSON token {token}")
+
+    assert json.loads(out.split("=", 1)[1], parse_constant=refuse) == [[None]]
+    result = strict_json(tmp_path / "out" / "run_result.json")
+    assert result["numbers"]["sigma_sq_00"] is None
 
 
 def test_check_drift_residuals_csv_bytes_on_shipped_scenario(tmp_path):

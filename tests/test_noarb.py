@@ -70,6 +70,13 @@ def test_grid_dict_round_trip_and_unknown_keys():
         XGrid.from_dict({"kind": "uniform", "n": 11, "x_max": 2.0, "zz": 1})
 
 
+def test_grid_dict_node_count_is_an_exact_integer():
+    assert len(XGrid.from_dict({"kind": "uniform", "n": np.int64(11), "x_max": 2.0})) == 11
+    for n in (40.7, 40.0, True, "40"):
+        with pytest.raises(ValueError, match=re.escape(f"grid.n must be an integer, got {n!r}")):
+            XGrid.from_dict({"n": n})
+
+
 # -- rn_residual ----------------------------------------------------------------
 
 

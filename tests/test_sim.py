@@ -16,9 +16,8 @@ from fdcurves.noarb import RANK_TOL, XGrid, rn_residual, solve_drift
 from fdcurves.qe import QEFunction, qe_integral
 from fdcurves import noarb, sim
 from fdcurves.sim import (N_QUAD, PATHSET_MAGIC, FuturesSpec, PathSet, SccLoopReport,
-                          SdeSpec, SimulationError, _futures_prices_batch,
-                          estimate_vol, futures_price, martingale_test,
-                          nearest_psd, rn_drift, scc_loop, simulate)
+                          SdeSpec, SimulationError, estimate_vol, futures_price,
+                          martingale_test, nearest_psd, rn_drift, scc_loop, simulate)
 
 GRID = XGrid.chebyshev()
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -329,7 +328,7 @@ def test_batch_prices_equal_single_state_prices_bit_for_bit(name):
     # martingale_test and price must report the same number for one state
     m = pricing_models()[name]
     Y = np.random.default_rng(37).uniform(-1.0, 1.0, (37, m.d))
-    batch = _futures_prices_batch(m, Y, 0.3, FS12)
+    batch = sim._price_block(m, Y[:, None, :], np.array([0.3]), FS12)[:, 0]
     assert np.array_equal(batch, [futures_price(m, y, 0.3, FS12) for y in Y])
 
 
@@ -805,6 +804,15 @@ def test_scc_loop_solves_with_the_override_covariance():
     assert rep.verdict and rep.max_residual <= 1e-10
     for y, r in zip(rep.y_samples, rep.per_state):
         assert np.array_equal(r.b, solve_drift(m, y, sigma, GRID).b)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, True])
+def test_scc_loop_rejects_a_sample_count_that_is_not_a_positive_integer(n):
+    m = simple_affine()
+    ps = simulate(SdeSpec(d=1, drift=rn_drift(m, [[1.0]], GRID),
+                          sigma=[[1.0]], y0=[1.0]), 1e-2, 1.0, 2, seed=2)
+    with pytest.raises(ValueError, match="^n_y_samples must be"):
+        scc_loop(m, ps, GRID, n_y_samples=n)
 
 
 def test_nearest_psd_projection_flags_and_repairs():

@@ -64,18 +64,19 @@ class FactorMap:
     every method also maps a batch (..., d) row by row.
 
     A map implements ``jet`` alone, so each formula for A exists once;
-    ``value`` reads A off it.
+    ``value`` reads A off it, computing no derivative.
     """
 
     tag: str
     d: int
 
     def value(self, y: np.ndarray) -> np.ndarray:
-        return self.jet(y)[0]
+        return self.jet(y, 0)[0]
 
-    def jet(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(A_k, dA_k / dy_k, d^2 A_k / dy_k^2); the Jacobian and every
-        Hessian of A are diagonal, with these entries."""
+    def jet(self, y: np.ndarray, order: int = 2) -> tuple[np.ndarray, ...]:
+        """(A_k, dA_k / dy_k, d^2 A_k / dy_k^2), truncated to the first
+        ``order + 1`` entries; the Jacobian and every Hessian of A are
+        diagonal, with these entries."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -88,9 +89,9 @@ class IdentityMap(FactorMap):
     def __init__(self, d: int):
         self.d = int(d)
 
-    def jet(self, y):
+    def jet(self, y, order=2):
         y = np.asarray(y, dtype=float)
-        return y, np.ones_like(y), np.zeros_like(y)
+        return (y, np.ones_like(y), np.zeros_like(y))[:order + 1]
 
 
 class ExpMinusOneMap(FactorMap):
@@ -101,9 +102,9 @@ class ExpMinusOneMap(FactorMap):
     def __init__(self, d: int):
         self.d = int(d)
 
-    def jet(self, y):
+    def jet(self, y, order=2):
         e = np.exp(np.asarray(y, dtype=float))
-        return e - 1.0, e, e
+        return (e - 1.0, e, e)[:order + 1]
 
 
 class ComponentwiseCubicMap(FactorMap):
@@ -126,16 +127,18 @@ class ComponentwiseCubicMap(FactorMap):
     # vector broadcast over a short last axis runs one inner loop of length
     # d per state. The arithmetic order is that of the row-major formulas,
     # so the results are the same bits.
-    def jet(self, y):
+    def jet(self, y, order=2):
         yt = np.ascontiguousarray(np.asarray(y, dtype=float).T)
         col = (-1,) + (1,) * (yt.ndim - 1)
         lin, quad, cub = (c.reshape(col) for c in (self.linear, self.quadratic, self.cubic))
         # y2 * y, not y**3: numpy sends cubes through pow, about 5x slower
         y2 = yt * yt
-        A = lin * yt + quad * y2 + cub * (y2 * yt)
+        A = (lin * yt + quad * y2 + cub * (y2 * yt)).T
+        if order == 0:
+            return (A,)
         dA = lin + (2.0 * quad) * yt + (3.0 * cub) * y2
         d2A = 2.0 * quad + (6.0 * cub) * yt
-        return A.T, dA.T, d2A.T
+        return (A, dA.T, d2A.T)[:order + 1]
 
     def to_dict(self) -> dict:
         return {

@@ -83,6 +83,8 @@ class XGrid:
     @classmethod
     def chebyshev(cls, n: int = 40, x_max: float = 5.0) -> XGrid:
         """Chebyshev-Lobatto nodes mapped to [0, x_max] (the default grid)."""
+        if n < 2:  # before dividing by n - 1
+            raise ValueError("grid needs at least two nodes")
         k = np.arange(n)
         return cls(0.5 * (1.0 - np.cos(np.pi * k / (n - 1))) * x_max)
 

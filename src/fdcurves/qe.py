@@ -166,6 +166,12 @@ class QEFunction:
         flat = xs.ravel()
         if np.any(flat < 0):
             raise ValueError(f"time-to-maturity must be >= 0, got {flat[flat < 0][0]}")
+        if self.n == 1:
+            # elementwise, about 5x cheaper than two stacked 1x1 matmuls; the
+            # + 0.0 terms are the matmuls' zero-started sums, so -0.0 reads
+            # out as +0.0 exactly as in qe_eval
+            e = mat_exp(self.A, flat)[:, 0, 0]
+            return ((e * self.b[0] + 0.0) * self.c[0] + 0.0).reshape(xs.shape)
         states = mat_exp(self.A, flat) @ self.b
         # row-wise readout sums like qe_eval's c @ state; (K, n) @ (n,) may not
         return np.matmul(states[:, None, :], self.c).reshape(xs.shape)

@@ -39,7 +39,9 @@ from .qe import _integer, _plain, _reject_unknown
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes
 N_QUAD = 129  # Simpson nodes per delivery window; 65 misses 1e-10 on slow decays
-_CHUNK = 32  # time slices martingale_test prices per loading evaluation
+# time slices martingale_test prices per factor-map evaluation; chunks sized
+# by a 65,536-state budget ran slower and raised peak RSS
+_CHUNK = 32
 # states per stacked drift solve of a non-affine family: on 2000 states no
 # larger stack was faster (d = 1 and d = 3), and a drift call peaks at
 # 0.6 MB (d = 1) to 1.4 MB (d = 3) under tracemalloc
@@ -233,7 +235,7 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     n_steps = int(round(T / dt))
     if n_steps < 1:
         raise ValueError(f"horizon {T} shorter than one step {dt}")
-    if n_paths < 1:
+    if _integer(n_paths, "n_paths") < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     try:
         key = operator.index(seed)
@@ -278,21 +280,35 @@ def futures_price(model: CurveFamily, y: np.ndarray, t: float,
     return float(_price_block(model, y[None, None, :], np.array([float(t)]), fs)[0, 0])
 
 
-def _price_block(model: CurveFamily, Y: np.ndarray, ts: np.ndarray,
-                 fs: FuturesSpec) -> np.ndarray:
-    """Prices of the states Y (n, m, d) at the slice times ts (m,), as (n, m).
+def _window_loadings(model: AffineModel, ts: np.ndarray,
+                     fs: FuturesSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(cbar (m,), ubar (m, d)): the intercept and loadings of an affine
+    family averaged over the delivery window at the slice times ts (m,).
 
-    An affine family evaluates c and each u_k once on the whole (m, N_QUAD)
-    node block. Every sum is row-local, not a matmul, so a price never
-    depends on the block it was computed in.
+    c and each u_k are evaluated once on the whole (m, N_QUAD) node block,
+    and every sum is row-local, so a row never depends on the block.
     """
     us, w = _simpson_weights(fs.T1, fs.T2, N_QUAD)
     xs, length = us[None, :] - ts[:, None], fs.T2 - fs.T1
+    c_avg = (model.c.eval_grid(xs) * w).sum(axis=-1) / length
+    u_avg = np.stack([(f.eval_grid(xs) * w).sum(axis=-1) for f in model.u],
+                     axis=-1) / length
+    return c_avg, u_avg
+
+
+def _price_block(model: CurveFamily, Y: np.ndarray, ts: np.ndarray,
+                 fs: FuturesSpec, window=None) -> np.ndarray:
+    """Prices of the states Y (n, m, d) at the slice times ts (m,), as (n, m).
+
+    An affine family evaluates A(Y) alone against ``window``, its
+    :func:`_window_loadings` at ts (computed when omitted). Every sum is
+    row-local, so a price never depends on the block it was computed in.
+    """
     if isinstance(model, AffineModel):
-        c_avg = (model.c.eval_grid(xs) * w).sum(axis=-1) / length
-        u_avg = np.stack([(f.eval_grid(xs) * w).sum(axis=-1) for f in model.u],
-                         axis=-1) / length
+        c_avg, u_avg = _window_loadings(model, ts, fs) if window is None else window
         return c_avg + (model.factor_map.value(Y) * u_avg).sum(axis=-1)
+    us, w = _simpson_weights(fs.T1, fs.T2, N_QUAD)
+    xs, length = us[None, :] - ts[:, None], fs.T2 - fs.T1
     return np.stack([(np.ascontiguousarray(model.curve_matrix(x, Y[:, j]).T) * w)
                      .sum(axis=1) for j, x in enumerate(xs)], axis=1) / length
 
@@ -315,21 +331,26 @@ def martingale_test(model: CurveFamily, ps: PathSet,
     """Check that futures prices have no systematic drift along the paths.
 
     Prices F(t_k, Y_k) are those of :func:`futures_price`, bit for bit, at
-    every sample time, priced ``_CHUNK`` times at once (an affine family
-    evaluates its loadings once per chunk and builds no curve); the
-    statistic is the cross-path mean of the terminal-minus-initial change
-    divided by its standard error. Under the risk-neutral drift the z-score
+    every sample time, priced ``_CHUNK`` times at once. An affine family
+    builds no curve: it averages its intercept and loadings over the window
+    once per call, for every sample time, and each chunk evaluates only
+    A(Y) on its slice of that table. The statistic is the cross-path mean
+    of the terminal-minus-initial change divided by its standard error. Under the risk-neutral drift the z-score
     is standard normal; a misspecified drift shows up as |z| far outside
     [-3, 3].
     """
     if ps.horizon > fs.T1 + 1e-12:
         raise ValueError(
             f"path horizon {ps.horizon} exceeds delivery start T1={fs.T1}")
+    table = (_window_loadings(model, ps.times, fs)
+             if isinstance(model, AffineModel) else None)
     # stream the slices in chunks: keep the last price column and each
     # path's max |increment|, never the (n_paths, n_times) price matrix
     max_inc = np.zeros(ps.n_paths)
     for k in range(0, ps.n_times, _CHUNK):
-        block = _price_block(model, ps.paths[:, k:k + _CHUNK], ps.times[k:k + _CHUNK], fs)
+        rows = slice(k, k + _CHUNK)
+        window = None if table is None else tuple(a[rows] for a in table)
+        block = _price_block(model, ps.paths[:, rows], ps.times[rows], fs, window)
         if k == 0:
             first = prev = block[:, 0]
         steps = np.diff(block, axis=1, prepend=prev[:, None])

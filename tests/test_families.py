@@ -331,6 +331,20 @@ def test_cubic_map_value_matches_exact_closed_form():
                 assert float(err) <= 2 * np.finfo(float).eps * scale, (idx, k)
 
 
+@pytest.mark.parametrize("fm", [
+    IdentityMap(2), ExpMinusOneMap(2),
+    ComponentwiseCubicMap(linear=[1.0, -0.7], quadratic=[0.3, 0.0], cubic=[0.1, 2.5]),
+], ids=["identity", "exp-minus-one", "cubic"])
+@pytest.mark.parametrize("shape", [(2,), (9, 2), (9, 5, 2)])
+def test_factor_map_value_is_the_jet_value_bit_for_bit(fm, shape):
+    # pricing asks for A alone; it must be the A the drift reads off the jet
+    Y = np.random.default_rng(126).normal(scale=2.0, size=shape)
+    got = fm.value(Y)
+    assert got.shape == shape
+    assert got.tobytes() == np.ascontiguousarray(fm.jet(Y)[0]).tobytes()
+    assert len(fm.jet(Y, 0)) == 1 and len(fm.jet(Y, 1)) == 2 and len(fm.jet(Y)) == 3
+
+
 def test_exp_map_vanishes_at_origin():
     fm = ExpMinusOneMap(3)
     assert np.array_equal(fm.value(np.zeros(3)), np.zeros(3))

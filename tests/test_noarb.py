@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,17 @@ def test_grid_dict_node_count_is_an_exact_integer():
     for n in (40.7, 40.0, True, "40"):
         with pytest.raises(ValueError, match=re.escape(f"grid.n must be an integer, got {n!r}")):
             XGrid.from_dict({"n": n})
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_chebyshev_grid_rejects_too_few_nodes_before_dividing(n):
+    # the node count is checked before n - 1 divides, so numpy never warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="grid needs at least two nodes"):
+            XGrid.chebyshev(n)
+        with pytest.raises(ValueError, match="grid needs at least two nodes"):
+            XGrid.from_dict({"kind": "chebyshev", "n": n})
 
 
 # -- rn_residual ----------------------------------------------------------------

@@ -178,6 +178,22 @@ def test_eval_grid_matches_pointwise_eval_bitwise(f):
     assert np.array_equal(got, [qe_eval(f, x) for x in xs])
 
 
+@pytest.mark.parametrize("rate,b,c", [
+    (-1.3, 1.0, 0.7), (0.0, 1.0, 2.5), (-0.4, -1.5, 0.0), (-0.4, 0.0, -2.0),
+    (-0.4, 2.0, -0.0), (-0.4, -1.0, -3.0), (-800.0, 1.0, -1.0), (0.8, -0.0, 1.0),
+], ids=["exponential", "constant", "c-zero-b-negative", "b-zero-c-negative",
+        "c-negative-zero", "both-negative", "underflow-c-negative", "b-negative-zero"])
+def test_one_state_eval_grid_matches_pointwise_eval_bytes(rate, b, c):
+    # the 1x1 readout is elementwise: bytes compare the sign of zero, which
+    # np.array_equal ignores
+    f = QEFunction(A=[[rate]], b=[b], c=[c])
+    xs = np.concatenate([[0.0], np.linspace(0.05, 6.0, 129)]).reshape(2, 65)
+    got = f.eval_grid(xs)
+    want = np.array([qe_eval(f, x) for x in xs.ravel()]).reshape(xs.shape)
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
+
+
 def test_eval_grid_zero_empty_and_shape():
     assert COS_TRIPLE.eval_grid(np.array([0.0]))[0] == 1.0
     empty = COS_TRIPLE.eval_grid(np.array([]))

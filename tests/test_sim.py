@@ -176,6 +176,12 @@ def test_simulate_rejects_seeds_outside_u64(seed):
         simulate(ou_spec(), 0.1, 0.5, 2, seed=seed)
 
 
+@pytest.mark.parametrize("n_paths", [2.5, True])
+def test_simulate_rejects_a_path_count_that_is_not_an_integer(n_paths):
+    with pytest.raises(ValueError, match=f"n_paths must be an integer, got {n_paths!r}"):
+        simulate(ou_spec(), 0.1, 0.5, n_paths, seed=0)
+
+
 def test_non_finite_drift_names_the_first_failing_path():
     def bad_drift(y):
         out = -y.copy()
@@ -414,7 +420,9 @@ def test_martingale_equals_a_futures_price_loop_bit_for_bit(name, n_steps):
         reference_martingale(m, ps, FS12)
 
 
-def test_martingale_evaluates_each_loading_once_per_chunk(monkeypatch):
+def test_martingale_evaluates_each_loading_once_per_call(monkeypatch):
+    # c and each u_k are averaged over the window once per call, for all
+    # sample times, however many chunks the slices are priced in
     m = builtin_models()["affine3-cubic"]
     calls = []
     eval_grid = QEFunction.eval_grid
@@ -425,8 +433,9 @@ def test_martingale_evaluates_each_loading_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(QEFunction, "eval_grid", counted)
     ps = simulate(driftless(0.3, 0.1, d=3), 0.005, 0.5, 4, seed=2)
+    assert ps.n_times > sim._CHUNK
     martingale_test(m, ps, FS12)
-    assert len(calls) == (m.d + 1) * -(-ps.n_times // sim._CHUNK)
+    assert len(calls) == m.d + 1
     assert sum(shape[0] for shape in calls) == (m.d + 1) * ps.n_times
 
 

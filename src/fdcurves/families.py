@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qe import QEFunction, _plain, _reject_unknown, qe_derivative
+from .qe import QEFunction, _integer, _plain, _reject_unknown, qe_derivative
 
 # Default finite-difference steps for cross-checks and closure-based
 # families: central first differences and second-difference stencils on
@@ -259,7 +259,8 @@ class AffineModel(CurveFamily):
         return hit
 
     def curve_matrix(self, xs, Y):
-        # pricing grids shift with the valuation time: evaluate, never cache
+        # evaluated afresh, never cached: the callers (detect_affine, value and
+        # curve, check_c12) rarely repeat a grid, unlike the drift solvers
         xs = np.asarray(xs, dtype=float)
         U = np.stack([f.eval_grid(xs) for f in self.u], axis=1)
         A = self.factor_map.value(np.atleast_2d(np.asarray(Y, dtype=float)))
@@ -379,6 +380,15 @@ def _fd_tables(curve_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray],
             hesses.reshape(batch + (K, d, d)))
 
 
+def _fd_steps(first_step, second_step) -> tuple[float, float]:
+    """(h1, h2) as floats; a step that is not finite and positive is a
+    ValueError naming it."""
+    for name, h in (("first_step", first_step), ("second_step", second_step)):
+        if not 0.0 < float(h) < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {h!r}")
+    return float(first_step), float(second_step)
+
+
 class NumericCurveFamily(CurveFamily):
     """Closure-backed family with finite-difference derivatives.
 
@@ -399,8 +409,7 @@ class NumericCurveFamily(CurveFamily):
                  second_step: float = FD_SECOND_STEP):
         self.fn = fn
         self.d = int(d)
-        self.h1 = float(first_step)
-        self.h2 = float(second_step)
+        self.h1, self.h2 = _fd_steps(first_step, second_step)
 
     def curve_matrix(self, xs, Y):
         xs = np.asarray(xs, dtype=float)
@@ -460,7 +469,7 @@ def check_c12(model: CurveFamily, y: np.ndarray, grid,
                          "finite-difference mode is its own definition")
     xs = _grid_nodes(grid)
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    fd = _fd_tables(model.curve_matrix, xs, y, float(first_step), float(second_step))
+    fd = _fd_tables(model.curve_matrix, xs, y, *_fd_steps(first_step, second_step))
     tables = zip(model.derivative_tables(xs, y), fd)
     return float(np.max([np.max(np.abs(got - fd), initial=0.0) for got, fd in tables]))
 
@@ -521,7 +530,7 @@ def hilbert_norm(h: Callable[[float], float],
     """
     if x_max < 10:
         raise ValueError(f"x_max must be >= 10, got {x_max}")
-    if n_nodes < 100:
+    if _integer(n_nodes, "n_nodes") < 100:
         raise ValueError(f"n_nodes must be >= 100, got {n_nodes}")
     xs, weights = _simpson_weights(0.0, float(x_max), n_nodes)
     n_nodes = xs.shape[0]

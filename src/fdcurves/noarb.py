@@ -385,7 +385,10 @@ def detect_affine(model: CurveFamily, y_samples: Sequence[np.ndarray],
     An affine family of factor dimension d never exceeds rank d no matter
     how many states are sampled; families outside any finite-dimensional
     affine space keep producing new directions as samples accumulate.
+    The cutoff ``rel_tol``, in [0, 1), is relative to the largest value.
     """
+    if not 0.0 <= rel_tol < 1.0:
+        raise ValueError(f"rel_tol must be a number in [0, 1), got {rel_tol!r}")
     xs = _grid_nodes(grid)
     Y = np.atleast_2d(np.asarray(y_samples, dtype=float))
     base = np.atleast_1d(np.asarray(base_y, dtype=float))
@@ -425,7 +428,7 @@ def reconstruct_from_eta(eta_field: Callable[[np.ndarray], np.ndarray],
     y = np.atleast_1d(np.asarray(y, dtype=float))
     grad0 = np.atleast_1d(np.asarray(grad0, dtype=float))
     d = y.shape[0]
-    if n_steps < 100:
+    if _integer(n_steps, "n_steps") < 100:
         raise ValueError(f"n_steps must be >= 100, got {n_steps}")
 
     def ode_matrix(t: float) -> np.ndarray:

@@ -98,7 +98,7 @@ def mat_exp(matrix: np.ndarray, x) -> np.ndarray:
     if xs.ndim > 1:
         raise ValueError(f"scale factors must be a scalar or 1-d, got shape {xs.shape}")
     if not np.isfinite(xs).all():
-        raise ValueError(f"scale factor must be finite, got {x!r}")
+        raise ValueError(f"scale factor must be finite, got {xs[~np.isfinite(xs)][0]}")
     scaled = m * x if xs.ndim == 0 else m[None] * xs[:, None, None]
     with np.errstate(over="ignore", invalid="ignore"):
         if m.shape == (1, 1):
@@ -271,7 +271,7 @@ class QEFunction:
         f = cls(A=np.asarray(data["A"], dtype=float),
                 b=np.asarray(data["b"], dtype=float),
                 c=np.asarray(data["c"], dtype=float))
-        if "n" in data and int(data["n"]) != f.n:
+        if "n" in data and _integer(data["n"], "declared n") != f.n:
             raise ValueError(f"declared n={data['n']} does not match A shape {f.A.shape}")
         return f
 

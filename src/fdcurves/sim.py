@@ -25,7 +25,6 @@ risk-neutral drift for it.
 
 from __future__ import annotations
 
-import operator
 import struct
 from dataclasses import dataclass, field
 from typing import Callable
@@ -238,8 +237,8 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     if _integer(n_paths, "n_paths") < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
     try:
-        key = operator.index(seed)
-    except TypeError:
+        key = _integer(seed, "seed")
+    except ValueError:
         key = -1
     if not 0 <= key < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
@@ -270,47 +269,37 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
 # ---------------------------------------------------------------------------
 
 
+def _window_pricer(model: CurveFamily, ts: np.ndarray,
+                   fs: FuturesSpec) -> Callable[[np.ndarray, slice], np.ndarray]:
+    """price(Y, rows): the prices (n, k) of the states Y (n, k, d) at the
+    times ts[rows], by Simpson on N_QUAD nodes over the delivery window.
+
+    An affine family averages c and each u_k over the window once here, for
+    every time in ts, and each call evaluates A(Y) alone; any other family
+    builds its curves on the window's nodes. Every sum is row-local, so a
+    price never depends on the block it was computed in.
+    """
+    us, w = _simpson_weights(fs.T1, fs.T2, N_QUAD)
+    xs, length = us[None, :] - ts[:, None], fs.T2 - fs.T1
+    if isinstance(model, AffineModel):
+        c_avg = (model.c.eval_grid(xs) * w).sum(axis=-1) / length
+        u_avg = np.stack([(f.eval_grid(xs) * w).sum(axis=-1) for f in model.u],
+                         axis=-1) / length
+        return lambda Y, rows: (c_avg[rows]
+                                + (model.factor_map.value(Y) * u_avg[rows]).sum(axis=-1))
+    return lambda Y, rows: np.stack(
+        [(np.ascontiguousarray(model.curve_matrix(x, Y[:, j]).T) * w).sum(axis=1)
+         for j, x in enumerate(xs[rows])], axis=1) / length
+
+
 def futures_price(model: CurveFamily, y: np.ndarray, t: float,
                   fs: FuturesSpec) -> float:
     """Delivery-period price 1/(T2-T1) * int_T1^T2 g(u - t, y) du at time t,
     by Simpson on N_QUAD nodes (affine families: cbar(t) + ubar(t) . A(y))."""
     if t > fs.T1:
         raise ValueError(f"contract in delivery: t={t} > T1={fs.T1}")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(_price_block(model, y[None, None, :], np.array([float(t)]), fs)[0, 0])
-
-
-def _window_loadings(model: AffineModel, ts: np.ndarray,
-                     fs: FuturesSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(cbar (m,), ubar (m, d)): the intercept and loadings of an affine
-    family averaged over the delivery window at the slice times ts (m,).
-
-    c and each u_k are evaluated once on the whole (m, N_QUAD) node block,
-    and every sum is row-local, so a row never depends on the block.
-    """
-    us, w = _simpson_weights(fs.T1, fs.T2, N_QUAD)
-    xs, length = us[None, :] - ts[:, None], fs.T2 - fs.T1
-    c_avg = (model.c.eval_grid(xs) * w).sum(axis=-1) / length
-    u_avg = np.stack([(f.eval_grid(xs) * w).sum(axis=-1) for f in model.u],
-                     axis=-1) / length
-    return c_avg, u_avg
-
-
-def _price_block(model: CurveFamily, Y: np.ndarray, ts: np.ndarray,
-                 fs: FuturesSpec, window=None) -> np.ndarray:
-    """Prices of the states Y (n, m, d) at the slice times ts (m,), as (n, m).
-
-    An affine family evaluates A(Y) alone against ``window``, its
-    :func:`_window_loadings` at ts (computed when omitted). Every sum is
-    row-local, so a price never depends on the block it was computed in.
-    """
-    if isinstance(model, AffineModel):
-        c_avg, u_avg = _window_loadings(model, ts, fs) if window is None else window
-        return c_avg + (model.factor_map.value(Y) * u_avg).sum(axis=-1)
-    us, w = _simpson_weights(fs.T1, fs.T2, N_QUAD)
-    xs, length = us[None, :] - ts[:, None], fs.T2 - fs.T1
-    return np.stack([(np.ascontiguousarray(model.curve_matrix(x, Y[:, j]).T) * w)
-                     .sum(axis=1) for j, x in enumerate(xs)], axis=1) / length
+    price = _window_pricer(model, np.array([float(t)]), fs)
+    return float(price(np.asarray(y, float).reshape(1, 1, -1), slice(None))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -331,26 +320,23 @@ def martingale_test(model: CurveFamily, ps: PathSet,
     """Check that futures prices have no systematic drift along the paths.
 
     Prices F(t_k, Y_k) are those of :func:`futures_price`, bit for bit, at
-    every sample time, priced ``_CHUNK`` times at once. An affine family
-    builds no curve: it averages its intercept and loadings over the window
-    once per call, for every sample time, and each chunk evaluates only
-    A(Y) on its slice of that table. The statistic is the cross-path mean
-    of the terminal-minus-initial change divided by its standard error. Under the risk-neutral drift the z-score
-    is standard normal; a misspecified drift shows up as |z| far outside
-    [-3, 3].
+    every sample time: one window pricer serves the whole call and prices
+    ``_CHUNK`` times at once, so an affine family averages its intercept
+    and loadings once per call and builds no curve. The statistic is the
+    cross-path mean of the terminal-minus-initial change divided by its
+    standard error. Under the risk-neutral drift the z-score is standard
+    normal; a misspecified drift shows up as |z| far outside [-3, 3].
     """
     if ps.horizon > fs.T1 + 1e-12:
         raise ValueError(
             f"path horizon {ps.horizon} exceeds delivery start T1={fs.T1}")
-    table = (_window_loadings(model, ps.times, fs)
-             if isinstance(model, AffineModel) else None)
+    price = _window_pricer(model, ps.times, fs)
     # stream the slices in chunks: keep the last price column and each
     # path's max |increment|, never the (n_paths, n_times) price matrix
     max_inc = np.zeros(ps.n_paths)
     for k in range(0, ps.n_times, _CHUNK):
         rows = slice(k, k + _CHUNK)
-        window = None if table is None else tuple(a[rows] for a in table)
-        block = _price_block(model, ps.paths[:, rows], ps.times[rows], fs, window)
+        block = price(ps.paths[:, rows], rows)
         if k == 0:
             first = prev = block[:, 0]
         steps = np.diff(block, axis=1, prepend=prev[:, None])

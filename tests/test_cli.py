@@ -230,6 +230,15 @@ def test_detect_affine_summary_rank(tmp_path, capsys):
     assert "rank=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rank_tol", ["nan", "1.0", "-1"])
+def test_detect_affine_rejects_a_cutoff_outside_the_unit_interval(capsys, tmp_path,
+                                                                  rank_tol):
+    scenario = str(SCENARIOS / "custom_affine.json")
+    assert main(["detect-affine", "--scenario", scenario, "--rank-tol", rank_tol,
+                 "--output-dir", str(tmp_path)]) == 2
+    assert "error: rel_tol must be a number in [0, 1)" in capsys.readouterr().out
+
+
 def test_price_prints_six_decimals(tmp_path, capsys):
     raw = affine_scenario(tmp_path / "out")
     raw["y_samples"] = [[1.0]]

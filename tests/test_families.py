@@ -1,6 +1,7 @@
 """Curve families: evaluation, derivative cross-checks, Hilbert norms."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -131,6 +132,16 @@ def test_check_c12_requires_analytic_mode():
     fd_model = NumericCurveFamily(lambda x, y: float(y[0]) * np.exp(-x), d=1)
     with pytest.raises(ValueError):
         check_c12(fd_model, [1.0], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-6, np.nan, np.inf])
+@pytest.mark.parametrize("name", ["first_step", "second_step"])
+def test_finite_difference_steps_must_be_finite_and_positive(name, step):
+    match = f"{name} must be finite and positive, got {step!r}"
+    with pytest.raises(ValueError, match=re.escape(match)):
+        NumericCurveFamily(lambda x, y: float(y[0]), d=1, **{name: step})
+    with pytest.raises(ValueError, match=re.escape(match)):
+        check_c12(GaussianExampleModel(), [0.0], [0.0, 1.0], **{name: step})
 
 
 def test_numeric_family_derivatives_track_analytic_ones():
@@ -403,6 +414,9 @@ def test_hilbert_norm_validates_inputs():
         hilbert_norm(lambda x: 1.0, None, x_max=5.0)
     with pytest.raises(ValueError):
         hilbert_norm(lambda x: 1.0, None, n_nodes=10)
+    for n in (200.0, 200.5, True):
+        with pytest.raises(ValueError, match=f"n_nodes must be an integer, got {n!r}"):
+            hilbert_norm(lambda x: 1.0, None, n_nodes=n)
 
 
 # -- serialisation ----------------------------------------------------------------

@@ -291,6 +291,14 @@ def test_detect_affine_validates_sample_and_grid_sizes():
         detect_affine(m, ys, [0.0, 0.0], GRID)  # 40 nodes < 2 * 25
 
 
+@pytest.mark.parametrize("rel_tol", [np.nan, np.inf, 1.0, 2.0, -1.0])
+def test_detect_affine_rejects_a_cutoff_outside_the_unit_interval(rel_tol):
+    m = builtin_models()["affine2-identity"]
+    ys = np.random.default_rng(3).uniform(-1, 1, (8, 2))
+    with pytest.raises(ValueError, match=r"rel_tol must be a number in \[0, 1\)"):
+        detect_affine(m, ys, [0.0, 0.0], GRID, rel_tol=rel_tol)
+
+
 # -- reconstruct_from_eta --------------------------------------------------------------
 
 
@@ -332,6 +340,13 @@ def test_reconstruct_rejects_small_step_counts():
     with pytest.raises(ValueError):
         reconstruct_from_eta(lambda y: np.zeros((1, 1, 1)), 0.0, [1.0],
                              [1.0], 50)
+
+
+@pytest.mark.parametrize("n_steps", [150.0, 150.5, True])
+def test_reconstruct_rejects_a_step_count_that_is_not_an_integer(n_steps):
+    with pytest.raises(ValueError, match=f"n_steps must be an integer, got {n_steps!r}"):
+        reconstruct_from_eta(lambda y: np.zeros((1, 1, 1)), 0.0, [1.0],
+                             [1.0], n_steps)
 
 
 def test_reconstruct_raises_on_blowup():

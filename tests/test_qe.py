@@ -126,8 +126,9 @@ def test_mat_exp_stack_overflow_raises():
 
 
 def test_mat_exp_stack_rejects_non_finite_and_high_rank_factors():
-    with pytest.raises(ValueError):
-        mat_exp([[1.0]], np.array([0.5, np.nan]))
+    # the message names the first non-finite factor, not the whole array
+    with pytest.raises(ValueError, match=r"^scale factor must be finite, got inf$"):
+        mat_exp([[1.0]], np.array([0.5, np.inf, np.nan]))
     with pytest.raises(ValueError):
         mat_exp([[1.0]], np.ones((2, 2)))
 
@@ -393,6 +394,9 @@ def test_from_dict_rejects_unknown_keys_and_bad_n():
         QEFunction.from_dict({**base, "extra": 1})
     with pytest.raises(ValueError):
         QEFunction.from_dict({**base, "n": 2})
+    for n in (1.5, 1.0, True):
+        with pytest.raises(ValueError, match=f"declared n must be an integer, got {n!r}"):
+            QEFunction.from_dict({**base, "n": n})
 
 
 def test_validation_rejects_bad_shapes_and_nan():

@@ -170,7 +170,7 @@ def test_simulate_builds_one_philox_per_call(monkeypatch):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, np.True_])
 def test_simulate_rejects_seeds_outside_u64(seed):
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
         simulate(ou_spec(), 0.1, 0.5, 2, seed=seed)
@@ -334,8 +334,16 @@ def test_batch_prices_equal_single_state_prices_bit_for_bit(name):
     # martingale_test and price must report the same number for one state
     m = pricing_models()[name]
     Y = np.random.default_rng(37).uniform(-1.0, 1.0, (37, m.d))
-    batch = sim._price_block(m, Y[:, None, :], np.array([0.3]), FS12)[:, 0]
+    price = sim._window_pricer(m, np.array([0.3]), FS12)
+    batch = price(Y[:, None, :], slice(None))[:, 0]
     assert np.array_equal(batch, [futures_price(m, y, 0.3, FS12) for y in Y])
+
+
+def test_non_finite_valuation_time_names_one_value():
+    m = builtin_models()["affine2-identity"]
+    with pytest.raises(ValueError) as err:
+        futures_price(m, [0.1, 0.2], float("nan"), FS12)
+    assert str(err.value) == "scale factor must be finite, got nan"
 
 
 # -- martingale_test ----------------------------------------------------------------

@@ -6,6 +6,10 @@ Philox stream per path, keyed exactly by the 128-bit key (seed, path index)
 for a seed in [0, 2**64), with normal variates drawn through the inverse
 CDF -- so path sets are reproducible bit for bit on any platform and
 independent of execution order. One bit generator is re-keyed per path.
+The inverse CDF is Cephes ndtri: :func:`_ndtri`, a NumPy port equal to
+``scipy.special.ndtri`` bit for bit, for a process's first _PORT_BUDGET
+normals, so that a small simulation need not import scipy, and scipy's
+ufunc, about 6x faster per normal, after that.
 
 Delivery-period futures prices average the instantaneous curve over the
 delivery window,
@@ -25,7 +29,9 @@ risk-neutral drift for it.
 
 from __future__ import annotations
 
+import math
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,6 +51,10 @@ _CHUNK = 32
 # larger stack was faster (d = 1 and d = 3), and a drift call peaks at
 # 0.6 MB (d = 1) to 1.4 MB (d = 3) under tracemalloc
 _DRIFT_CHUNK = 256
+# sample times per block of a window pricer's averaged loadings: the
+# (rows x N_QUAD) node tables stay near 130 KB per array however long the
+# path grid, and a 101-time grid stays one block
+_WINDOW_ROWS = 128
 
 
 class SimulationError(RuntimeError):
@@ -102,6 +112,9 @@ class PathSet:
         if paths.shape[0] < 1:
             raise ValueError(
                 f"a path set needs at least 1 path, got n_paths={paths.shape[0]}")
+        if not (np.isfinite(times).all() and (np.diff(times) > 0.0).all()):
+            raise ValueError(f"times must be finite and increasing, got dt="
+                             f"{times[1] - times[0]} and horizon={times[-1]}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "paths", paths)
 
@@ -150,9 +163,12 @@ class PathSet:
         data = np.frombuffer(raw, dtype="<f8", offset=offset)
         if data.shape[0] != expected:
             raise ValueError(f"payload has {data.shape[0]} floats, expected {expected}")
+        if not 0.0 < dt < math.inf:
+            raise ValueError(f"path-set header dt must be positive and finite, got {dt}")
         times = dt * np.arange(n_times)
-        if n_times > 1 and abs(times[-1] - horizon) > 1e-9 * max(1.0, abs(horizon)):
-            raise ValueError("header horizon inconsistent with dt and n_times")
+        if n_times > 1 and not abs(times[-1] - horizon) <= 1e-9 * max(1.0, abs(horizon)):
+            raise ValueError(f"header horizon {horizon} inconsistent with dt={dt} "
+                             f"and n_times={n_times}")
         return cls(times=times,
                    paths=data.reshape(n_paths, n_times, d).copy(),
                    seed=int(seed))
@@ -192,12 +208,120 @@ class FuturesSpec:
 # ---------------------------------------------------------------------------
 
 
+# Cephes ndtri, the algorithm of scipy.special.ndtri, highest degree first.
+# central region, exp(-2) < y < 1 - exp(-2), s = y - 1/2:
+#   x = sqrt(2 pi) (s + s (s^2 P0(s^2) / Q0(s^2)))
+_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+       1.39312609387279679503E1, -1.23916583867381258016E0)
+_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+       -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+       1.59056225126211695515E1, -1.18331621121330003142E0)
+# tails, z = sqrt(-2 log y) in [2, 8): x = -(z - log(z) / z - (1/z) P1(1/z) / Q1(1/z))
+_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+       4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+       -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+       1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+       -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+# far tails, z >= 8, that is y <= exp(-32)
+_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+       1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+       3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+       2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+       2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242E0
+# uniforms per in-place block of _ndtri: its temporaries stay near 1 MB
+_NDTRI_BLOCK = 2**14
+# Normals a process draws through _ndtri before it imports scipy.special for
+# the rest, a ski-rental rule: the import is paid once the port has cost about
+# as much. On a 2-core x86-64 VM (Python 3.11, numpy 2.4.6, scipy 1.17.1) a
+# `from scipy.special import ndtri` after `import fdcurves.cli` took
+# 0.17-0.32 s in fresh processes, and _ndtri ran 73-94 ns per normal slower
+# than scipy's ufunc (blocks of 2**14 to 2**21 normals, about 90 against 15),
+# so the import pays for itself after 1.8-4.4e6 normals; the low end rounded
+# down to a power of two. Both routes give the same bits: the rule moves no
+# output.
+_PORT_BUDGET = 2**20
+_drawn = 0  # normals drawn by this process so far
+
+
+def _polevl(x: np.ndarray, coefs, monic: bool = False) -> np.ndarray:
+    """Cephes polevl (monic: p1evl, leading 1 implied) in its operation
+    order, a = a * x + c with no fused multiply-add."""
+    a = x + coefs[0] if monic else x * coefs[0] + coefs[1]
+    for c in coefs[1 if monic else 2:]:
+        a *= x
+        a += c
+    return a
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    # the C library's log, which scipy's compiled ndtri calls: np.log is
+    # numpy's own SIMD log and differs from it in the last bit
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+
+
+def _ndtri_block(y: np.ndarray) -> None:
+    upper = y > 1.0 - _EXP_M2
+    np.subtract(1.0, y, out=y, where=upper)
+    tail = np.flatnonzero(~(y > _EXP_M2))
+    t, upper = y[tail], upper[tail]
+    # the central formula on the whole block is cheaper than gathering the
+    # central values; the tail entries it computes are overwritten below
+    with np.errstate(all="ignore"):
+        s = y - 0.5
+        s2 = s * s
+        s += s * (s2 * _polevl(s2, _P0) / _polevl(s2, _Q0, True))
+    np.multiply(s, _S2PI, out=y)
+
+    special = ~(t > 0.0)  # y0 of 0 or 1, outside [0, 1], or NaN
+    if special.any():
+        bad = t[special]
+        t[special] = 0.5
+    x = np.sqrt(-2.0 * _libm_log(t))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _P1) / _polevl(z, _Q1, True)
+    far = x >= 8.0
+    if far.any():
+        zf = z[far]
+        x1[far] = zf * _polevl(zf, _P2) / _polevl(zf, _Q2, True)
+    x = x0 - x1
+    np.negative(x, out=x, where=~upper)
+    if special.any():
+        # Cephes returns -inf and inf for 0 and 1 and NaN outside [0, 1];
+        # a NaN passes through its arithmetic and the final negation
+        x[special] = np.where(bad == 0.0, np.where(upper[special], np.inf, -np.inf),
+                              np.where(np.isnan(bad), -bad, np.nan))
+    y[tail] = x
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """scipy.special.ndtri(u) bit for bit, computed in place in the float64
+    C-contiguous array ``u``, which is returned.
+
+    A NumPy port of Cephes ndtri with its branch points, coefficients and
+    operation order; both tail logs go through the C library's log, as in
+    scipy. Blocks of _NDTRI_BLOCK values bound the temporaries.
+    """
+    flat = u.reshape(-1)
+    for k in range(0, flat.size, _NDTRI_BLOCK):
+        _ndtri_block(flat[k:k + _NDTRI_BLOCK])
+    return u
+
+
 def _normals(seed: int, n_paths: int, n_steps: int, d: int) -> np.ndarray:
     """Standard normals (n_paths, n_steps, d); path p reads the Philox stream
     keyed (seed, p) from counter 0, through the inverse CDF so the stream is
-    identical across platforms."""
-    from scipy.special import ndtri  # deferred: importing scipy triples start-up
+    identical across platforms.
 
+    The inverse CDF is _ndtri while this process has drawn at most
+    _PORT_BUDGET normals and has not imported scipy.special, and
+    scipy.special.ndtri after that; the two agree bit for bit.
+    """
+    global _drawn
     # one generator, re-keyed per path through its state: constructing a
     # Philox runs a SeedSequence (and reads OS entropy) even given a key
     bg = np.random.Philox()
@@ -210,7 +334,13 @@ def _normals(seed: int, n_paths: int, n_steps: int, d: int) -> np.ndarray:
         key[1] = p
         bg.state = state
         gen.random(out=u[p])
-    return ndtri(np.maximum(u, 1e-300, out=u), out=u)
+    np.maximum(u, 1e-300, out=u)
+    _drawn += u.size
+    if _drawn <= _PORT_BUDGET and "scipy.special" not in sys.modules:
+        return _ndtri(u)
+    from scipy.special import ndtri  # deferred: importing scipy triples start-up
+
+    return ndtri(u, out=u)
 
 
 def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> PathSet:
@@ -229,9 +359,12 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
         stores). Path p consumes the Philox stream keyed exactly by
         (seed, p), so enlarging n_paths never changes existing paths.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n_steps = int(round(T / dt))
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    steps = T / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"T / dt must be finite, got T={T} and dt={dt}")
+    n_steps = int(round(steps))
     if n_steps < 1:
         raise ValueError(f"horizon {T} shorter than one step {dt}")
     if _integer(n_paths, "n_paths") < 1:
@@ -275,27 +408,34 @@ def _window_pricer(model: CurveFamily, ts: np.ndarray,
     times ts[rows], by Simpson on N_QUAD nodes over the delivery window.
 
     An affine family averages c and each u_k over the window once here, for
-    every time in ts, and each call evaluates A(Y) alone; any other family
-    builds its curves on the window's nodes. Every sum is row-local, so a
-    price never depends on the block it was computed in.
+    every time in ts, _WINDOW_ROWS times to a node table, and each call
+    evaluates A(Y) alone; any other family builds its curves on the window's
+    nodes. Every sum is row-local, so a price never depends on the block it
+    was computed in.
     """
     us, w = _simpson_weights(fs.T1, fs.T2, N_QUAD)
-    xs, length = us[None, :] - ts[:, None], fs.T2 - fs.T1
+    length = fs.T2 - fs.T1
     if isinstance(model, AffineModel):
-        c_avg = (model.c.eval_grid(xs) * w).sum(axis=-1) / length
-        u_avg = np.stack([(f.eval_grid(xs) * w).sum(axis=-1) for f in model.u],
-                         axis=-1) / length
+        avg = np.empty((ts.shape[0], 1 + model.d))
+        for k in range(0, ts.shape[0], _WINDOW_ROWS):
+            xs = us[None, :] - ts[k:k + _WINDOW_ROWS, None]
+            for i, f in enumerate((model.c, *model.u)):
+                avg[k:k + _WINDOW_ROWS, i] = (f.eval_grid(xs) * w).sum(axis=-1)
+        avg /= length
+        c_avg, u_avg = avg[:, 0], avg[:, 1:]
         return lambda Y, rows: (c_avg[rows]
                                 + (model.factor_map.value(Y) * u_avg[rows]).sum(axis=-1))
     return lambda Y, rows: np.stack(
-        [(np.ascontiguousarray(model.curve_matrix(x, Y[:, j]).T) * w).sum(axis=1)
-         for j, x in enumerate(xs[rows])], axis=1) / length
+        [(np.ascontiguousarray(model.curve_matrix(us - t, Y[:, j]).T) * w).sum(axis=1)
+         for j, t in enumerate(ts[rows])], axis=1) / length
 
 
 def futures_price(model: CurveFamily, y: np.ndarray, t: float,
                   fs: FuturesSpec) -> float:
     """Delivery-period price 1/(T2-T1) * int_T1^T2 g(u - t, y) du at time t,
     by Simpson on N_QUAD nodes (affine families: cbar(t) + ubar(t) . A(y))."""
+    if not math.isfinite(t):
+        raise ValueError(f"valuation time t must be finite, got {t}")
     if t > fs.T1:
         raise ValueError(f"contract in delivery: t={t} > T1={fs.T1}")
     price = _window_pricer(model, np.array([float(t)]), fs)

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,8 @@ from fdcurves import cli
 from fdcurves.cli import Scenario, ScenarioError, load_scenario, main
 from fdcurves.families import builtin_models, hilbert_norm
 from fdcurves.noarb import XGrid, detect_affine, scc_probe, solve_drift
-from fdcurves.sim import (FuturesSpec, PathSet, SdeSpec, martingale_test,
-                          rn_drift, scc_loop, simulate)
+from fdcurves.sim import (PATHSET_MAGIC, FuturesSpec, PathSet, SdeSpec,
+                          martingale_test, rn_drift, scc_loop, simulate)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -302,6 +303,25 @@ def test_estimate_vol_truncated_paths_file_is_config_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["estimate-vol", "--scenario", scenario2]) == 2
     assert "error:" in capsys.readouterr().out
+
+
+def test_estimate_vol_rejects_a_paths_file_with_a_negative_step(tmp_path, capsys):
+    paths = tmp_path / "negative.bin"
+    header = PATHSET_MAGIC + struct.pack("<QQQddQ", 2, 101, 1, -0.01, -1.0, 5)
+    paths.write_bytes(header + np.zeros(202, dtype="<f8").tobytes())
+    scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out",
+                                                        paths_file=str(paths)))
+    assert main(["estimate-vol", "--scenario", scenario]) == 2
+    assert capsys.readouterr().out == (
+        "error: path-set header dt must be positive and finite, got -0.01\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_simulate_non_finite_dt_is_config_error(tmp_path, capsys, value):
+    scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
+    assert main(["simulate", "--scenario", scenario, "--dt", value]) == 2
+    assert capsys.readouterr().out == (
+        f"error: dt must be positive and finite, got {value}\n")
 
 
 def test_estimate_vol_says_when_it_simulates(tmp_path, capsys):
@@ -607,11 +627,15 @@ def test_importing_the_package_leaves_scipy_submodules_out():
     assert not modules & SCIPY_SUBMODULES
 
 
-@pytest.mark.parametrize("command, loaded", [("check-drift", set()),
-                                             ("simulate", {"scipy.special"})])
+@pytest.mark.parametrize("command, loaded", [("check-drift", set()), ("simulate", set()),
+                                             ("martingale-test", set()),
+                                             ("estimate-vol", set())])
 def test_cli_imports_scipy_only_for_the_routines_it_calls(tmp_path, command, loaded):
+    # the simulating commands draw their normals through sim._ndtri, well
+    # inside sim._PORT_BUDGET, so none of them imports scipy.special
     modules = imported_modules("-m", "fdcurves", command, "--scenario",
                                str(SCENARIOS / "affine_demo.json"), "--n-paths", "4",
                                "--output-dir", str(tmp_path))
     assert (tmp_path / "run_result.json").exists()
+    assert not any(m == "scipy" or m.startswith("scipy.") for m in modules)
     assert modules & SCIPY_SUBMODULES == loaded

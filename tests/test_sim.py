@@ -1,7 +1,11 @@
 """Simulation, futures pricing, martingale and volatility statistics."""
 
 import json
+import math
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -123,6 +127,19 @@ def test_simulate_validates_parameters():
         simulate(ou_spec(), 0.1, 1.0, 0, seed=0)
 
 
+@pytest.mark.parametrize("dt, T, message", [
+    (math.nan, 0.5, "dt must be positive and finite, got nan"),
+    (math.inf, 0.5, "dt must be positive and finite, got inf"),
+    (0.1, math.nan, "T / dt must be finite, got T=nan and dt=0.1"),
+    (0.1, math.inf, "T / dt must be finite, got T=inf and dt=0.1"),
+    (1e-300, 1e10, "T / dt must be finite, got T=10000000000.0 and dt=1e-300"),
+])
+def test_simulate_names_a_non_finite_step_or_horizon(dt, T, message):
+    with pytest.raises(ValueError) as err:
+        simulate(ou_spec(), dt, T, 1, seed=0)
+    assert str(err.value) == message
+
+
 def per_path_philox_paths(spec, dt, n_steps, n_paths, seed):
     """Euler paths from one freshly built Philox per path, keyed by the exact
     uint64 pair (seed, p): the reference simulate must reproduce."""
@@ -168,6 +185,53 @@ def test_simulate_builds_one_philox_per_call(monkeypatch):
     monkeypatch.setattr(np.random, "Philox", counted)
     simulate(driftless(d=2), 0.1, 0.5, 9, seed=4)
     assert len(built) == 1
+
+
+def test_ndtri_port_equals_scipy_bit_for_bit():
+    k = np.arange(20_000)
+    # exp(-2) and its complement bound the central region; exp(-32) is
+    # where sqrt(-2 log y) = 8 switches the tail coefficients
+    edges = [sim._EXP_M2, 1.0 - sim._EXP_M2, math.exp(-2.0), 1.0 - math.exp(-2.0),
+             math.exp(-32.0)]
+    neighbours = (np.array(edges)[:, None].view(np.int64)
+                  + np.arange(-300, 301)).view(np.float64).ravel()
+    u = np.concatenate([
+        *(np.random.Generator(np.random.Philox(key=key)).random(500_000)
+          for key in (1, 2**40, 2**63 + 5, 2**64 - 1)),
+        k * 2.0**-53, 1.0 - k * 2.0**-53, [1e-300, 0.5], neighbours,
+        [-0.0, -1e-300, 1.5, np.inf, -np.inf, np.nan, -np.nan]])
+    assert np.array_equal(sim._ndtri(u.copy()).view(np.int64), ndtri(u).view(np.int64))
+
+
+DRAWS = """
+import json, sys
+from fdcurves import sim
+first, loaded = None, []
+for n in json.loads(sys.argv[1]):
+    z = sim._normals(5, 2, n // 2, 1)
+    first = z if first is None else first
+    loaded.append("scipy.special" in sys.modules)
+import scipy.special
+print(json.dumps({"loaded": loaded,
+                  "same": bool((sim._normals(5, 2, first.shape[1], 1) == first).all())}))
+"""
+
+
+@pytest.mark.parametrize("draws, loaded", [
+    ([100_000], [False]),
+    ([sim._PORT_BUDGET + 2], [True]),
+    ([sim._PORT_BUDGET // 16] * 17, [False] * 16 + [True]),
+])
+def test_normals_import_scipy_once_the_draws_pass_the_budget(draws, loaded):
+    # a fresh process draws through sim._ndtri until its running total of
+    # normals passes sim._PORT_BUDGET, then through scipy.special.ndtri;
+    # the first draw is drawn again through scipy and must match bit for bit
+    src = str(Path(sim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", DRAWS, json.dumps(draws)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == {"loaded": loaded, "same": True}
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, np.True_])
@@ -219,6 +283,21 @@ def test_pathset_load_rejects_single_time(tmp_path):
     target.write_bytes(header + np.zeros(3, dtype="<f8").tobytes())
     with pytest.raises(ValueError, match="n_times=1"):
         PathSet.load(target)
+
+
+@pytest.mark.parametrize("dt, horizon", [(-0.01, -0.05), (math.nan, 0.5),
+                                         (0.1, math.nan), (math.inf, math.inf)])
+def test_pathset_load_rejects_a_non_finite_or_negative_time_grid(tmp_path, dt, horizon):
+    target = tmp_path / "grid.bin"
+    header = PATHSET_MAGIC + struct.pack("<QQQddQ", 2, 6, 1, dt, horizon, 5)
+    target.write_bytes(header + np.zeros(12, dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="dt"):
+        PathSet.load(target)
+
+
+def test_pathset_rejects_a_decreasing_time_grid():
+    with pytest.raises(ValueError, match="times must be finite and increasing"):
+        PathSet(times=-0.01 * np.arange(6), paths=np.zeros((2, 6, 1)), seed=0)
 
 
 def test_pathset_load_rejects_truncated_header(tmp_path):
@@ -340,10 +419,29 @@ def test_batch_prices_equal_single_state_prices_bit_for_bit(name):
 
 
 def test_non_finite_valuation_time_names_one_value():
-    m = builtin_models()["affine2-identity"]
-    with pytest.raises(ValueError) as err:
-        futures_price(m, [0.1, 0.2], float("nan"), FS12)
-    assert str(err.value) == "scale factor must be finite, got nan"
+    for name, y, t in [("affine2-identity", [0.1, 0.2], math.nan),
+                       ("gaussian-example", [0.1], math.nan),
+                       ("gaussian-example", [0.1], -math.inf)]:
+        with pytest.raises(ValueError) as err:
+            futures_price(builtin_models()[name], y, t, FS12)
+        assert str(err.value) == f"valuation time t must be finite, got {t}"
+
+
+def test_window_pricer_memory_does_not_grow_with_the_time_grid():
+    # 5,001 sample times at dt = 1e-4: one (times x N_QUAD) node table is
+    # 5.2 MB, and the averages are built in blocks of sim._WINDOW_ROWS
+    ts = np.linspace(0.0, 0.5, 5001)
+    table_bytes = ts.size * N_QUAD * 8
+    m = builtin_models()["affine3-cubic"]
+    tracemalloc.start()
+    try:
+        price = sim._window_pricer(m, ts, FS12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes / 4
+    Y = np.full((1, 1, m.d), 0.2)
+    assert price(Y, slice(4000, 4001))[0, 0] == futures_price(m, Y[0, 0], ts[4000], FS12)
 
 
 # -- martingale_test ----------------------------------------------------------------

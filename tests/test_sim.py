@@ -270,6 +270,27 @@ def test_pathset_binary_round_trip(tmp_path):
     assert back.seed == 123
 
 
+@pytest.mark.parametrize("times, first_bad", [
+    ([0.0, 0.1, 0.15, 0.3], 2),           # load would rebuild 0.2 for 0.15
+    (1.0 + 0.01 * np.arange(4), 0),       # load would rebuild a grid from 0
+])
+def test_pathset_save_rejects_a_grid_that_load_cannot_rebuild(tmp_path, times, first_bad):
+    ps = PathSet(times=times, paths=np.zeros((2, 4, 1)), seed=0)
+    target = tmp_path / "paths.bin"
+    with pytest.raises(ValueError, match=rf"times\[{first_bad}\] = "):
+        ps.save(target)
+    assert not target.exists()
+
+
+def test_pathset_save_accepts_the_grids_of_simulate_and_load(tmp_path):
+    ps = simulate(ou_spec(0.7, 1.2), 0.03, 0.6, 3, seed=8)
+    ps.save(tmp_path / "a.bin")
+    back = PathSet.load(tmp_path / "a.bin")
+    assert back.times.tobytes() == ps.times.tobytes()
+    back.save(tmp_path / "b.bin")
+    assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+
 def test_pathset_rejects_foreign_files(tmp_path):
     target = tmp_path / "junk.bin"
     target.write_bytes(b"not a pathset" * 3)
@@ -337,6 +358,16 @@ def test_pathset_csv_export_bytes_match_row_loop(tmp_path):
     ps.export_csv(tmp_path / "joined.csv")
     row_loop_csv(ps, tmp_path / "rows.csv")
     assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pathset_csv_export_bytes_match_row_loop_on_special_values(tmp_path, d):
+    special = [-0.0, 1e-300, 1e22, math.nan, -math.inf, math.inf, 0.1, -2.5e-8]
+    paths = np.resize(special, 5 * d).reshape(1, 5, d)
+    ps = PathSet(times=0.1 * np.arange(5), paths=paths, seed=0)
+    ps.export_csv(tmp_path / "template.csv")
+    row_loop_csv(ps, tmp_path / "rows.csv")
+    assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 # -- futures_price ----------------------------------------------------------------
@@ -578,6 +609,8 @@ def test_martingale_z_within_band_for_nearly_all_seeds():
 def test_estimate_vol_zero_vol():
     ps = simulate(driftless(0.0), 1e-2, 1.0, 1, seed=0)
     assert np.array_equal(estimate_vol(ps), np.zeros((1, 1)))
+    flat = PathSet(times=0.01 * np.arange(101), paths=np.zeros((3, 101, 3)), seed=0)
+    assert estimate_vol(flat).tobytes() == np.zeros((3, 3)).tobytes()  # no -0.0
 
 
 def test_estimate_vol_single_path_concentration():
@@ -612,6 +645,84 @@ def test_estimate_vol_needs_enough_increments():
     ps = simulate(driftless(), 0.1, 1.0, 1, seed=0)
     with pytest.raises(ValueError, match="100"):
         estimate_vol(ps)
+
+
+def fsum_covariation(ps):
+    """Realised covariation entry by entry: each entry an exactly rounded
+    math.fsum of the rounded increment products, over the elapsed time."""
+    inc = np.diff(ps.paths, axis=1).reshape(-1, ps.d).T.tolist()
+    elapsed = ps.n_paths * (float(ps.times[-1]) - float(ps.times[0]))
+    return np.array([[math.fsum(a * b for a, b in zip(inc[i], inc[j])) / elapsed
+                      for j in range(ps.d)] for i in range(ps.d)])
+
+
+def correlated_paths(n_paths, n_times, d, seed):
+    rng = np.random.default_rng(seed)
+    mix = np.tril(rng.uniform(-1.0, 1.0, (d, d))) + np.eye(d)
+    steps = rng.standard_normal((n_paths, n_times - 1, d)) @ mix.T * 0.1
+    paths = np.concatenate([np.zeros((n_paths, 1, d)), np.cumsum(steps, axis=1)], axis=1)
+    return PathSet(times=0.01 * np.arange(n_times), paths=paths + 0.5, seed=seed)
+
+
+@pytest.mark.parametrize("n_paths, n_times, d", [
+    (200, 101, 1), (200, 101, 2), (200, 101, 3), (200, 101, 6), (2000, 501, 1)])
+def test_estimate_vol_matches_an_fsum_oracle(n_paths, n_times, d):
+    ps = correlated_paths(n_paths, n_times, d, seed=40 + d)
+    got, want = estimate_vol(ps), fsum_covariation(ps)
+    # entry (i, j) relative to sqrt(want_ii want_jj), its Cauchy-Schwarz bound
+    scale = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+    assert np.max(np.abs(got - want) / scale) <= 1e-13
+
+
+def test_estimate_vol_is_exactly_symmetric():
+    vol = estimate_vol(correlated_paths(200, 101, 6, seed=3))
+    assert vol.tobytes() == np.ascontiguousarray(vol.T).tobytes()
+
+
+def test_estimate_vol_nan_in_one_component_poisons_only_its_row_and_column():
+    ps = correlated_paths(20, 11, 3, seed=9)
+    paths = ps.paths.copy()
+    paths[4, 7, 0] = np.nan
+    vol = estimate_vol(PathSet(ps.times, paths, ps.seed))
+    mask = np.zeros((3, 3), bool)
+    mask[0, :] = mask[:, 0] = True
+    assert np.array_equal(np.isnan(vol), mask)
+    rest = estimate_vol(PathSet(ps.times, paths[..., 1:], ps.seed))
+    assert vol[1:, 1:].tobytes() == rest.tobytes()
+
+
+def test_estimate_vol_divides_by_the_elapsed_time():
+    ps = simulate(driftless(1.0), 0.01, 1.0, 100, seed=6)
+    late = PathSet(times=1.0 + ps.times, paths=ps.paths, seed=ps.seed)
+    assert abs(estimate_vol(ps)[0, 0] - 1.0) <= 0.05
+    assert np.allclose(estimate_vol(late), estimate_vol(ps), rtol=1e-12, atol=0.0)
+
+
+VOL_BYTES = """
+import sys
+import numpy as np
+from fdcurves.sim import PathSet, estimate_vol
+for n_paths, n_times, d in ((500, 501, 1), (200, 101, 2)):
+    rng = np.random.default_rng(19)
+    paths = np.cumsum(rng.standard_normal((n_paths, n_times, d)) * 0.07, axis=1)
+    ps = PathSet(times=0.005 * np.arange(n_times), paths=paths, seed=19)
+    print(estimate_vol(ps).tobytes().hex())
+"""
+
+
+def test_estimate_vol_bits_do_not_depend_on_the_blas_thread_count():
+    # with OpenBLAS 0.3.31 on a 2-core x86-64 VM, a BLAS dot (inc.T @ inc) of
+    # the 250,000 increments of the d = 1 case changes its last bits between
+    # 1 and 2 threads; the einsum inner products must not
+    src = str(Path(sim.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", VOL_BYTES], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        out.append(proc.stdout)
+    assert out[0] == out[1] and len(out[0].split()) == 2
 
 
 # -- scc_loop and risk-neutral drift ------------------------------------------------
@@ -832,6 +943,18 @@ def test_scc_loop_per_state_equals_solve_drift_on_every_field(monkeypatch, name)
         assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
     assert rep.max_residual == max(r.residual_rms for r in rep.per_state)
     assert rep.max_drift_norm == max(np.linalg.norm(r.b) for r in rep.per_state)
+
+
+@pytest.mark.parametrize("model", [custom_model, collinear_affine])
+def test_scc_loop_summaries_equal_the_per_state_results(model):
+    ps = simulate(driftless(0.4, 0.2, d=2), 1e-2, 0.5, 3, seed=23)
+    rep = scc_loop(model(), ps, GRID)
+    assert rep.max_residual == max(r.residual_rms for r in rep.per_state)
+    assert rep.any_rank_deficient == any(not r.rank_ok for r in rep.per_state)
+    assert type(rep.any_rank_deficient) is bool
+    norm = max(np.linalg.norm(r.b) for r in rep.per_state)
+    assert abs(rep.max_drift_norm - norm) <= np.spacing(norm)
+    assert rep.verdict == (model is custom_model)
 
 
 def test_scc_loop_box_equals_column_reductions_bitwise():

@@ -91,7 +91,9 @@ class IdentityMap(FactorMap):
 
     def jet(self, y, order=2):
         y = np.asarray(y, dtype=float)
-        return (y, np.ones_like(y), np.zeros_like(y))[:order + 1]
+        if order == 0:
+            return (y,)
+        return (y, np.ones(y.shape), np.zeros(y.shape))[:order + 1]
 
 
 class ExpMinusOneMap(FactorMap):
@@ -121,24 +123,35 @@ class ComponentwiseCubicMap(FactorMap):
                       else np.atleast_1d(np.asarray(cubic, dtype=float)))
         if self.quadratic.shape != (self.d,) or self.cubic.shape != (self.d,):
             raise ValueError("coefficient arrays must share one length")
+        # l, q, c, 2q, 3c, 6c, built once
+        self._coefs = np.stack([self.linear, self.quadratic, self.cubic,
+                                2.0 * self.quadratic, 3.0 * self.cubic, 6.0 * self.cubic])
 
     # The jet works on a contiguous component-major copy y.T (d, ...), with
-    # each coefficient a (d, 1, ...) column, and returns .T views: a (d,)
-    # vector broadcast over a short last axis runs one inner loop of length
-    # d per state. The arithmetic order is that of the row-major formulas,
-    # so the results are the same bits.
+    # each coefficient a (d, 1, ...) column built once, and returns .T views:
+    # a (d,) vector broadcast over a short last axis runs one inner loop of
+    # length d per state. The arithmetic order is that of the row-major
+    # formulas, so the results are the same bits; the in-place steps only
+    # swap the operands of a commutative + or *.
     def jet(self, y, order=2):
         yt = np.ascontiguousarray(np.asarray(y, dtype=float).T)
-        col = (-1,) + (1,) * (yt.ndim - 1)
-        lin, quad, cub = (c.reshape(col) for c in (self.linear, self.quadratic, self.cubic))
+        lin, quad, cub, quad2, cub3, cub6 = self._coefs.reshape(
+            (6, -1) + (1,) * (yt.ndim - 1))
         # y2 * y, not y**3: numpy sends cubes through pow, about 5x slower
         y2 = yt * yt
-        A = (lin * yt + quad * y2 + cub * (y2 * yt)).T
+        A = lin * yt
+        A += quad * y2
+        y3 = y2 * yt
+        y3 *= cub
+        A += y3
         if order == 0:
-            return (A,)
-        dA = lin + (2.0 * quad) * yt + (3.0 * cub) * y2
-        d2A = 2.0 * quad + (6.0 * cub) * yt
-        return (A, dA.T, d2A.T)[:order + 1]
+            return (A.T,)
+        dA = quad2 * yt
+        dA += lin
+        dA += cub3 * y2
+        d2A = cub6 * yt
+        d2A += quad2
+        return (A.T, dA.T, d2A.T)[:order + 1]
 
     def to_dict(self) -> dict:
         return {

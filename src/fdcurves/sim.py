@@ -65,8 +65,10 @@ class SimulationError(RuntimeError):
 class SdeSpec:
     """Factor dynamics dY = drift(Y) dt + sigma dW started at y0.
 
-    ``drift`` maps a batch of states (n, d) to (n, d), row by row; it is
-    called once per step on all paths.
+    ``drift`` maps a batch of states (n, d) to (n, d), row by row. In
+    :func:`simulate` it is called once per step on all paths, each time
+    with a fresh C-contiguous float array (n_paths, d) that it may keep or
+    overwrite, and must return that shape.
     """
 
     d: int
@@ -114,9 +116,13 @@ class PathSet:
         if paths.shape[0] < 1:
             raise ValueError(
                 f"a path set needs at least 1 path, got n_paths={paths.shape[0]}")
-        if not (np.isfinite(times).all() and (np.diff(times) > 0.0).all()):
-            raise ValueError(f"times must be finite and increasing, got dt="
-                             f"{times[1] - times[0]} and horizon={times[-1]}")
+        bad = ~np.isfinite(times)
+        bad[1:] |= ~(times[1:] > times[:-1])
+        if bad.any():
+            k = int(np.flatnonzero(bad)[0])
+            at = f"times[{k}] = {float(times[k])!r}"
+            raise ValueError("times must be finite and increasing, got " + (
+                f"{at} after times[{k - 1}] = {float(times[k - 1])!r}" if k else at))
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "paths", paths)
 
@@ -341,10 +347,14 @@ def _normals(seed: int, n_paths: int, n_steps: int, d: int) -> np.ndarray:
     """
     global _drawn
     # one generator, re-keyed per path through its state: constructing a
-    # Philox runs a SeedSequence (and reads OS entropy) even given a key
+    # Philox runs a SeedSequence (and reads OS entropy) even given a key.
+    # The state holds plain Python ints, not numpy's uint64 arrays: the
+    # setter takes them in about half the time
     bg = np.random.Philox()
     gen = np.random.Generator(bg)
     state = bg.state
+    state["buffer"] = state["buffer"].tolist()
+    state["state"] = {name: v.tolist() for name, v in state["state"].items()}
     key = state["state"]["key"]
     key[0] = seed
     u = np.empty((n_paths, n_steps, d))
@@ -367,7 +377,10 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     Parameters
     ----------
     spec : SdeSpec
-        Dynamics; the drift is called on all paths at once.
+        Dynamics. The drift is called once per step on all paths, each
+        time with a fresh C-contiguous float array (n_paths, d), and must
+        return an array of that shape; a non-finite value raises
+        SimulationError naming the first such path.
     dt, T : float
         Step and horizon; the number of steps is round(T / dt) >= 1.
     n_paths : int
@@ -401,6 +414,11 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     y = np.tile(spec.y0, (n_paths, 1))
     sqrt_dt = np.sqrt(dt)
     sigma_t = spec.sigma.T
+    # y + mu dt + (z sigma^T) sqrt(dt) in that order, its two terms built in
+    # reused buffers; the sum is a fresh array, so the drift never sees a
+    # state it was handed before, and may keep or overwrite its input
+    step = np.empty(y.shape)
+    noise = np.empty(y.shape)
     for k in range(n_steps):
         mu = np.asarray(spec.drift(y), dtype=float)
         if mu.shape != y.shape:
@@ -410,7 +428,11 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
             bad = int(np.flatnonzero(~np.isfinite(mu).all(axis=1))[0])
             raise SimulationError(
                 f"drift returned non-finite values on path {bad} at t={k * dt:.6g}")
-        y = y + mu * dt + (z[:, k] @ sigma_t) * sqrt_dt
+        np.multiply(mu, dt, out=step)
+        step += y
+        np.matmul(z[:, k], sigma_t, out=noise)
+        noise *= sqrt_dt
+        y = step + noise
         paths[:, k + 1] = y
     return PathSet(times=dt * np.arange(n_steps + 1), paths=paths, seed=key)
 
@@ -672,20 +694,27 @@ class RiskNeutralDrift:
             pq, _, rank, _ = np.linalg.lstsq(U, np.column_stack([dc, dU]),
                                              rcond=RANK_TOL)
             if rank == model.d:
-                # (d, 1) columns: the closed form runs component-major
-                self._p, self._q = pq[:, :1], pq[:, 1:]
+                # (d, 1) columns, built once: the closed form runs
+                # component-major
+                self._p = pq[:, :1]
+                self._q = [pq[:, j:j + 1] for j in range(1, 1 + model.d)]
                 self._half_a = 0.5 * np.diag(self.cov)[:, None]
                 self._rows = self._closed_form
 
     def _closed_form(self, Y: np.ndarray) -> np.ndarray:
         A, dA, d2A = (a.T for a in self.model.factor_map.jet(Y))
         # Q A(y) as a row-local sum in j order, not a matmul, so a row never
-        # depends on the batch
-        qa = self._q[:, :1] * A[0]
-        for j in range(1, A.shape[0]):
-            qa += self._q[:, j:j + 1] * A[j]
+        # depends on the batch; then (p + QA - A'' a/2) / A' in place, in
+        # that order (qa += p is p + qa: IEEE + is commutative)
+        q = self._q
+        qa = q[0] * A[0]
+        for j in range(1, len(q)):
+            qa += q[j] * A[j]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return ((self._p + qa - d2A * self._half_a) / dA).T
+            qa += self._p
+            qa -= d2A * self._half_a
+            qa /= dA
+        return qa.T
 
     def _solved(self, Y: np.ndarray) -> np.ndarray:
         out = np.empty(Y.shape)

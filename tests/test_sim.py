@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from fdcurves.families import (AffineModel, ExpMinusOneMap, GaussianExampleModel,
-                               IdentityMap, NumericCurveFamily, _simpson_weights,
-                               builtin_models, model_from_dict)
+from fdcurves.families import (AffineModel, ComponentwiseCubicMap, ExpMinusOneMap,
+                               GaussianExampleModel, IdentityMap, NumericCurveFamily,
+                               _simpson_weights, builtin_models, model_from_dict)
 from fdcurves.noarb import RANK_TOL, XGrid, rn_residual, solve_drift
 from fdcurves.qe import QEFunction, qe_integral
 from fdcurves import noarb, sim
@@ -257,6 +257,89 @@ def test_non_finite_drift_names_the_first_failing_path():
         simulate(spec, 0.01, 0.1, 6, seed=0)
 
 
+def correlated_spec(drift, d=2):
+    return SdeSpec(d=d, drift=drift, sigma=np.tril(0.3 * np.ones((d, d))) + 0.4 * np.eye(d),
+                   y0=np.linspace(-0.2, 0.3, d))
+
+
+def test_simulate_hands_the_drift_a_fresh_c_contiguous_batch_each_step():
+    seen = []
+
+    def recorded(y):
+        seen.append(y)
+        return -0.5 * y
+
+    ps = simulate(correlated_spec(recorded), 0.05, 1.0, 7, seed=11)
+    assert len(seen) == 20  # one call per step
+    for k, y in enumerate(seen):
+        assert type(y) is np.ndarray and y.dtype == np.float64 and y.shape == (7, 2)
+        assert y.flags.c_contiguous, k
+        assert not np.shares_memory(y, ps.paths), k
+        assert not any(np.shares_memory(y, x) for x in seen[:k]), k
+
+
+def test_inputs_a_drift_keeps_are_unchanged_after_simulate():
+    kept, copies = [], []
+
+    def keeping(y):
+        kept.append(y)
+        copies.append(y.copy())
+        return np.sin(y)
+
+    ps = simulate(correlated_spec(keeping, d=3), 0.05, 0.5, 5, seed=12)
+    for k, (y, c) in enumerate(zip(kept, copies)):
+        assert y.tobytes() == c.tobytes() == ps.paths[:, k].tobytes(), k
+
+
+@pytest.mark.parametrize("d, n_paths", [(1, 1), (2, 9), (3, 4)])
+def test_a_drift_that_writes_into_its_input_gives_the_unbuffered_paths(d, n_paths):
+    def overwriting(y):
+        y *= 0.9
+        y -= 0.01
+        return -0.5 * y
+
+    # the reference loop builds y + mu dt + noise from fresh temporaries,
+    # reading y after the drift has written into it
+    spec = correlated_spec(overwriting, d)
+    ps = simulate(spec, 0.05, 0.5, n_paths, seed=14)
+    assert ps.paths.tobytes() == per_path_philox_paths(spec, 0.05, 10, n_paths, 14).tobytes()
+
+
+SIMULATE_BYTES = """
+import hashlib
+import json
+import sys
+import numpy as np
+from fdcurves import SdeSpec, model_from_dict, rn_drift, simulate
+from fdcurves.noarb import XGrid
+scenario = json.loads(open(sys.argv[1]).read())
+model = model_from_dict(scenario["model"])
+sigma = np.array([[0.5, 0.0], [0.45, 0.2]])
+spec = SdeSpec(d=2, drift=rn_drift(model, sigma, XGrid.from_dict(scenario["grid"])),
+               sigma=sigma, y0=scenario["y_samples"][0])
+print(hashlib.sha256(simulate(spec, 0.01, 0.5, 2000, 20).paths.tobytes()).hexdigest())
+spec = SdeSpec(d=3, drift=lambda y: -0.5 * y,
+               sigma=np.tril(0.3 * np.ones((3, 3))) + 0.4 * np.eye(3), y0=[-0.2, 0.05, 0.3])
+print(hashlib.sha256(simulate(spec, 0.01, 0.5, 1, 21).paths.tobytes()).hexdigest())
+"""
+
+
+def test_simulate_bits_do_not_depend_on_the_blas_thread_count():
+    # the per-step noise product (n_paths, d) @ (d, d) runs in BLAS; its
+    # bits must not change with the thread count, here for the d = 2 cubic
+    # risk-neutral drift at 2000 paths and a d = 3 linear drift on one path
+    src = str(Path(sim.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", SIMULATE_BYTES,
+                               str(SCENARIOS / "custom_affine.json")], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        out.append(proc.stdout)
+    assert out[0] == out[1] and len(out[0].split()) == 2
+
+
 # -- PathSet persistence ---------------------------------------------------------
 
 
@@ -319,6 +402,18 @@ def test_pathset_load_rejects_a_non_finite_or_negative_time_grid(tmp_path, dt, h
 def test_pathset_rejects_a_decreasing_time_grid():
     with pytest.raises(ValueError, match="times must be finite and increasing"):
         PathSet(times=-0.01 * np.arange(6), paths=np.zeros((2, 6, 1)), seed=0)
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0.0, 0.1, 0.05, 0.3], "got times[2] = 0.05 after times[1] = 0.1"),
+    ([0.0, 0.1, math.nan, 0.3], "got times[2] = nan after times[1] = 0.1"),
+    ([math.nan, 0.1, 0.2, 0.3], "got times[0] = nan"),
+    ([0.0, 0.1, 0.1, math.inf], "got times[2] = 0.1 after times[1] = 0.1"),
+])
+def test_pathset_names_the_first_time_that_is_not_finite_or_increasing(times, message):
+    with pytest.raises(ValueError) as err:
+        PathSet(times=times, paths=np.zeros((2, 4, 1)), seed=0)
+    assert str(err.value) == "times must be finite and increasing, " + message
 
 
 def test_pathset_load_rejects_truncated_header(tmp_path):
@@ -803,8 +898,34 @@ def test_rn_drift_equals_the_broadcast_closed_form_bit_for_bit():
     for name, m, sigma in affine_drift_cases():
         drift = rn_drift(m, sigma, GRID)
         block = np.random.default_rng(31).uniform(-0.6, 0.6, (64, 3, m.d))
-        for Y in (np.ascontiguousarray(block[:, 0]), block[:, 1], block[::3, 2]):
+        for Y in (np.ascontiguousarray(block[:, 0]), block[:, 1], block[::3, 2],
+                  np.asfortranarray(block[:, 0])):
             assert np.array_equal(drift(Y), broadcast_closed_form(m, sigma, Y)), name
+
+
+def jet_inputs(d):
+    """A state, C-ordered, strided and (n, k, d) batches of several sizes:
+    consecutive calls change the shape, so coefficients shaped for one call
+    must not serve the next."""
+    block = np.random.default_rng(37).uniform(-0.9, 0.9, (9, 4, d))
+    return [block[0, 0], np.ascontiguousarray(block[:, 0]), block[::2, 1], block,
+            np.ascontiguousarray(block[:5, 2]), block[0, 0],
+            np.ascontiguousarray(block[:, 3])]
+
+
+@pytest.mark.parametrize("fm", [
+    IdentityMap(3), ExpMinusOneMap(3),
+    ComponentwiseCubicMap([1.0, -0.7, 0.4], [0.3, 0.0, -1.1], [0.1, 2.5, -0.6])],
+    ids=lambda fm: fm.tag)
+def test_factor_map_jets_equal_the_row_major_formulas_bit_for_bit(fm):
+    for order in (0, 1, 2):
+        for i, Y in enumerate(jet_inputs(fm.d)):
+            got = fm.jet(Y, order)
+            assert len(got) == order + 1
+            for a, ref in zip(got, row_major_jet(fm, Y)):
+                assert a.shape == Y.shape, (order, i)
+                assert (np.ascontiguousarray(a).tobytes()
+                        == np.ascontiguousarray(ref).tobytes()), (order, i)
 
 
 def test_rn_drift_solves_the_drift_identity_on_custom_model():

@@ -18,8 +18,11 @@ wrapper whose derivatives are finite differences (there is deliberately no
 expression parser). Families are immutable; all operations are pure.
 
 Every family implements the same two batched methods, ``curve_matrix`` and
-``derivative_tables``; the scalar evaluations are read off them, so each
-closed form exists once.
+``derivative_tables``, under one contract: a state y (d,) or a stack of
+states y (..., d) in, arrays with the batch axes of y leading out. The
+scalar evaluations are read off them, so each closed form exists once.
+Maturity grids are :class:`XGrid` objects or raw node arrays, checked
+alike.
 """
 
 from __future__ import annotations
@@ -181,40 +184,114 @@ def factor_map_from_dict(data: dict, d: int) -> FactorMap:
 
 
 # ---------------------------------------------------------------------------
+# Maturity grids
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class XGrid:
+    """Sorted maturity nodes discretising the 'for all x >= 0' statements."""
+
+    nodes: np.ndarray
+
+    def __post_init__(self) -> None:
+        nodes = _grid_nodes(self.nodes).copy()
+        nodes.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+
+    def __len__(self) -> int:
+        return self.nodes.shape[0]
+
+    @classmethod
+    def chebyshev(cls, n: int = 40, x_max: float = 5.0) -> XGrid:
+        """Chebyshev-Lobatto nodes mapped to [0, x_max] (the default grid)."""
+        if n < 2:  # before dividing by n - 1
+            raise ValueError("grid needs at least two nodes")
+        k = np.arange(n)
+        return cls(0.5 * (1.0 - np.cos(np.pi * k / (n - 1))) * x_max)
+
+    @classmethod
+    def uniform(cls, n: int, x_max: float) -> XGrid:
+        return cls(np.linspace(0.0, float(x_max), n))
+
+    to_dict = _plain
+
+    @classmethod
+    def from_dict(cls, data: dict) -> XGrid:
+        if "nodes" in data:
+            _reject_unknown(data, {"nodes"}, "grid")
+            return cls(np.asarray(data["nodes"], dtype=float))
+        kind = data.get("kind", "chebyshev")
+        _reject_unknown(data, {"kind", "n", "x_max"}, "grid")
+        n = _integer(data["n"], "grid.n") if "n" in data else 40
+        x_max = float(data.get("x_max", 5.0))
+        if kind == "chebyshev":
+            return cls.chebyshev(n, x_max)
+        if kind == "uniform":
+            return cls.uniform(n, x_max)
+        raise ValueError(f"unknown grid kind: {kind!r}")
+
+
+def _grid_nodes(grid) -> np.ndarray:
+    """The nodes of an :class:`XGrid`, as they are (it checked them when it
+    was built), or of a raw array, checked: at least two nodes, finite,
+    strictly increasing and >= 0."""
+    if isinstance(grid, XGrid):
+        return grid.nodes
+    nodes = np.atleast_1d(np.asarray(grid, dtype=float))
+    if nodes.ndim != 1 or nodes.size < 2:
+        raise ValueError("grid needs at least two nodes")
+    if not np.isfinite(nodes).all():
+        raise ValueError("grid nodes must be finite")
+    if np.any(nodes < 0) or np.any(np.diff(nodes) <= 0):
+        raise ValueError("grid nodes must be strictly increasing and >= 0")
+    return nodes
+
+
+# ---------------------------------------------------------------------------
 # Curve families
 # ---------------------------------------------------------------------------
+
+
+def _states(y, d: int) -> np.ndarray:
+    """A state y (d,) or a stack of states y (..., d) as a float array; any
+    other last axis is a ValueError naming d and the shape it got."""
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape[-1] != d:
+        raise ValueError(f"a state needs d={d} factors, shape (d,) or (..., d); "
+                         f"got shape {y.shape}")
+    return y
 
 
 class CurveFamily:
     """Base interface: value and C^(1,2) derivatives of g(x, y).
 
     A family implements exactly two batched methods, ``curve_matrix`` and
-    ``derivative_tables``. ``value``, ``dx``, ``grad_y``, ``hess_y`` and
-    ``curve`` read one node (or one column) of them, so every scalar
-    evaluation runs the code the drift solvers run.
+    ``derivative_tables``, with one contract: each takes a grid xs (K,)
+    and a state y (d,) or a stack of states y (..., d), and returns arrays
+    whose leading axes are the batch axes of y (none for a single state),
+    C-ordered. Each state's rows equal that state evaluated alone, bit for
+    bit; a state whose last axis is not d is a ValueError. ``value``,
+    ``dx``, ``grad_y`` and ``hess_y`` read one node of them, so every
+    scalar evaluation runs the code the drift solvers run.
     """
 
     d: int
     derivative_mode: str = "analytic"
 
-    def curve_matrix(self, xs: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Evaluate g on a grid for a batch of factors: out[k, j] = g(xs[k], Y[j])."""
+    def curve_matrix(self, xs: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """g on the grid, shape (..., K): out[..., k] = g(xs[k], y[...])."""
         raise NotImplementedError
 
     def derivative_tables(
         self, xs: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(dx g, grad_y g, hess_y g) stacked over the grid, for a state
-        y (d,) or a batch of states y (..., d).
-
-        Returns arrays of shapes (..., K), (..., K, d) and (..., K, d, d),
-        where ... are the batch axes of y (none for a single state). Each
-        state's tables equal the tables of that state alone, bit for bit.
-        """
+        """(dx g, grad_y g, hess_y g) on the grid, of shapes (..., K),
+        (..., K, d) and (..., K, d, d)."""
         raise NotImplementedError
 
     def value(self, x: float, y: np.ndarray) -> float:
-        return float(self.curve(y, [x])[0])
+        return float(self.curve_matrix(np.array([float(x)]), y)[0])
 
     def dx(self, x: float, y: np.ndarray) -> float:
         return float(self.derivative_tables(np.array([float(x)]), y)[0][0])
@@ -224,10 +301,6 @@ class CurveFamily:
 
     def hess_y(self, x: float, y: np.ndarray) -> np.ndarray:
         return self.derivative_tables(np.array([float(x)]), y)[2][0]
-
-    def curve(self, y: np.ndarray, xs: np.ndarray) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        return self.curve_matrix(np.asarray(xs, dtype=float), y[None, :])[:, 0]
 
     def to_dict(self) -> dict:
         raise NotImplementedError(f"{type(self).__name__} is not serialisable")
@@ -271,18 +344,21 @@ class AffineModel(CurveFamily):
             self._tables[key] = hit
         return hit
 
-    def curve_matrix(self, xs, Y):
-        # evaluated afresh, never cached: the callers (detect_affine, value and
-        # curve, check_c12) rarely repeat a grid, unlike the drift solvers
+    def curve_matrix(self, xs, y):
+        # evaluated afresh, never cached: the callers (detect_affine, value,
+        # eval_curve and check_c12's stencils) rarely repeat a grid, unlike
+        # the drift solvers
         xs = np.asarray(xs, dtype=float)
         U = np.stack([f.eval_grid(xs) for f in self.u], axis=1)
-        A = self.factor_map.value(np.atleast_2d(np.asarray(Y, dtype=float)))
-        # row-local sums, not matmuls, so a node never depends on the batch
-        return self.c.eval_grid(xs)[:, None] + (U[:, None, :] * A).sum(axis=-1)
+        A = self.factor_map.value(_states(y, self.d))
+        # row-local sums, not matmuls, so a node never depends on the batch;
+        # C-ordered products, as the jet may return transposed views
+        UA = np.multiply(U, A[..., None, :], order="C")
+        return self.c.eval_grid(xs) + UA.sum(axis=-1)
 
     def derivative_tables(self, xs, y):
         xs = np.asarray(xs, dtype=float)
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+        y = _states(y, self.d)
         dc_vals, U, dU = self._basis(xs)
         # (..., 1, d): one factor row per state, broadcast over the grid. The
         # jet may return transposed views; C-ordered products keep every
@@ -325,15 +401,13 @@ class GaussianExampleModel(CurveFamily):
 
     d = 1
 
-    def curve_matrix(self, xs, Y):
+    def curve_matrix(self, xs, y):
         xs = np.asarray(xs, dtype=float)
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        z = (1.0 - Y[:, 0][None, :]) / np.sqrt(1.0 + xs)[:, None]
-        return norm_cdf(z)
+        return norm_cdf((1.0 - _states(y, 1)) / np.sqrt(1.0 + xs))
 
     def derivative_tables(self, xs, y):
         xs = np.asarray(xs, dtype=float)
-        w = 1.0 - np.atleast_1d(np.asarray(y, dtype=float))  # (..., 1)
+        w = 1.0 - _states(y, 1)  # (..., 1)
         s = np.sqrt(1.0 + xs)
         z = w / s
         pdf = norm_pdf(z)
@@ -357,40 +431,39 @@ def _fd_tables(curve_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray],
     x < 0; grad_y g uses central differences with step h1 and hess_y g the
     second-difference stencils with step h2. ``curve_matrix`` runs twice
     whatever the batch: once on the stacked x stencils at every y, once on
-    the grid for the y stencil states of every y.
+    the grid for the stack (..., m, d) of the m y stencil states of each y.
     """
     batch, d = y.shape[:-1], y.shape[-1]
-    Y = y.reshape(-1, d)
     K = xs.shape[0]
     central = xs >= h1
     edge = xs[~central]
     fx = curve_matrix(np.concatenate([xs + h1, np.where(central, xs - h1, xs),
-                                      edge + 2 * h1]), Y).T
-    up, lo = fx[:, :K], fx[:, K:2 * K]
-    dxg = np.empty((Y.shape[0], K))
-    dxg[:, central] = (up[:, central] - lo[:, central]) / (2 * h1)
-    dxg[:, ~central] = (-3 * lo[:, ~central] + 4 * up[:, ~central]
-                        - fx[:, 2 * K:]) / (2 * h1)
+                                      edge + 2 * h1]), y)
+    up, lo = fx[..., :K], fx[..., K:2 * K]
+    dxg = np.empty(batch + (K,))
+    dxg[..., central] = (up[..., central] - lo[..., central]) / (2 * h1)
+    dxg[..., ~central] = (-3 * lo[..., ~central] + 4 * up[..., ~central]
+                          - fx[..., 2 * K:]) / (2 * h1)
 
     e1, e2 = np.diag(np.full(d, h1)), np.diag(np.full(d, h2))
     iu, ju = np.triu_indices(d, 1)
-    y1 = Y[:, None, :]
+    y1 = y[..., None, :]
     p2, m2 = y1 + e2, y1 - e2
     S = np.concatenate([y1, y1 + e1, y1 - e1, p2, m2,
-                        p2[:, iu] + e2[ju], p2[:, iu] - e2[ju],
-                        m2[:, iu] + e2[ju], m2[:, iu] - e2[ju]], axis=1)
-    # (K, n * m) -> (n, K, m), C-ordered: the m stencil states of each y
-    F = np.ascontiguousarray(
-        curve_matrix(xs, S.reshape(-1, d)).reshape(K, *S.shape[:2]).transpose(1, 0, 2))
-    f1p, f1m, f2p, f2m = np.split(F[..., 1:1 + 4 * d], 4, axis=-1)
-    pp, pm, mp, mm = np.split(F[..., 1 + 4 * d:], 4, axis=-1)
-    grads = (f1p - f1m) / (2 * h1)
-    hesses = np.empty((Y.shape[0], K, d, d))
+                        p2[..., iu, :] + e2[ju], p2[..., iu, :] - e2[ju],
+                        m2[..., iu, :] + e2[ju], m2[..., iu, :] - e2[ju]], axis=-2)
+    F = curve_matrix(xs, S)  # (..., m, K)
+    f1p, f1m, f2p, f2m = np.split(F[..., 1:1 + 4 * d, :], 4, axis=-2)
+    pp, pm, mp, mm = np.split(F[..., 1 + 4 * d:, :], 4, axis=-2)
+    # filled through grid-last views, so both tables stay C-ordered
+    grads = np.empty(batch + (K, d))
+    hesses = np.empty(batch + (K, d, d))
+    g_view, h_view = np.moveaxis(grads, -2, -1), np.moveaxis(hesses, -3, -1)
     diag = np.arange(d)
-    hesses[..., diag, diag] = (f2p - 2 * F[..., :1] + f2m) / h2**2
-    hesses[..., iu, ju] = hesses[..., ju, iu] = (pp - pm - mp + mm) / (4 * h2**2)
-    return (dxg.reshape(batch + (K,)), grads.reshape(batch + (K, d)),
-            hesses.reshape(batch + (K, d, d)))
+    g_view[...] = (f1p - f1m) / (2 * h1)
+    h_view[..., diag, diag, :] = (f2p - 2 * F[..., :1, :] + f2m) / h2**2
+    h_view[..., iu, ju, :] = h_view[..., ju, iu, :] = (pp - pm - mp + mm) / (4 * h2**2)
+    return dxg, grads, hesses
 
 
 def _fd_steps(first_step, second_step) -> tuple[float, float]:
@@ -424,18 +497,19 @@ class NumericCurveFamily(CurveFamily):
         self.d = int(d)
         self.h1, self.h2 = _fd_steps(first_step, second_step)
 
-    def curve_matrix(self, xs, Y):
+    def curve_matrix(self, xs, y):
         xs = np.asarray(xs, dtype=float)
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
-        out = np.empty((xs.shape[0], Y.shape[0]))
-        for k, x in enumerate(xs):
-            for j in range(Y.shape[0]):
-                out[k, j] = float(self.fn(float(x), Y[j]))
-        return out
+        y = _states(y, self.d)
+        Y = y.reshape(-1, self.d)
+        out = np.empty((Y.shape[0], xs.shape[0]))
+        for j, state in enumerate(Y):
+            for k, x in enumerate(xs):
+                out[j, k] = float(self.fn(float(x), state))
+        return out.reshape(y.shape[:-1] + xs.shape)
 
     def derivative_tables(self, xs, y):
         return _fd_tables(self.curve_matrix, np.asarray(xs, dtype=float),
-                          np.atleast_1d(np.asarray(y, dtype=float)), self.h1, self.h2)
+                          _states(y, self.d), self.h1, self.h2)
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +517,16 @@ class NumericCurveFamily(CurveFamily):
 # ---------------------------------------------------------------------------
 
 
-def _grid_nodes(grid) -> np.ndarray:
-    return np.asarray(getattr(grid, "nodes", grid), dtype=float)
-
-
 def eval_curve(model: CurveFamily, y: np.ndarray, grid) -> np.ndarray:
-    """Evaluate the curve g(., y) on a sorted grid of maturities.
+    """Evaluate the curve g(., y) on a grid of maturities.
 
     Raises if any value comes out non-finite, naming the offending x.
     """
     xs = _grid_nodes(grid)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("grid must be a non-empty 1-d collection of maturities")
-    if np.any(xs < 0) or np.any(np.diff(xs) < 0):
-        raise ValueError("grid must be sorted and non-negative")
-    vals = model.curve(np.atleast_1d(np.asarray(y, dtype=float)), xs)
+    vals = model.curve_matrix(xs, y)
     bad = ~np.isfinite(vals)
     if bad.any():
-        raise ValueError(f"curve value is non-finite at x={xs[bad][0]:g}")
+        raise ValueError(f"curve value is non-finite at x={xs[bad.nonzero()[-1][0]]:g}")
     return vals
 
 
@@ -481,7 +547,7 @@ def check_c12(model: CurveFamily, y: np.ndarray, grid,
         raise ValueError("cross-check requires analytic derivatives; "
                          "finite-difference mode is its own definition")
     xs = _grid_nodes(grid)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = _states(y, model.d)
     fd = _fd_tables(model.curve_matrix, xs, y, *_fd_steps(first_step, second_step))
     tables = zip(model.derivative_tables(xs, y), fd)
     return float(np.max([np.max(np.abs(got - fd), initial=0.0) for got, fd in tables]))

@@ -38,8 +38,9 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .families import CurveFamily, _grid_nodes
-from .qe import _integer, _plain, _reject_unknown
+# XGrid lives in families, beside the node checks every grid goes through
+from .families import CurveFamily, XGrid, _grid_nodes  # noqa: F401
+from .qe import _integer, _plain
 
 RANK_TOL = 1e-10         # relative singular-value cutoff for drift projections
 AFFINE_RANK_TOL = 1e-8   # relative singular-value cutoff for rank detection
@@ -57,57 +58,6 @@ if _LSTSQ is None:
 
 class DegenerateFamilyError(ValueError):
     """The y-gradient vanishes on the whole grid; no drift is identifiable."""
-
-
-@dataclass(frozen=True)
-class XGrid:
-    """Sorted maturity nodes discretising the 'for all x >= 0' statements."""
-
-    nodes: np.ndarray
-
-    def __post_init__(self) -> None:
-        nodes = np.atleast_1d(np.asarray(self.nodes, dtype=float))
-        if nodes.ndim != 1 or nodes.size < 2:
-            raise ValueError("grid needs at least two nodes")
-        if not np.isfinite(nodes).all():
-            raise ValueError("grid nodes must be finite")
-        if np.any(nodes < 0) or np.any(np.diff(nodes) <= 0):
-            raise ValueError("grid nodes must be strictly increasing and >= 0")
-        nodes = nodes.copy()
-        nodes.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-
-    def __len__(self) -> int:
-        return self.nodes.shape[0]
-
-    @classmethod
-    def chebyshev(cls, n: int = 40, x_max: float = 5.0) -> XGrid:
-        """Chebyshev-Lobatto nodes mapped to [0, x_max] (the default grid)."""
-        if n < 2:  # before dividing by n - 1
-            raise ValueError("grid needs at least two nodes")
-        k = np.arange(n)
-        return cls(0.5 * (1.0 - np.cos(np.pi * k / (n - 1))) * x_max)
-
-    @classmethod
-    def uniform(cls, n: int, x_max: float) -> XGrid:
-        return cls(np.linspace(0.0, float(x_max), n))
-
-    to_dict = _plain
-
-    @classmethod
-    def from_dict(cls, data: dict) -> XGrid:
-        if "nodes" in data:
-            _reject_unknown(data, {"nodes"}, "grid")
-            return cls(np.asarray(data["nodes"], dtype=float))
-        kind = data.get("kind", "chebyshev")
-        _reject_unknown(data, {"kind", "n", "x_max"}, "grid")
-        n = _integer(data["n"], "grid.n") if "n" in data else 40
-        x_max = float(data.get("x_max", 5.0))
-        if kind == "chebyshev":
-            return cls.chebyshev(n, x_max)
-        if kind == "uniform":
-            return cls.uniform(n, x_max)
-        raise ValueError(f"unknown grid kind: {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -398,8 +348,8 @@ def detect_affine(model: CurveFamily, y_samples: Sequence[np.ndarray],
         raise ValueError(
             f"grid has {xs.shape[0]} nodes, need at least {2 * Y.shape[0]}")
     curves = model.curve_matrix(xs, np.vstack([base[None, :], Y]))
-    diff = curves[:, 1:] - curves[:, :1]
-    sv = np.linalg.svd(diff, compute_uv=False)
+    # the (K, n) matrix of differences, one column per sample
+    sv = np.linalg.svd((curves[1:] - curves[:1]).T, compute_uv=False)
     if sv[0] == 0.0:
         return AffineDetection(rank=0, singular_values=sv, degenerate=True)
     rank = int(np.sum(sv > rel_tol * sv[0]))

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import AffineModel, CurveFamily, _grid_nodes, _simpson_weights
+from .families import AffineModel, CurveFamily, _grid_nodes, _simpson_weights, _states
 from .noarb import (RANK_TOL, DriftSolveResult, _covariance, _drift_stack,
                     _solve_drift_cov)
 from .qe import _integer, _plain, _reject_unknown
@@ -466,7 +466,7 @@ def _window_pricer(model: CurveFamily, ts: np.ndarray,
         return lambda Y, rows: (c_avg[rows]
                                 + (model.factor_map.value(Y) * u_avg[rows]).sum(axis=-1))
     return lambda Y, rows: np.stack(
-        [(np.ascontiguousarray(model.curve_matrix(us - t, Y[:, j]).T) * w).sum(axis=1)
+        [(model.curve_matrix(us - t, Y[:, j]) * w).sum(axis=1)
          for j, t in enumerate(ts[rows])], axis=1) / length
 
 
@@ -479,7 +479,7 @@ def futures_price(model: CurveFamily, y: np.ndarray, t: float,
     if t > fs.T1:
         raise ValueError(f"contract in delivery: t={t} > T1={fs.T1}")
     price = _window_pricer(model, np.array([float(t)]), fs)
-    return float(price(np.asarray(y, float).reshape(1, 1, -1), slice(None))[0, 0])
+    return float(price(_states(y, model.d).reshape(1, 1, model.d), slice(None))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -507,6 +507,9 @@ def martingale_test(model: CurveFamily, ps: PathSet,
     standard error. Under the risk-neutral drift the z-score is standard
     normal; a misspecified drift shows up as |z| far outside [-3, 3].
     """
+    # the affine pricer reads the factor map directly, which would
+    # broadcast states of another width
+    _states(ps.paths, model.d)
     if ps.horizon > fs.T1 + 1e-12:
         raise ValueError(
             f"path horizon {ps.horizon} exceeds delivery start T1={fs.T1}")
@@ -631,6 +634,7 @@ def scc_loop(model: CurveFamily, observed: PathSet, grid,
     prescribed sigma (useful for stress-testing a perturbed estimate).
     ``n_y_samples``, an integer >= 1, caps the number of sampled states.
     """
+    _states(observed.paths, model.d)
     if _integer(n_y_samples, "n_y_samples") < 1:
         raise ValueError(f"n_y_samples must be >= 1, got {n_y_samples}")
     if sigma_override is not None:

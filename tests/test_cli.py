@@ -567,6 +567,34 @@ def test_readme_command_line(line, tmp_path, monkeypatch, capsys):
     assert all((tmp_path / out_dir / name).exists() for name in artifacts)
 
 
+def test_readme_library_example_runs(tmp_path):
+    # the python block under "## Library example", run as a user would
+    section = README.read_text().split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(fdcurves.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    drift, x_residual, z = proc.stdout.splitlines()
+    b, rms = drift.rsplit(" ", 1)
+    assert b == "[-2.]"
+    assert float(rms) < 1e-12 and float(x_residual) < 1e-12
+    assert abs(float(z)) < 3.0
+
+
+def test_scenario_state_with_the_wrong_factor_count_exits_2(tmp_path, capsys):
+    data = json.loads((SCENARIOS / "custom_affine.json").read_text())
+    data["y_samples"] = [[1.0]]
+    data["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "narrow.json"
+    path.write_text(json.dumps(data))
+    assert main(["scc-probe", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().out == (
+        "error: a state needs d=2 factors, shape (d,) or (..., d); got shape (1,)\n")
+
+
 # -- result serialisation -------------------------------------------------------
 
 

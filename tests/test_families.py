@@ -15,9 +15,10 @@ from fdcurves.families import (_BASIS_CACHE_SIZE, AffineModel, ComponentwiseCubi
                                builtin_models, check_c12, curve_hilbert_norm,
                                eval_curve, hilbert_norm, model_from_dict,
                                norm_pdf)
-from fdcurves.noarb import XGrid, solve_drift
+from fdcurves.noarb import XGrid, scc_probe, solve_drift
 from fdcurves.qe import QEFunction
-from fdcurves.sim import FuturesSpec, SdeSpec, martingale_test, simulate
+from fdcurves.sim import (FuturesSpec, SdeSpec, futures_price, martingale_test, scc_loop,
+                          simulate)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -67,7 +68,7 @@ def test_eval_gaussian_is_half_at_unit_state():
 
 def test_eval_gaussian_matches_erf_series_oracle():
     m = GaussianExampleModel()
-    got = eval_curve(m, [0.0], [0.0])[0]
+    got = eval_curve(m, [0.0], [0.0, 1.0])[0]
     assert abs(got - phi_oracle(1.0)) < 1e-14
 
 
@@ -177,18 +178,18 @@ def contract_models():
 @pytest.mark.parametrize("name", sorted(contract_models()))
 def test_scalar_methods_read_one_node_of_the_batched_ones(name):
     m = contract_models()[name]
-    assert not {"value", "dx", "grad_y", "hess_y", "curve"} & set(vars(type(m)))
+    assert not {"value", "dx", "grad_y", "hess_y"} & set(vars(type(m)))
     rng = np.random.default_rng(23)
     xs = np.concatenate([[0.0, 1e-7], np.sort(rng.uniform(0.0, 6.0, 5))])
     Y = rng.uniform(-1.5, 1.5, (3, m.d))
     values = m.curve_matrix(xs, Y)
     for j, y in enumerate(Y):
         tables = m.derivative_tables(xs, y)
-        assert np.array_equal(m.curve(y, xs), m.curve_matrix(xs, y[None, :])[:, 0])
+        assert np.array_equal(m.curve_matrix(xs, y), m.curve_matrix(xs, y[None, :])[0])
         for k, x in enumerate(xs):
             node = np.array([x])
             assert m.value(x, y) == m.curve_matrix(node, y[None, :])[0, 0]
-            assert m.value(x, y) == values[k, j]
+            assert m.value(x, y) == values[j, k]
             scalars = (m.dx(x, y), m.grad_y(x, y), m.hess_y(x, y))
             for got, one_node, batch in zip(scalars, m.derivative_tables(node, y), tables):
                 assert np.array_equal(got, one_node[0])
@@ -273,20 +274,69 @@ def test_check_c12_evaluates_the_curve_twice(monkeypatch):
     assert len(calls) == 2
 
 
+def contract_inputs(d):
+    """A (2, 3) stack, a state, a stack and a strided stack of states."""
+    rng = np.random.default_rng(29)
+    stacked = rng.uniform(-1.2, 1.2, (2, 3, d))
+    return {"(2, 3, d)": stacked, "(d,)": rng.uniform(-1.2, 1.2, d),
+            "(n, d)": rng.uniform(-1.2, 1.2, (4, d)),
+            "strided (n, d)": rng.uniform(-1.2, 1.2, (4, 2 * d))[:, ::2]}
+
+
 @pytest.mark.parametrize("name", sorted(contract_models()))
 def test_batched_derivative_tables_equal_per_state_tables_bitwise(name):
+    # one contract for both batched methods: batch axes of y leading,
+    # C-ordered, each state's rows the bits of that state alone, and a
+    # ValueError naming d for a state of another width
     m = contract_models()[name]
     xs = np.concatenate([[0.0, 5e-7], XGrid.chebyshev(12, 5.0).nodes[1:]])
-    Y = np.random.default_rng(29).uniform(-1.2, 1.2, (2, 3, m.d))
-    batch = m.derivative_tables(xs, Y)
     K, d = xs.shape[0], m.d
-    for got, shape in zip(batch, [(K,), (K, d), (K, d, d)]):
-        assert got.shape == Y.shape[:-1] + shape
-        # C order keeps a stacked solve on the BLAS path of a single state
-        assert got.flags.c_contiguous
-    for idx in np.ndindex(Y.shape[:-1]):
-        for got, want in zip(batch, m.derivative_tables(xs, Y[idx])):
-            assert np.array_equal(got[idx], want), (name, idx)
+    for kind, Y in contract_inputs(d).items():
+        curves = m.curve_matrix(xs, Y)
+        batch = m.derivative_tables(xs, Y)
+        for got, shape in zip((curves, *batch), [(K,), (K,), (K, d), (K, d, d)]):
+            assert got.shape == Y.shape[:-1] + shape, (name, kind)
+            # C order keeps a stacked solve on the BLAS path of a single state
+            assert got.flags.c_contiguous, (name, kind)
+        for idx in np.ndindex(Y.shape[:-1]):
+            y = np.array(Y[idx])
+            assert np.array_equal(curves[idx], m.curve_matrix(xs, y)), (name, kind, idx)
+            for got, want in zip(batch, m.derivative_tables(xs, y)):
+                assert np.array_equal(got[idx], want), (name, kind, idx)
+            assert [m.value(x, y) for x in xs] == curves[idx].tolist(), (name, kind, idx)
+    for y in (np.zeros(d + 1), np.zeros((2, 3, d + 1))):
+        message = (f"a state needs d={d} factors, shape (d,) or (..., d); "
+                   f"got shape {y.shape}")
+        for method in (m.curve_matrix, m.derivative_tables):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                method(xs, y)
+
+
+def narrow_calls():
+    """Every entry point given one-factor states for the d = 2 affine2-identity."""
+    m = builtin_models()["affine2-identity"]
+    grid = XGrid.chebyshev()
+    fs = FuturesSpec(1.0, 2.0)
+    ps = simulate(SdeSpec(d=1, drift=lambda y: 0.0 * y, sigma=[[0.3]], y0=[1.0]),
+                  0.01, 0.2, 20, seed=3)
+    return {
+        "scc_probe": lambda: scc_probe(m, [1.0], grid),
+        "eval_curve": lambda: eval_curve(m, [1.0], grid),
+        "solve_drift": lambda: solve_drift(m, [1.0], np.eye(2), grid),
+        "value": lambda: m.value(0.5, [1.0]),
+        "futures_price": lambda: futures_price(m, [1.0], 0.0, fs),
+        "martingale_test": lambda: martingale_test(m, ps, fs),
+        "scc_loop": lambda: scc_loop(m, ps, grid),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(narrow_calls()))
+def test_a_state_with_the_wrong_factor_count_raises_naming_d(name):
+    # a (1,) state or a d = 1 path set once broadcast against a d = 2 model
+    shape = (20, 21, 1) if name in ("martingale_test", "scc_loop") else (1,)
+    message = f"a state needs d=2 factors, shape (d,) or (..., d); got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        narrow_calls()[name]()
 
 
 def test_fd_tables_evaluate_the_curve_twice_for_any_batch(monkeypatch):
@@ -295,7 +345,7 @@ def test_fd_tables_evaluate_the_curve_twice_for_any_batch(monkeypatch):
     calls = []
 
     def counted(xs, Y):
-        calls.append(np.atleast_2d(Y).shape[0])
+        calls.append(np.prod(Y.shape[:-1]))
         return curve_matrix(xs, Y)
 
     monkeypatch.setattr(m, "curve_matrix", counted)

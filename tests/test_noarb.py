@@ -10,7 +10,8 @@ import pytest
 
 from fdcurves import noarb
 from fdcurves.families import (AffineModel, ComponentwiseCubicMap, GaussianExampleModel,
-                               IdentityMap, builtin_models, model_from_dict)
+                               IdentityMap, _grid_nodes, builtin_models, check_c12,
+                               eval_curve, model_from_dict)
 from fdcurves.noarb import (AFFINE_RANK_TOL, RANK_TOL, DegenerateFamilyError,
                             XGrid, detect_affine,
                             eta_field_from_model, reconstruct_from_eta,
@@ -87,6 +88,32 @@ def test_chebyshev_grid_rejects_too_few_nodes_before_dividing(n):
             XGrid.chebyshev(n)
         with pytest.raises(ValueError, match="grid needs at least two nodes"):
             XGrid.from_dict({"kind": "chebyshev", "n": n})
+
+
+@pytest.mark.parametrize("nodes, message", [
+    ([np.nan, 0.5, 1.0, 2.0], "grid nodes must be finite"),
+    ([2.0, 1.0, 0.5, 0.0], "grid nodes must be strictly increasing and >= 0"),
+    ([0.0, 0.5, 0.5, 1.0], "grid nodes must be strictly increasing and >= 0"),
+    ([0.0], "grid needs at least two nodes"),
+])
+def test_raw_grids_get_the_checks_of_an_xgrid(nodes, message, capfd):
+    # one node check for every grid: a raw array is checked as XGrid checks
+    # its nodes, before LAPACK (which prints to stderr on a NaN) or a stencil
+    m = GaussianExampleModel()
+    calls = [XGrid,
+             lambda g: solve_drift(m, [0.3], [[1.0]], g),
+             lambda g: rn_residual(m, [0.3], [[1.0]], [0.0], g),
+             lambda g: scc_probe(m, [0.3], g),
+             lambda g: check_c12(m, [0.3], g),
+             lambda g: eval_curve(m, [0.3], g)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(nodes)
+    assert capfd.readouterr() == ("", "")
+
+
+def test_an_xgrid_passes_through_with_no_copy():
+    assert _grid_nodes(GRID) is GRID.nodes
 
 
 # -- rn_residual ----------------------------------------------------------------
@@ -510,8 +537,8 @@ def test_detect_affine_makes_one_curve_matrix_call(monkeypatch):
         base = rng.uniform(-0.5, 0.5, m.d)
         xs = np.asarray(grid.nodes)
         curves = m.curve_matrix(xs, ys)
-        base_curve = m.curve_matrix(xs, base[None, :])[:, 0]
-        ref = np.linalg.svd(curves - base_curve[:, None], compute_uv=False)
+        base_curve = m.curve_matrix(xs, base[None, :])[0]
+        ref = np.linalg.svd((curves - base_curve).T, compute_uv=False)
         with monkeypatch.context() as mp:
             calls = count_calls(mp, m, "curve_matrix")
             det = detect_affine(m, ys, base, grid)

@@ -56,7 +56,7 @@ def pricing_models():
 def window_average(m, y, t, fs=FS12):
     """Simpson over the whole curve g(u - t, y): the generic reference price."""
     us, w = _simpson_weights(fs.T1, fs.T2, N_QUAD)
-    return float(w @ m.curve_matrix(us - t, np.asarray(y, dtype=float)[None])[:, 0]
+    return float(w @ m.curve_matrix(us - t, np.asarray(y, dtype=float)[None])[0]
                  / (fs.T2 - fs.T1))
 
 
@@ -946,7 +946,7 @@ def finite_difference_drift_residual(model, y, b, cov, h=1e-4):
     signs = [(1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0)]
     states = np.vstack([y] + [y + s * e[i] for i in range(d) for s in (1.0, -1.0)]
                        + [y + si * e[i] + sj * e[j] for i, j in pairs for si, sj in signs])
-    g = model.curve_matrix(xs, states)
+    g = model.curve_matrix(xs, states).T
     grad = np.empty((xs.size, d))
     hess = np.empty((xs.size, d, d))
     for i in range(d):

@@ -32,9 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from .families import CurveFamily, model_from_dict
-from .noarb import (AFFINE_RANK_TOL, XGrid, _covariance, _solve_drift_cov,
-                    detect_affine, eta_field_from_model, reconstruct_from_eta,
-                    scc_probe)
+from .noarb import (AFFINE_RANK_TOL, XGrid, detect_affine, eta_field_from_model,
+                    reconstruct_from_eta, scc_probe, solve_drift)
 from .qe import _integer, _plain, _reject_unknown
 from .sim import (FuturesSpec, PathSet, SdeSpec, estimate_vol, futures_price,
                   martingale_test, rn_drift, simulate)
@@ -232,11 +231,11 @@ def _require(scenario: Scenario, attr: str, what: str):
 def cmd_check_drift(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
     sigma = _require(scenario, "sigma", "sigma")
     ys = _require(scenario, "y_samples", "y_samples")
-    solved = _solve_drift_cov(scenario.model, ys, _covariance(sigma), scenario.grid)
-    rows = [[idx, "sigma", res.residual_rms, res.residual_max, res.rank_ok]
-            for idx, res in enumerate(solved)]
-    all_ranks_ok = all(res.rank_ok for res in solved)
-    worst = _worst(row[2] for row in rows)
+    res = solve_drift(scenario.model, ys, sigma, scenario.grid)
+    rows = [[idx, "sigma", *row] for idx, row in
+            enumerate(zip(res.residual_rms, res.residual_max, res.rank_ok))]
+    all_ranks_ok = bool(res.rank_ok.all())
+    worst = _worst(res.residual_rms)
     csv_path = out_dir / "residuals.csv"
     _write_csv(csv_path, ["y_index", "sigma_label", "residual_rms",
                           "residual_max", "rank_ok"], rows)
@@ -253,24 +252,16 @@ def cmd_check_drift(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
 
 def cmd_scc_probe(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
     ys = _require(scenario, "y_samples", "y_samples")
-    rows = []
-    residuals = []
-    inconclusive = False
-    reports = []
-    for idx, y in enumerate(ys):
-        rep = scc_probe(scenario.model, y, scenario.grid)
-        reports.append(rep.to_dict())
-        inconclusive = inconclusive or rep.inconclusive
-        residuals.append(rep.max_residual)
-        for label, res in rep.per_sigma.items():
-            rows.append([idx, label, res.residual_rms, res.residual_max,
-                         res.rank_ok])
-    worst = _worst(residuals)
+    rep = scc_probe(scenario.model, ys, scenario.grid)
+    rows = [[idx, label, res.residual_rms[idx], res.residual_max[idx], res.rank_ok[idx]]
+            for idx in range(len(ys)) for label, res in rep.per_sigma.items()]
+    inconclusive = bool(rep.inconclusive.any())
+    worst = _worst(rep.max_residual)
     csv_path = out_dir / "residuals.csv"
     _write_csv(csv_path, ["y_index", "sigma_label", "residual_rms",
                           "residual_max", "rank_ok"], rows)
     report_path = out_dir / "scc_report.json"
-    _write_json(report_path, reports)
+    _write_json(report_path, rep.to_dict())
     ok = worst <= scenario.tolerance and not inconclusive
     print("AFFINE-CONSISTENT" if ok else f"SCC-VIOLATION (residual={worst:.6g})")
     result = RunResult(
@@ -331,8 +322,7 @@ def cmd_price(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
     rows = []
     numbers = {}
     for fs in futures:
-        for idx, y in enumerate(ys):
-            p = futures_price(scenario.model, y, 0.0, fs)
+        for idx, p in enumerate(futures_price(scenario.model, ys, 0.0, fs)):
             rows.append([fs.T1, fs.T2, idx, p])
             numbers[f"price_T1={fs.T1:g}_T2={fs.T2:g}_y{idx}"] = p
             print(f"{p:.6f}")

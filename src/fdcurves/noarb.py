@@ -26,6 +26,12 @@ directly, and ``reconstruct_from_eta`` rebuilds g(y) from the eta field,
 the value and the gradient at the origin by integrating the induced linear
 ODE along the ray from 0 to y.
 
+``solve_drift``, ``rn_residual``, ``scc_probe`` and the field of
+``eta_field_from_model`` take a state y (d,) or a stack y (..., d), as the
+families do, and return fields led by the batch axes of y (numpy scalars
+for one state): one table evaluation and one stacked projection, with each
+state's results the bits of that state solved alone.
+
 Everything operates on immutable inputs with deterministic reduction
 order, so results are reproducible and thread-safe.
 """
@@ -39,7 +45,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 # XGrid lives in families, beside the node checks every grid goes through
-from .families import CurveFamily, XGrid, _grid_nodes  # noqa: F401
+from .families import CurveFamily, XGrid, _grid_nodes, _states  # noqa: F401
 from .qe import _integer, _plain
 
 RANK_TOL = 1e-10         # relative singular-value cutoff for drift projections
@@ -62,13 +68,14 @@ class DegenerateFamilyError(ValueError):
 
 @dataclass(frozen=True)
 class DriftSolveResult:
-    """State-dependent drift at one y, with the fit diagnostics."""
+    """Drift b, of the shape of y, at a state y (d,) or a stack y (..., d),
+    with fit diagnostics of its batch shape (numpy scalars for one state)."""
 
     b: np.ndarray
-    residual_rms: float
-    residual_max: float
-    condition_number: float
-    rank_ok: bool
+    residual_rms: np.ndarray
+    residual_max: np.ndarray
+    condition_number: np.ndarray
+    rank_ok: np.ndarray
 
     to_dict = _plain
 
@@ -78,8 +85,10 @@ def _trace_term(cov: np.ndarray, hesses: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("ij,...kij->...k", cov, hesses)
 
 
-def _covariance(sigma: np.ndarray) -> np.ndarray:
+def _covariance(sigma: np.ndarray, d: int) -> np.ndarray:
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
+    if sigma.shape != (d, d):
+        raise ValueError(f"sigma needs shape (d, d) with d={d}, got shape {sigma.shape}")
     return sigma @ sigma.T
 
 
@@ -96,25 +105,14 @@ def _residual_stats(dxg: np.ndarray, grads: np.ndarray, trace_term: np.ndarray,
     return _rms_max(dxg - np.matmul(grads, b[..., None])[..., 0] - trace_term)
 
 
-def _drift_results(b: np.ndarray, *fields) -> list[DriftSolveResult]:
-    """One :class:`DriftSolveResult` per state: drifts b (n, d), or (d,) for
-    one state, then residual_rms, residual_max, condition_number and
-    rank_ok, each one value per state or one value for every state."""
-    b = b.reshape(-1, b.shape[-1])
-    cols = [np.asarray(a).tolist() for a in fields]
-    cols = [c if isinstance(c, list) else [c] * len(b) for c in cols]
-    return [DriftSolveResult(b_k, *row) for b_k, row in zip(b, zip(*cols))]
-
-
 def rn_residual(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
-                b: np.ndarray, grid) -> tuple[float, float]:
-    """(rms, max) residual of the drift identity for a candidate drift b."""
-    xs = _grid_nodes(grid)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+                b: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
+    """(rms, max) residual of the drift identity for a candidate drift b, at
+    a state y (d,) or a stack y (..., d) with drifts b of the same shape."""
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    dxg, grads, hesses = model.derivative_tables(xs, y)
-    rms, r_max = _residual_stats(dxg, grads, _trace_term(_covariance(sigma), hesses), b)
-    return float(rms), float(r_max)
+    dxg, grads, hesses = model.derivative_tables(_grid_nodes(grid), y)
+    trace = _trace_term(_covariance(sigma, model.d), hesses)
+    return _residual_stats(dxg, grads, trace, b)
 
 
 def _lstsq_failed(err, flag):
@@ -149,7 +147,8 @@ def _project(grads: np.ndarray, rhs: np.ndarray,
 
 def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
                 grid) -> DriftSolveResult:
-    """Least-squares drift b making the family risk neutral at y.
+    """Least-squares drift b making the family risk neutral at a state y
+    (d,) or at every state of a stack y (..., d).
 
     Builds one equation per grid node (design row grad_y g, target
     dx g minus the trace term of the covariance sigma sigma^T) and solves
@@ -159,8 +158,7 @@ def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     :func:`rn_residual` uses, in the same arithmetic order, so solver and
     checker always agree.
     """
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return _solve_drift_cov(model, y, _covariance(sigma), grid)[0]
+    return _solve_drift_cov(model, y, _covariance(sigma, model.d), grid)
 
 
 def _drift_stack(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
@@ -175,6 +173,7 @@ def _drift_stack(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
     xs = _grid_nodes(grid)
     if xs.shape[0] < model.d:
         raise ValueError(f"grid has {xs.shape[0]} nodes, need at least d={model.d}")
+    y = _states(y, model.d)
     dxg, grads, hesses = model.derivative_tables(xs, y)
     trace = _trace_term(cov, hesses)
     b, rank_ok, cond = _project(grads, (dxg - trace)[..., None], y)
@@ -182,13 +181,10 @@ def _drift_stack(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
 
 
 def _solve_drift_cov(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
-                     grid) -> list[DriftSolveResult]:
-    """:func:`solve_drift` for the covariance ``cov`` in place of sigma, at
-    a state y (d,) or every state of a stack y (n, d), from one
-    :func:`_drift_stack`: one result per state."""
-    y = np.asarray(y, dtype=float)
+                     grid) -> DriftSolveResult:
+    """:func:`solve_drift` for the covariance ``cov`` in place of sigma."""
     b, tables, cond, rank_ok = _drift_stack(model, y, cov, grid)
-    return _drift_results(b, *_residual_stats(*tables, b), cond, rank_ok)
+    return DriftSolveResult(b, *_residual_stats(*tables, b), cond, rank_ok)
 
 
 def sigma_sweep(d: int) -> list[tuple[str, np.ndarray]]:
@@ -218,47 +214,52 @@ def _probe_nodes(model: CurveFamily, grid) -> np.ndarray:
 
 
 def _probe_fields(dxg: np.ndarray, grads: np.ndarray, hesses: np.ndarray,
-                  y: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, float]:
-    """(gamma, eta, rank_ok, cond): gamma = G^+ dx g and the symmetric
-    eta[i][j] = G^+ hess_y g[i,j] from one projection of the columns
+                  y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(gamma, eta, rank_ok, cond) at every state of the tables: gamma =
+    G^+ dx g and the symmetric eta[i][j] = G^+ hess_y g[i,j], of shapes
+    (..., d) and (..., d, d, d), from one projection of the columns
     [dx g | hess_y g[i,j] for i <= j]."""
-    d = grads.shape[1]
+    d = grads.shape[-1]
     # pairs i <= j in row-major order; np.triu_indices costs as much as the lstsq
     iu, ju = np.array([(i, j) for i in range(d) for j in range(i, d)]).T
-    sol, rank_ok, cond = _project(grads, np.column_stack([dxg, hesses[:, iu, ju]]), y)
-    eta = np.empty((d, d, d))
-    eta[iu, ju] = eta[ju, iu] = sol[:, 1:].T
-    return sol[:, 0], eta, bool(rank_ok), float(cond)
+    rhs = np.concatenate([dxg[..., None], hesses[..., iu, ju]], axis=-1)
+    sol, rank_ok, cond = _project(grads, rhs, y)
+    eta = np.empty(sol.shape[:-2] + (d, d, d))
+    eta[..., iu, ju, :] = eta[..., ju, iu, :] = np.swapaxes(sol[..., 1:], -1, -2)
+    return sol[..., 0], eta, rank_ok, cond
 
 
 @dataclass(frozen=True)
 class SCCReport:
-    """Result of the diffusion-consistency probe at one state y.
+    """Result of the diffusion-consistency probe at a state y (d,) or a
+    stack y (..., d): every field leads with the batch axes of y, and a
+    per-state number is a numpy scalar for one state.
 
-    ``eta[i, j]`` (shape (d, d, d), exactly symmetric in the first two
-    indices) and ``gamma`` are the projections of hess_y g[i,j] and dx g
-    onto grad_y g; the two residuals measure how badly the Hessian identity
-    and the x identity fail on the grid. ``per_sigma`` holds the drift for
-    each :func:`sigma_sweep` covariance, read off eta and gamma. With r_x
+    ``eta[..., i, j, :]`` (exactly symmetric in i and j) and ``gamma`` are
+    the projections of hess_y g[i,j] and dx g onto grad_y g; the two
+    residuals measure how badly the Hessian identity and the x identity
+    fail on the grid. ``per_sigma`` holds, for each :func:`sigma_sweep`
+    covariance, its drift at every state, read off eta and gamma. With r_x
     and r_H[i,j] the x and Hessian identity residuals on the grid, its
     residual is r_a = r_x - 1/2 sum_ij a[i,j] r_H[i,j], so every covariance
     a is consistent exactly when both identities hold.
     ``inconclusive`` is set when grad_y g on the grid is rank deficient.
     That design matrix is the same for every covariance, so rank deficiency
-    is a property of the state y, not of a diffusion matrix: either every
-    ``per_sigma`` entry has ``rank_ok`` or none has.
+    is a property of the state y, not of a diffusion matrix: at each state
+    either every ``per_sigma`` entry has ``rank_ok`` or none has.
     """
 
     eta: np.ndarray
     gamma: np.ndarray
-    hessian_identity_residual: float
-    x_identity_residual: float
+    hessian_identity_residual: np.ndarray
+    x_identity_residual: np.ndarray
     per_sigma: dict[str, DriftSolveResult] = field(repr=False)
-    inconclusive: bool = False
+    inconclusive: np.ndarray = False
 
     @property
-    def max_residual(self) -> float:
-        return float(np.max([self.hessian_identity_residual, self.x_identity_residual]))
+    def max_residual(self) -> np.ndarray:
+        """The larger identity residual per state; a NaN in either gives NaN."""
+        return np.maximum(self.hessian_identity_residual, self.x_identity_residual)
 
     to_dict = _plain
 
@@ -281,22 +282,24 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid) -> SCCReport:
     family's shape is incompatible with freely estimated volatility.
     """
     xs = _probe_nodes(model, grid)
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = _states(y, model.d)
     dxg, grads, hesses = model.derivative_tables(xs, y)
     gamma, eta, rank_ok, cond = _probe_fields(dxg, grads, hesses, y)
-    r_x = dxg - grads @ gamma
-    r_hess = hesses - np.einsum("km,ijm->kij", grads, eta)
+    r_x = dxg - np.matmul(grads, gamma[..., None])[..., 0]
+    r_hess = hesses - np.einsum("...km,...ijm->...kij", grads, eta)
     labels, covs = zip(*sigma_sweep(model.d))
     covs = np.array(covs)
-    b = gamma - 0.5 * np.einsum("sij,ijk->sk", covs, eta)
-    r = r_x - 0.5 * np.einsum("sij,kij->sk", covs, r_hess)
-    per_sigma = dict(zip(labels, _drift_results(b, *_rms_max(r), cond, rank_ok)))
+    # covariance-major, (s, ..., d) and (s, ..., K): each entry is C-ordered
+    b = gamma - 0.5 * np.einsum("sij,...ijk->s...k", covs, eta)
+    rms, r_max = _rms_max(r_x - 0.5 * np.einsum("sij,...kij->s...k", covs, r_hess))
+    per_sigma = {label: DriftSolveResult(b[s], rms[s], r_max[s], cond, rank_ok)
+                 for s, label in enumerate(labels)}
     return SCCReport(
         eta=eta, gamma=gamma,
-        hessian_identity_residual=float(np.max(np.abs(r_hess))),
-        x_identity_residual=float(np.max(np.abs(r_x))),
+        hessian_identity_residual=np.abs(r_hess).max(axis=(-3, -2, -1)),
+        x_identity_residual=np.abs(r_x).max(axis=-1),
         per_sigma=per_sigma,
-        inconclusive=not rank_ok,
+        inconclusive=~rank_ok,
     )
 
 
@@ -304,13 +307,14 @@ def eta_field_from_model(model: CurveFamily,
                          grid) -> Callable[[np.ndarray], np.ndarray]:
     """The state-dependent eta tensor y -> eta(y) obtained by probing the model.
 
-    Each call equals ``scc_probe(model, y, grid).eta`` bit for bit: it makes
-    the same projection but skips the drifts, residuals and the report.
+    The field takes a state (d,) or a stack (..., d), and each call equals
+    ``scc_probe(model, y, grid).eta`` bit for bit: it makes the same
+    projection but skips the drifts, residuals and the report.
     """
     xs = _probe_nodes(model, grid)
 
     def field_fn(y: np.ndarray) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+        y = _states(y, model.d)
         return _probe_fields(*model.derivative_tables(xs, y), y)[1]
 
     return field_fn
@@ -340,8 +344,8 @@ def detect_affine(model: CurveFamily, y_samples: Sequence[np.ndarray],
     if not 0.0 <= rel_tol < 1.0:
         raise ValueError(f"rel_tol must be a number in [0, 1), got {rel_tol!r}")
     xs = _grid_nodes(grid)
-    Y = np.atleast_2d(np.asarray(y_samples, dtype=float))
-    base = np.atleast_1d(np.asarray(base_y, dtype=float))
+    Y = np.atleast_2d(_states(y_samples, model.d))
+    base = _states(base_y, model.d)
     if Y.shape[0] < model.d + 3:
         raise ValueError(f"need at least d+3={model.d + 3} samples, got {Y.shape[0]}")
     if xs.shape[0] < 2 * Y.shape[0]:

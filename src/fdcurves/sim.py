@@ -471,15 +471,17 @@ def _window_pricer(model: CurveFamily, ts: np.ndarray,
 
 
 def futures_price(model: CurveFamily, y: np.ndarray, t: float,
-                  fs: FuturesSpec) -> float:
+                  fs: FuturesSpec) -> np.ndarray:
     """Delivery-period price 1/(T2-T1) * int_T1^T2 g(u - t, y) du at time t,
-    by Simpson on N_QUAD nodes (affine families: cbar(t) + ubar(t) . A(y))."""
+    by Simpson on N_QUAD nodes (affine families: cbar(t) + ubar(t) . A(y)),
+    for a state y (d,) or a stack y (..., d): prices of the batch shape of y."""
     if not math.isfinite(t):
         raise ValueError(f"valuation time t must be finite, got {t}")
     if t > fs.T1:
         raise ValueError(f"contract in delivery: t={t} > T1={fs.T1}")
+    y = _states(y, model.d)
     price = _window_pricer(model, np.array([float(t)]), fs)
-    return float(price(_states(y, model.d).reshape(1, 1, model.d), slice(None))[0, 0])
+    return price(y.reshape(-1, 1, model.d), slice(None)).reshape(y.shape[:-1])[()]
 
 
 @dataclass(frozen=True)
@@ -597,7 +599,8 @@ class SccLoopReport:
     positive when every sampled state admits a drift with residual at or
     below ``tol`` for it. ``y_box`` bounds the sampled states: the verdict
     certifies nothing outside that box. ``y_samples`` are the states the
-    drift was re-solved at; ``to_dict`` carries them. ``max_drift_norm``
+    drift was re-solved at; ``to_dict`` carries them, and ``drift`` is the
+    solve there, its fields led by the state axis. ``max_drift_norm``
     tracks local boundedness of the solved drifts over the box.
     """
 
@@ -605,7 +608,7 @@ class SccLoopReport:
     covariance: np.ndarray
     psd_projected: bool
     y_samples: np.ndarray
-    per_state: list[DriftSolveResult] = field(repr=False)
+    drift: DriftSolveResult = field(repr=False)
     max_residual: float = 0.0
     max_drift_norm: float = 0.0
     y_box: tuple[np.ndarray, np.ndarray] = (None, None)
@@ -638,7 +641,7 @@ def scc_loop(model: CurveFamily, observed: PathSet, grid,
     if _integer(n_y_samples, "n_y_samples") < 1:
         raise ValueError(f"n_y_samples must be >= 1, got {n_y_samples}")
     if sigma_override is not None:
-        sigma_sq = cov = _covariance(sigma_override)
+        sigma_sq = cov = _covariance(sigma_override, model.d)
         projected = False
     else:
         sigma_sq = estimate_vol(observed)
@@ -647,19 +650,18 @@ def scc_loop(model: CurveFamily, observed: PathSet, grid,
     flat = observed.paths.reshape(-1, observed.d)
     idx = np.unique(np.linspace(0, flat.shape[0] - 1, n_y_samples).round().astype(int))
     samples = flat[idx]
-    per_state = _solve_drift_cov(model, samples, cov, grid)
-    max_res = float(np.max([r.residual_rms for r in per_state]))
+    drift = _solve_drift_cov(model, samples, cov, grid)
+    max_res = float(np.max(drift.residual_rms))
     # each b_k . b_k as a (1, d) @ (d, 1) matmul: the dot that
     # np.linalg.norm(b_k) takes, bit for bit (a row sum is not)
-    b = np.array([r.b for r in per_state])
-    max_b = float(np.sqrt(np.matmul(b[:, None, :], b[:, :, None]).max()))
-    any_bad_rank = not all(r.rank_ok for r in per_state)
+    max_b = float(np.sqrt(np.matmul(drift.b[:, None, :], drift.b[:, :, None]).max()))
+    any_bad_rank = not drift.rank_ok.all()
     # the box from axis-1 reductions of the transposed copy: their inner
     # loop runs over all states, not over the d columns of one state
     cols = np.ascontiguousarray(flat.T)
     return SccLoopReport(
         sigma_sq_hat=sigma_sq, covariance=cov, psd_projected=projected,
-        y_samples=samples, per_state=per_state,
+        y_samples=samples, drift=drift,
         max_residual=max_res, max_drift_norm=max_b,
         y_box=(cols.min(axis=1), cols.max(axis=1)),
         tol=float(tol), verdict=bool(max_res <= tol and not any_bad_rank),
@@ -690,7 +692,7 @@ class RiskNeutralDrift:
 
     def __init__(self, model: CurveFamily, sigma: np.ndarray, grid):
         self.model = model
-        self.cov = _covariance(sigma)
+        self.cov = _covariance(sigma, model.d)
         self.grid = grid
         self._rows = self._solved
         if isinstance(model, AffineModel):

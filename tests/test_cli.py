@@ -1,6 +1,7 @@
 """Scenario parsing, subcommand dispatch, exit codes, CSV determinism."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -120,8 +121,8 @@ def test_check_drift_solves_every_state_in_one_stack(tmp_path, monkeypatch):
     model = builtin_models()["affine1-exp-identity"]
     for row, y in zip(rows, raw["y_samples"]):
         res = solve_drift(model, y, raw["sigma"], XGrid.chebyshev())
-        assert row.split(",")[2:] == [repr(res.residual_rms), repr(res.residual_max),
-                                      str(res.rank_ok)]
+        assert row.split(",")[2:] == [repr(float(res.residual_rms)),
+                                      repr(float(res.residual_max)), str(bool(res.rank_ok))]
 
 
 def test_malformed_scenario_is_config_error(tmp_path, capsys):
@@ -440,13 +441,13 @@ def strict_json(path):
 
 
 def test_check_drift_nan_residual_fails(tmp_path, capsys, monkeypatch):
-    real = cli._solve_drift_cov
+    real = cli.solve_drift
 
     def nan_residual(*args, **kwargs):
-        return [dataclasses.replace(res, residual_rms=float("nan"))
-                for res in real(*args, **kwargs)]
+        res = real(*args, **kwargs)
+        return dataclasses.replace(res, residual_rms=np.full(res.residual_rms.shape, np.nan))
 
-    monkeypatch.setattr(cli, "_solve_drift_cov", nan_residual)
+    monkeypatch.setattr(cli, "solve_drift", nan_residual)
     scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out"))
     assert main(["check-drift", "--scenario", scenario]) == 1
     assert "DRIFT-VIOLATION (residual=nan)" in capsys.readouterr().out
@@ -467,8 +468,8 @@ def test_scc_probe_nan_residual_fails(tmp_path, capsys, monkeypatch):
     assert "SCC-VIOLATION (residual=nan)" in capsys.readouterr().out
     result = strict_json(tmp_path / "out" / "run_result.json")
     assert result["numbers"]["max_identity_residual"] is None
-    reports = strict_json(tmp_path / "out" / "scc_report.json")
-    assert all(rep["x_identity_residual"] is None for rep in reports)
+    report = strict_json(tmp_path / "out" / "scc_report.json")
+    assert report["x_identity_residual"] is None
 
 
 def test_martingale_nan_z_fails(tmp_path, capsys, monkeypatch):
@@ -510,6 +511,34 @@ def test_check_drift_residuals_csv_bytes_on_shipped_scenario(tmp_path):
         b"y_index,sigma_label,residual_rms,residual_max,rank_ok\n"
         b"0,sigma,5.905660280557052e-17,1.1102230246251565e-16,True\n"
         b"1,sigma,1.1811320561114105e-16,2.220446049250313e-16,True\n")
+
+
+def test_scc_probe_residuals_csv_bytes_on_shipped_scenarios(tmp_path):
+    out = tmp_path / "gaussian"
+    assert main(["scc-probe", "--scenario", str(SCENARIOS / "gaussian_probe.json"),
+                 "--output-dir", str(out)]) == 1
+    assert (out / "residuals.csv").read_bytes() == (
+        b"y_index,sigma_label,residual_rms,residual_max,rank_ok\n"
+        b"0,I,7.640664332323341e-18,2.7755575615628914e-17,True\n"
+        b"0,I+e11,0.02193754266397426,0.05994181147824537,True\n"
+        b"0,2I,0.02193754266397426,0.05994181147824537,True\n")
+    out = tmp_path / "custom"
+    assert main(["scc-probe", "--scenario", str(SCENARIOS / "custom_affine.json"),
+                 "--output-dir", str(out)]) == 0
+    # 5 states x 5 sweep covariances, state-major
+    assert hashlib.sha256((out / "residuals.csv").read_bytes()).hexdigest() == (
+        "c7ddc4adced14d355f93a00740e2eb23714f46a793aab3e2d603951906e52679")
+
+
+def test_price_csv_and_stdout_bytes_on_shipped_scenario(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["price", "--scenario", str(SCENARIOS / "affine_demo.json"),
+                 "--output-dir", str(out)]) == 0
+    assert capsys.readouterr().out == "0.232544\n0.465088\n"
+    assert (out / "prices.csv").read_bytes() == (
+        b"T1,T2,y_index,price\n"
+        b"1.0,2.0,0,0.23254415793964234\n"
+        b"1.0,2.0,1,0.4650883158792847\n")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -592,7 +621,18 @@ def test_scenario_state_with_the_wrong_factor_count_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["scc-probe", "--scenario", str(path)]) == 2
     assert capsys.readouterr().out == (
-        "error: a state needs d=2 factors, shape (d,) or (..., d); got shape (1,)\n")
+        "error: a state needs d=2 factors, shape (d,) or (..., d); got shape (1, 1)\n")
+
+
+def test_scenario_sigma_of_the_wrong_size_exits_2(tmp_path, capsys):
+    data = json.loads((SCENARIOS / "custom_affine.json").read_text())
+    data["sigma"] = [[1.0]]
+    data["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "narrow_sigma.json"
+    path.write_text(json.dumps(data))
+    assert main(["check-drift", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().out == (
+        "error: sigma needs shape (d, d) with d=2, got shape (1, 1)\n")
 
 
 # -- result serialisation -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Drift condition, consistency probe, affine detection, reconstruction."""
 
+import dataclasses
 import json
 import re
 import warnings
@@ -10,13 +11,14 @@ import pytest
 
 from fdcurves import noarb
 from fdcurves.families import (AffineModel, ComponentwiseCubicMap, GaussianExampleModel,
-                               IdentityMap, _grid_nodes, builtin_models, check_c12,
-                               eval_curve, model_from_dict)
+                               IdentityMap, NumericCurveFamily, _grid_nodes, builtin_models,
+                               check_c12, eval_curve, model_from_dict)
 from fdcurves.noarb import (AFFINE_RANK_TOL, RANK_TOL, DegenerateFamilyError,
                             XGrid, detect_affine,
                             eta_field_from_model, reconstruct_from_eta,
                             rn_residual, scc_probe, sigma_sweep, solve_drift)
 from fdcurves.qe import QEFunction
+from fdcurves.sim import FuturesSpec, futures_price
 
 GRID = XGrid.chebyshev()        # 40 Chebyshev nodes on [0, 5]
 GRID3 = XGrid.uniform(40, 3.0)  # the Gaussian separation grid
@@ -316,6 +318,15 @@ def test_detect_affine_validates_sample_and_grid_sizes():
     ys = np.random.default_rng(0).uniform(-1, 1, (25, 2))
     with pytest.raises(ValueError):
         detect_affine(m, ys, [0.0, 0.0], GRID)  # 40 nodes < 2 * 25
+
+
+@pytest.mark.parametrize("samples, base, shape", [
+    (np.zeros((6, 2)), [0.0], (1,)), (np.zeros((6, 1)), [0.0, 0.0], (6, 1))])
+def test_detect_affine_names_d_when_a_width_is_wrong(samples, base, shape):
+    m = builtin_models()["affine2-identity"]
+    message = f"a state needs d=2 factors, shape (d,) or (..., d); got shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        detect_affine(m, samples, base, GRID)
 
 
 @pytest.mark.parametrize("rel_tol", [np.nan, np.inf, 1.0, 2.0, -1.0])
@@ -666,15 +677,78 @@ def test_stacked_projection_names_the_first_degenerate_state():
         noarb._solve_drift_cov(m, [[1.0], [0.0], [2.0], [0.0]], np.eye(1), GRID)
 
 
-def test_stacked_drift_solves_equal_solve_drift_on_every_field():
+def state_layouts(d, rng):
+    """States in each layout of the batch convention: one state (d,), a
+    stack (n, d), a strided (n, d) view and a (2, 3, d) grid."""
+    return {
+        "one": rng.uniform(-1.0, 1.0, d),
+        "stack": rng.uniform(-1.0, 1.0, (5, d)),
+        "strided": rng.uniform(-1.0, 1.0, (10, d + 1))[::2, 1:],
+        "grid": rng.uniform(-1.0, 1.0, (2, 3, d)),
+    }
+
+
+def assert_state_bits(stacked, idx, alone, where):
+    """Every field of a stacked result, at the batch index idx, has the
+    dtype, shape and bits of the result of that state alone."""
+    if dataclasses.is_dataclass(alone):
+        for f in dataclasses.fields(alone):
+            assert_state_bits(getattr(stacked, f.name), idx, getattr(alone, f.name),
+                              (where, f.name))
+    elif isinstance(alone, (dict, tuple)):
+        assert len(stacked) == len(alone), where
+        for key in (alone if isinstance(alone, dict) else range(len(alone))):
+            assert_state_bits(stacked[key], idx, alone[key], (where, key))
+    else:
+        got, want = np.asarray(stacked)[idx], np.asarray(alone)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        assert got.tobytes() == want.tobytes(), where
+
+
+def numeric_d2():
+    return NumericCurveFamily(
+        lambda x, y: np.exp(-x) * y[0] + np.exp(-2.0 * x) * np.sin(y[1]) + 0.1 * y[0] * y[1],
+        d=2)
+
+
+@pytest.mark.parametrize("layout", ["one", "stack", "strided", "grid"])
+def test_stacked_drift_solves_equal_solve_drift_on_every_field(layout):
     rng = np.random.default_rng(19)
-    for name, m, grid in probe_cases():
-        Y = rng.uniform(-1.0, 1.0, (5, m.d))
+    fs = FuturesSpec(1.0, 2.0)
+    for name, m, grid in probe_cases() + [("numeric-d2", numeric_d2(), GRID)]:
+        Y = state_layouts(m.d, rng)[layout]
         sigma = rng.uniform(-1.0, 1.0, (m.d, m.d))
-        for y, got in zip(Y, noarb._solve_drift_cov(m, Y, sigma @ sigma.T, grid)):
-            want = solve_drift(m, y, sigma, grid)
-            assert np.array_equal(got.b, want.b) and got.b.shape == (m.d,), name
-            fields = (got.residual_rms, got.residual_max, got.condition_number, got.rank_ok)
-            assert fields == (want.residual_rms, want.residual_max,
-                              want.condition_number, want.rank_ok), name
-            assert [type(f) for f in fields] == [float, float, float, bool], name
+        batch = Y.shape[:-1]
+
+        def results(y):
+            res = solve_drift(m, y, sigma, grid)
+            return {"solve_drift": res, "rn_residual": rn_residual(m, y, sigma, res.b, grid),
+                    "scc_probe": scc_probe(m, y, grid),
+                    "eta_field": eta_field_from_model(m, grid)(y),
+                    "futures_price": futures_price(m, y, 0.0, fs)}
+
+        got = results(Y)
+        res, rep = got["solve_drift"], got["scc_probe"]
+        assert res.b.shape == Y.shape and res.residual_rms.shape == batch, name
+        assert rep.eta.shape == batch + (m.d,) * 3 and rep.max_residual.shape == batch, name
+        assert np.shape(got["futures_price"]) == batch, name
+        json.dumps([res.to_dict(), rep.to_dict()])  # plain JSON types only
+        for idx in np.ndindex(batch):
+            alone = results(np.array(Y[idx]))
+            assert_state_bits(got, idx, alone, name)
+            assert_state_bits(rep.max_residual, idx, alone["scc_probe"].max_residual, name)
+        if layout == "one":
+            fields = (res.residual_rms, res.residual_max, res.condition_number, res.rank_ok,
+                      rep.max_residual, rep.inconclusive, got["futures_price"])
+            assert [type(f) for f in fields] == (
+                [np.float64] * 3 + [np.bool_, np.float64, np.bool_, np.float64]), name
+        # a NaN in either identity residual is a NaN max_residual at that state only
+        hess = np.array(rep.hessian_identity_residual)
+        x_res = np.array(rep.x_identity_residual)
+        hess.flat[0] = x_res.flat[-1] = np.nan
+        nan_rep = dataclasses.replace(rep, hessian_identity_residual=hess,
+                                      x_identity_residual=x_res)
+        want = np.zeros(batch, dtype=bool)
+        want.flat[0] = want.flat[-1] = True
+        assert np.array_equal(np.isnan(nan_rep.max_residual), want), name
+        assert np.array_equal(nan_rep.max_residual[~want], rep.max_residual[~want]), name

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -996,6 +997,13 @@ def state_shapes(monkeypatch, obj, name):
     return shapes
 
 
+def state_rows(res):
+    """The states of a stacked DriftSolveResult, one result each."""
+    return [noarb.DriftSolveResult(res.b[k], res.residual_rms[k], res.residual_max[k],
+                                   res.condition_number[k], res.rank_ok[k])
+            for k in range(len(res.b))]
+
+
 def collinear_affine():
     """Loadings without full column rank: no closed form, every state solved."""
     return AffineModel(c=QEFunction.constant(0.0),
@@ -1057,23 +1065,23 @@ def test_scc_loop_per_state_equals_solve_drift_on_every_field(monkeypatch, name)
     rep = scc_loop(m, ps, GRID, sigma_override=sigma)
     assert tables == [(32, m.d)]  # one stacked solve for every state
     monkeypatch.undo()
-    for y, got in zip(rep.y_samples, rep.per_state):
+    for y, got in zip(rep.y_samples, state_rows(rep.drift)):
         want = solve_drift(m, y, sigma, GRID)
         assert np.array_equal(got.b, want.b)
         fields = ("residual_rms", "residual_max", "condition_number", "rank_ok")
         assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
-    assert rep.max_residual == max(r.residual_rms for r in rep.per_state)
-    assert rep.max_drift_norm == max(np.linalg.norm(r.b) for r in rep.per_state)
+    assert rep.max_residual == max(r.residual_rms for r in state_rows(rep.drift))
+    assert rep.max_drift_norm == max(np.linalg.norm(r.b) for r in state_rows(rep.drift))
 
 
 @pytest.mark.parametrize("model", [custom_model, collinear_affine])
 def test_scc_loop_summaries_equal_the_per_state_results(model):
     ps = simulate(driftless(0.4, 0.2, d=2), 1e-2, 0.5, 3, seed=23)
     rep = scc_loop(model(), ps, GRID)
-    assert rep.max_residual == max(r.residual_rms for r in rep.per_state)
-    assert rep.any_rank_deficient == any(not r.rank_ok for r in rep.per_state)
+    assert rep.max_residual == max(r.residual_rms for r in state_rows(rep.drift))
+    assert rep.any_rank_deficient == any(not r.rank_ok for r in state_rows(rep.drift))
     assert type(rep.any_rank_deficient) is bool
-    norm = max(np.linalg.norm(r.b) for r in rep.per_state)
+    norm = max(np.linalg.norm(r.b) for r in state_rows(rep.drift))
     assert abs(rep.max_drift_norm - norm) <= np.spacing(norm)
     assert rep.verdict == (model is custom_model)
 
@@ -1130,7 +1138,7 @@ def test_scc_loop_report_serialises():
     assert isinstance(rep, SccLoopReport)
     d = rep.to_dict()
     assert d["verdict"] is True
-    assert len(d["per_state"]) == len(rep.per_state)
+    assert len(d["drift"]["b"]) == len(rep.drift.b)
 
 
 def test_scc_loop_verdict_fails_on_nan_residuals():
@@ -1146,7 +1154,7 @@ def test_scc_loop_verdict_fails_on_nan_residuals():
     ps = simulate(SdeSpec(d=1, drift=rn_drift(base, [[1.0]], GRID),
                           sigma=[[1.0]], y0=[1.0]), 1e-3, 1.0, 4, seed=11)
     rep = scc_loop(m, ps, GRID)
-    residuals = [r.residual_rms for r in rep.per_state]
+    residuals = [r.residual_rms for r in state_rows(rep.drift)]
     assert np.isfinite(residuals[0]) and np.isnan(residuals).any()
     assert np.isnan(rep.max_residual) and np.isnan(rep.max_drift_norm)
     assert not rep.verdict
@@ -1161,8 +1169,29 @@ def test_scc_loop_solves_with_the_override_covariance():
     assert np.array_equal(rep.sigma_sq_hat, sigma @ sigma.T)
     assert not rep.psd_projected
     assert rep.verdict and rep.max_residual <= 1e-10
-    for y, r in zip(rep.y_samples, rep.per_state):
+    for y, r in zip(rep.y_samples, state_rows(rep.drift)):
         assert np.array_equal(r.b, solve_drift(m, y, sigma, GRID).b)
+
+
+def wrong_sigma_calls(sigma):
+    """Every entry point that takes sigma, for the d = 2 custom model."""
+    m = custom_model()
+    ps = simulate(driftless(0.4, 0.2, d=2), 1e-2, 0.2, 3, seed=5)
+    return {
+        "solve_drift": lambda: solve_drift(m, [0.5, -0.5], sigma, GRID),
+        "rn_residual": lambda: rn_residual(m, [0.5, -0.5], sigma, [0.0, 0.0], GRID),
+        "rn_drift": lambda: rn_drift(m, sigma, GRID),
+        "scc_loop": lambda: scc_loop(m, ps, GRID, sigma_override=sigma),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(wrong_sigma_calls(None)))
+def test_a_sigma_of_the_wrong_size_raises_naming_d(name):
+    # a (1, 1) sigma once broadcast to the all-ones covariance of a d = 2 model
+    for sigma, shape in (([[1.0]], (1, 1)), (np.eye(3), (3, 3)), ([1.0, 0.0], (1, 2))):
+        message = f"sigma needs shape (d, d) with d=2, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            wrong_sigma_calls(sigma)[name]()
 
 
 @pytest.mark.parametrize("n", [0, -3, 2.5, True])

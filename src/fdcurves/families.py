@@ -66,12 +66,17 @@ class FactorMap:
     """Componentwise smooth map A(y) with analytic first and second derivatives;
     every method also maps a batch (..., d) row by row.
 
-    A map implements ``jet`` alone, so each formula for A exists once;
-    ``value`` reads A off it, computing no derivative.
+    A map implements one jet core, ``cm_jet``, on a component-major state
+    yt (d, ...), so each formula for A exists once: ``jet`` runs it on a
+    state as it is and on a stack through a contiguous copy of y.T, whose
+    results it returns as transposed views, and ``value`` reads A off
+    ``jet``, computing no derivative. ``coefficients`` holds the map's c
+    coefficient rows (c, d), c = 0 for a map without any.
     """
 
     tag: str
     d: int
+    coefficients: np.ndarray
 
     def value(self, y: np.ndarray) -> np.ndarray:
         return self.jet(y, 0)[0]
@@ -80,6 +85,20 @@ class FactorMap:
         """(A_k, dA_k / dy_k, d^2 A_k / dy_k^2), truncated to the first
         ``order + 1`` entries; the Jacobian and every Hessian of A are
         diagonal, with these entries."""
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 1:  # one state is its own component-major form
+            return self.cm_jet(y, order)
+        yt = np.ascontiguousarray(y.T)
+        return tuple([a.T for a in self.cm_jet(yt, order)])
+
+    def cm_jet(self, yt: np.ndarray, order: int = 2,
+               coefs: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+        """The entries of ``jet`` for a component-major state yt (d, ...),
+        each of yt's shape; yt is contiguous for speed, not for correctness.
+        ``coefs`` is ``coefficients`` broadcast against yt, by default as
+        (c, d, 1, ...) columns; a caller that evaluates many states of one
+        width may pass them copied out to (c,) + yt.shape, which gives the
+        same bits faster."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -91,12 +110,14 @@ class IdentityMap(FactorMap):
 
     def __init__(self, d: int):
         self.d = int(d)
+        self.coefficients = np.empty((0, self.d))
 
-    def jet(self, y, order=2):
-        y = np.asarray(y, dtype=float)
+    def cm_jet(self, yt, order=2, coefs=None):
         if order == 0:
-            return (y,)
-        return (y, np.ones(y.shape), np.zeros(y.shape))[:order + 1]
+            return (yt,)
+        ones = np.empty(yt.shape)
+        ones.fill(1.0)  # half the time of np.ones
+        return (yt, ones, np.zeros(yt.shape))[:order + 1]
 
 
 class ExpMinusOneMap(FactorMap):
@@ -106,9 +127,10 @@ class ExpMinusOneMap(FactorMap):
 
     def __init__(self, d: int):
         self.d = int(d)
+        self.coefficients = np.empty((0, self.d))
 
-    def jet(self, y, order=2):
-        e = np.exp(np.asarray(y, dtype=float))
+    def cm_jet(self, yt, order=2, coefs=None):
+        e = np.exp(yt)
         return (e - 1.0, e, e)[:order + 1]
 
 
@@ -127,19 +149,17 @@ class ComponentwiseCubicMap(FactorMap):
         if self.quadratic.shape != (self.d,) or self.cubic.shape != (self.d,):
             raise ValueError("coefficient arrays must share one length")
         # l, q, c, 2q, 3c, 6c, built once
-        self._coefs = np.stack([self.linear, self.quadratic, self.cubic,
-                                2.0 * self.quadratic, 3.0 * self.cubic, 6.0 * self.cubic])
+        self.coefficients = np.stack([self.linear, self.quadratic, self.cubic,
+                                      2.0 * self.quadratic, 3.0 * self.cubic,
+                                      6.0 * self.cubic])
 
-    # The jet works on a contiguous component-major copy y.T (d, ...), with
-    # each coefficient a (d, 1, ...) column built once, and returns .T views:
-    # a (d,) vector broadcast over a short last axis runs one inner loop of
-    # length d per state. The arithmetic order is that of the row-major
-    # formulas, so the results are the same bits; the in-place steps only
-    # swap the operands of a commutative + or *.
-    def jet(self, y, order=2):
-        yt = np.ascontiguousarray(np.asarray(y, dtype=float).T)
-        lin, quad, cub, quad2, cub3, cub6 = self._coefs.reshape(
-            (6, -1) + (1,) * (yt.ndim - 1))
+    # The arithmetic order is that of the row-major formulas, so the results
+    # are the same bits; the in-place steps only swap the operands of a
+    # commutative + or *.
+    def cm_jet(self, yt, order=2, coefs=None):
+        if coefs is None:
+            coefs = self.coefficients.reshape((6, self.d) + (1,) * (yt.ndim - 1))
+        lin, quad, cub, quad2, cub3, cub6 = coefs
         # y2 * y, not y**3: numpy sends cubes through pow, about 5x slower
         y2 = yt * yt
         A = lin * yt
@@ -148,13 +168,13 @@ class ComponentwiseCubicMap(FactorMap):
         y3 *= cub
         A += y3
         if order == 0:
-            return (A.T,)
+            return (A,)
         dA = quad2 * yt
         dA += lin
         dA += cub3 * y2
         d2A = cub6 * yt
         d2A += quad2
-        return (A.T, dA.T, d2A.T)[:order + 1]
+        return (A, dA, d2A)[:order + 1]
 
     def to_dict(self) -> dict:
         return {

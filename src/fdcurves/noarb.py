@@ -226,7 +226,8 @@ def _probe_fields(dxg: np.ndarray, grads: np.ndarray, hesses: np.ndarray,
     sol, rank_ok, cond = _project(grads, rhs, y)
     eta = np.empty(sol.shape[:-2] + (d, d, d))
     eta[..., iu, ju, :] = eta[..., ju, iu, :] = np.swapaxes(sol[..., 1:], -1, -2)
-    return sol[..., 0], eta, rank_ok, cond
+    # gamma copied out, C-ordered, so it does not keep the projection alive
+    return sol[..., 0].copy(), eta, rank_ok, cond
 
 
 @dataclass(frozen=True)

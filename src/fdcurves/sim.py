@@ -55,6 +55,10 @@ _DRIFT_CHUNK = 256
 # (rows x N_QUAD) node tables stay near 130 KB per array however long the
 # path grid, and a 101-time grid stays one block
 _WINDOW_ROWS = 128
+# normal rows per block of the Euler noise at d >= 2, whose temporaries hold
+# (d + 2) * d * _NOISE_ROWS floats (256 KB at d = 2): at 200 x 100, d = 2,
+# 2**12 rows ran as fast as 2**14 (82 against 85 us, 2-core x86-64 VM)
+_NOISE_ROWS = 2**12
 
 
 class SimulationError(RuntimeError):
@@ -371,6 +375,39 @@ def _normals(seed: int, n_paths: int, n_steps: int, d: int) -> np.ndarray:
     return ndtri(u, out=u)
 
 
+def _noise(z: np.ndarray, sigma: np.ndarray, sqrt_dt: float) -> np.ndarray:
+    """The Euler noise (sum_j z_j sigma_ij, summed in j order) * sqrt_dt of
+    the normals z (..., d), written into z, which is returned.
+
+    Each entry is a sum over its own row alone and no BLAS routine runs, so
+    a row's bits depend neither on how many rows there are nor on the BLAS
+    library. For d >= 2 the rows go _NOISE_ROWS at a time: one same-shape
+    product with row i of sigma tiled over the block gives every z_j
+    sigma_ij, and the j sum reads them back per row.
+    """
+    d = sigma.shape[0]
+    if d == 1:  # one product per entry, in place, with no temporaries
+        z *= sigma[0, 0]
+        z *= sqrt_dt
+        return z
+    flat = z.reshape(-1)
+    size = min(_NOISE_ROWS, flat.size // d) * d
+    tiled = np.tile(sigma, size // d)  # (d, size): row i is sigma[i] repeated
+    prod = np.empty(size)
+    acc = np.empty((size // d, d))
+    for k in range(0, flat.size, size):
+        block = flat[k:k + size]
+        n = block.size
+        terms, out = prod[:n].reshape(-1, d), acc[:n // d]
+        for i in range(d):
+            np.multiply(block, tiled[i, :n], out=prod[:n])
+            np.add(terms[:, 0], terms[:, 1], out=out[:, i])
+            for j in range(2, d):
+                out[:, i] += terms[:, j]
+        np.multiply(out, sqrt_dt, out=block.reshape(-1, d))
+    return z
+
+
 def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> PathSet:
     """Euler-Maruyama paths Y_{k+1} = Y_k + drift(Y_k) dt + sigma sqrt(dt) Z_k.
 
@@ -389,6 +426,12 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
         Base seed, an integer in [0, 2**64) (the u64 that ``PathSet.save``
         stores). Path p consumes the Philox stream keyed exactly by
         (seed, p), so enlarging n_paths never changes existing paths.
+
+    The noise sigma sqrt(dt) Z_k of every step is formed once, before the
+    steps, in the normals' own buffer (see :func:`_noise`): each entry sums
+    its own row in j order and no BLAS routine runs, so path p is the same
+    bits whatever n_paths and whatever BLAS library. Beyond the normals and
+    the paths, the loop holds O(n_paths d) floats.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -407,18 +450,15 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     if not 0 <= key < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     d = spec.d
-    z = _normals(key, n_paths, n_steps, d)
+    noise = _noise(_normals(key, n_paths, n_steps, d), spec.sigma, math.sqrt(dt))
 
     paths = np.empty((n_paths, n_steps + 1, d))
     paths[:, 0] = spec.y0
     y = np.tile(spec.y0, (n_paths, 1))
-    sqrt_dt = np.sqrt(dt)
-    sigma_t = spec.sigma.T
-    # y + mu dt + (z sigma^T) sqrt(dt) in that order, its two terms built in
-    # reused buffers; the sum is a fresh array, so the drift never sees a
-    # state it was handed before, and may keep or overwrite its input
+    # y + mu dt + noise in that order, mu dt built in a reused buffer; the
+    # sum is a fresh array, so the drift never sees a state it was handed
+    # before, and may keep or overwrite its input
     step = np.empty(y.shape)
-    noise = np.empty(y.shape)
     for k in range(n_steps):
         mu = np.asarray(spec.drift(y), dtype=float)
         if mu.shape != y.shape:
@@ -430,9 +470,7 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
                 f"drift returned non-finite values on path {bad} at t={k * dt:.6g}")
         np.multiply(mu, dt, out=step)
         step += y
-        np.matmul(z[:, k], sigma_t, out=noise)
-        noise *= sqrt_dt
-        y = step + noise
+        y = step + noise[:, k]
         paths[:, k + 1] = y
     return PathSet(times=dt * np.arange(n_steps + 1), paths=paths, seed=key)
 
@@ -676,18 +714,26 @@ def scc_loop(model: CurveFamily, observed: PathSet, grid,
 class RiskNeutralDrift:
     """y -> b(y), the drift that makes ``model`` risk neutral under ``sigma``.
 
-    Maps a state (d,) to (d,) or a batch (n, d) to (n, d), row by row, and
-    equals the least-squares drift of :func:`solve_drift` at every state.
-    For an affine model whose loadings U have full column rank on the grid,
+    Maps a state (d,) to (d,) or a stack (..., d) to (..., d), row by row,
+    and equals the least-squares drift of :func:`solve_drift` at every
+    state; a state whose last axis is not d is a ValueError naming d. For
+    an affine model whose loadings U have full column rank on the grid,
     grad_y g = U diag(A'(y)), U^+ U = I and a = sigma sigma^T give
 
         b(y) = (p + Q A(y) - 1/2 A''(y) * diag(a)) / A'(y),
         p = U^+ c',  Q = U^+ U',
 
-    with p and Q computed once here; it is non-finite where A'(y) = 0. Every
-    other model is solved in stacks of ``_DRIFT_CHUNK`` states, one table
-    evaluation and one stacked projection per stack; a row does not depend
-    on the stack it was solved in.
+    with p and Q computed once here; it is non-finite where A'(y) = 0. The
+    closed form runs component-major on the m states of a call and reads
+    its constants -- the d columns of Q, p, 1/2 diag(a) and the factor
+    map's c coefficient rows -- copied out to (d, m) planes, so that its
+    products have same-shape operands (bar the rows A_j(y) that Q A scales
+    at d >= 2). The drift keeps the planes of the last width m it was
+    called with, (d + 2 + c) * d * m floats (c = 6 for the cubic map, 0 for
+    the identity and exp maps), and rebuilds them when the width changes.
+    Every other model is solved in stacks of ``_DRIFT_CHUNK`` states, one
+    table evaluation and one stacked projection per stack; a row does not
+    depend on the stack it was solved in.
     """
 
     def __init__(self, model: CurveFamily, sigma: np.ndarray, grid):
@@ -700,25 +746,32 @@ class RiskNeutralDrift:
             pq, _, rank, _ = np.linalg.lstsq(U, np.column_stack([dc, dU]),
                                              rcond=RANK_TOL)
             if rank == model.d:
-                # (d, 1) columns, built once: the closed form runs
-                # component-major
-                self._p = pq[:, :1]
-                self._q = [pq[:, j:j + 1] for j in range(1, 1 + model.d)]
-                self._half_a = 0.5 * np.diag(self.cov)[:, None]
+                # the constants as (d,) rows: the d columns of Q, then p,
+                # then 1/2 diag(a), then the map's coefficient rows
+                self._consts = np.vstack([pq[:, 1:].T, pq[:, 0],
+                                          0.5 * np.diag(self.cov),
+                                          model.factor_map.coefficients])
+                self._planes = self._consts[:, :, None]  # width 1
                 self._rows = self._closed_form
 
     def _closed_form(self, Y: np.ndarray) -> np.ndarray:
-        A, dA, d2A = (a.T for a in self.model.factor_map.jet(Y))
+        d = self.model.d
+        Yt = np.ascontiguousarray(Y.T)
+        planes = self._planes  # read once: a call of another width may swap it
+        if planes.shape[2] != Yt.shape[1]:
+            planes = np.repeat(self._consts[:, :, None], Yt.shape[1], axis=2)
+            self._planes = planes
+        A, dA, d2A = self.model.factor_map.cm_jet(Yt, 2, planes[d + 2:])
         # Q A(y) as a row-local sum in j order, not a matmul, so a row never
-        # depends on the batch; then (p + QA - A'' a/2) / A' in place, in
-        # that order (qa += p is p + qa: IEEE + is commutative)
-        q = self._q
-        qa = q[0] * A[0]
-        for j in range(1, len(q)):
-            qa += q[j] * A[j]
+        # depends on the batch (A[j:j + 1] is (1, m), the planes' own shape
+        # at d = 1); then (p + QA - A'' a/2) / A' in place, in that order
+        # (qa += p is p + qa: IEEE + is commutative)
+        qa = planes[0] * A[:1]
+        for j in range(1, d):
+            qa += planes[j] * A[j:j + 1]
         with np.errstate(divide="ignore", invalid="ignore"):
-            qa += self._p
-            qa -= d2A * self._half_a
+            qa += planes[d]
+            qa -= d2A * planes[d + 1]
             qa /= dA
         return qa.T
 
@@ -730,9 +783,8 @@ class RiskNeutralDrift:
         return out
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        out = self._rows(np.atleast_2d(y))
-        return out[0] if y.ndim == 1 else out
+        y = _states(y, self.model.d)
+        return self._rows(y.reshape(-1, y.shape[-1])).reshape(y.shape)
 
 
 # Alias kept only for the benchmark tracer (perfbench/spans.py), which

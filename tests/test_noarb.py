@@ -489,6 +489,17 @@ def test_scc_probe_reads_eta_gamma_and_drifts_off_one_projection():
                 assert np.array_equal(rep.per_sigma[label].b, b), (name, label)
 
 
+def test_scc_probe_gamma_is_c_ordered_and_owns_its_data():
+    m = builtin_models()["affine3-cubic"]
+    Y = np.random.default_rng(41).uniform(-0.5, 0.5, (4, 3, m.d))
+    stacked = scc_probe(m, Y, GRID)
+    for y, gamma in ((Y[1, 2], scc_probe(m, Y[1, 2], GRID).gamma),
+                     (Y, stacked.gamma)):
+        assert gamma.shape == y.shape
+        assert gamma.flags.c_contiguous and gamma.base is None
+    assert np.array_equal(stacked.gamma[1, 2], scc_probe(m, Y[1, 2], GRID).gamma)
+
+
 def test_scc_probe_matches_per_sigma_solve_loop():
     rng = np.random.default_rng(17)
     for name, m, grid in probe_cases():

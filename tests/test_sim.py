@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -150,7 +151,11 @@ def per_path_philox_paths(spec, dt, n_steps, n_paths, seed):
     paths = np.empty((n_paths, n_steps + 1, spec.d))
     paths[:, 0] = y = np.tile(spec.y0, (n_paths, 1))
     for k in range(n_steps):
-        y = y + spec.drift(y) * dt + (z[:, k] @ spec.sigma.T) * np.sqrt(dt)
+        # noise_i = sum_j z_j sigma_ij, summed in j order within each row
+        noise = z[:, k, :1] * spec.sigma[:, 0]
+        for j in range(1, spec.d):
+            noise = noise + z[:, k, j:j + 1] * spec.sigma[:, j]
+        y = y + spec.drift(y) * dt + noise * np.sqrt(dt)
         paths[:, k + 1] = y
     return paths
 
@@ -306,6 +311,44 @@ def test_a_drift_that_writes_into_its_input_gives_the_unbuffered_paths(d, n_path
     assert ps.paths.tobytes() == per_path_philox_paths(spec, 0.05, 10, n_paths, 14).tobytes()
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_path_p_is_the_same_bits_whatever_the_path_count(d):
+    # a full (not triangular) sigma, so every noise entry sums d products
+    sigma = 0.4 * np.eye(d) + 0.15 * np.arange(1, d * d + 1).reshape(d, d) / d
+    spec = SdeSpec(d=d, drift=lambda y: -0.5 * y + 0.1 * y[:, ::-1],
+                   sigma=sigma, y0=np.linspace(-0.2, 0.3, d))
+    runs = {n: simulate(spec, 0.05, 0.5, n, seed=19).paths for n in (1, 2, 257)}
+    assert runs[1][0].tobytes() == runs[2][0].tobytes() == runs[257][0].tobytes()
+    assert runs[2][1].tobytes() == runs[257][1].tobytes()
+
+
+@pytest.mark.parametrize("scenario, sigma, n_paths, dt", [
+    ("affine_demo.json", [[1.0]], 2000, 1e-3),   # the README size, d = 1
+    ("custom_affine.json", CUSTOM_SIGMA, 200, 5e-3),
+])
+def test_simulate_memory_is_its_normals_and_paths_plus_per_step_buffers(
+        scenario, sigma, n_paths, dt):
+    # the noise is formed in the normals' own buffer: beyond z and the paths,
+    # simulate holds O(n_paths d) floats (step buffers, the drift's planes).
+    # scipy.special is loaded here, so the normals come from its in-place
+    # ndtri, not from the port's blocks
+    data = json.loads((SCENARIOS / scenario).read_text())
+    model, sigma = model_from_dict(data["model"]), np.array(sigma)
+    y0 = data["sim"]["y0"] if "sim" in data else data["y_samples"][0]
+    n_steps, d = int(round(0.5 / dt)), model.d
+    z_bytes = n_paths * n_steps * d * 8
+    paths_bytes = n_paths * (n_steps + 1) * d * 8
+    tracemalloc.start()
+    try:
+        spec = SdeSpec(d=d, drift=rn_drift(model, sigma, XGrid.from_dict(data["grid"])),
+                       sigma=sigma, y0=y0)
+        simulate(spec, dt, 0.5, n_paths, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= z_bytes + paths_bytes + 32 * n_paths * d * 8
+
+
 SIMULATE_BYTES = """
 import hashlib
 import json
@@ -326,8 +369,8 @@ print(hashlib.sha256(simulate(spec, 0.01, 0.5, 1, 21).paths.tobytes()).hexdigest
 
 
 def test_simulate_bits_do_not_depend_on_the_blas_thread_count():
-    # the per-step noise product (n_paths, d) @ (d, d) runs in BLAS; its
-    # bits must not change with the thread count, here for the d = 2 cubic
+    # no BLAS routine forms the noise or the drift, so the paths' bits must
+    # not change with the thread count, here for the d = 2 cubic
     # risk-neutral drift at 2000 paths and a d = 3 linear drift on one path
     src = str(Path(sim.__file__).resolve().parents[1])
     out = []
@@ -927,6 +970,13 @@ def test_factor_map_jets_equal_the_row_major_formulas_bit_for_bit(fm):
                 assert a.shape == Y.shape, (order, i)
                 assert (np.ascontiguousarray(a).tobytes()
                         == np.ascontiguousarray(ref).tobytes()), (order, i)
+            # the core on coefficients copied out to the state's shape
+            yt = np.ascontiguousarray(np.asarray(Y).T)
+            c = fm.coefficients.shape[0]
+            planes = np.broadcast_to(fm.coefficients.reshape((c, fm.d) + (1,) * (yt.ndim - 1)),
+                                     (c,) + yt.shape).copy()
+            for a, b in zip(fm.cm_jet(yt, order, planes), got):
+                assert a.tobytes() == np.ascontiguousarray(b.T).tobytes(), (order, i)
 
 
 def test_rn_drift_solves_the_drift_identity_on_custom_model():
@@ -1038,6 +1088,89 @@ def test_non_affine_rn_drift_computes_no_residual(monkeypatch):
 
     monkeypatch.setattr(noarb, "_residual_stats", unused)
     assert np.array_equal(rn_drift(m, sigma, GRID)(Y), ref)
+
+
+def drift_paths():
+    """(name, model, sigma, closed form?) for both paths of rn_drift."""
+    return [("custom_affine", custom_model(), np.array(CUSTOM_SIGMA), True),
+            ("collinear", collinear_affine(), np.array(CUSTOM_SIGMA), False),
+            ("gaussian-example", GaussianExampleModel(), np.array([[1.2]]), False)]
+
+
+@pytest.mark.parametrize("name, m, sigma, closed", drift_paths(),
+                         ids=[case[0] for case in drift_paths()])
+def test_rn_drift_names_d_and_the_shape_for_a_state_of_another_width(
+        name, m, sigma, closed):
+    drift = rn_drift(m, sigma, GRID)
+    assert (drift._rows == drift._closed_form) is closed
+    for y in (np.zeros(m.d + 1), np.zeros((4, m.d + 1)), np.zeros((2, 3, m.d + 1))):
+        with pytest.raises(ValueError) as err:
+            drift(y)
+        assert str(err.value) == (f"a state needs d={m.d} factors, shape (d,) or "
+                                  f"(..., d); got shape {y.shape}")
+
+
+@pytest.mark.parametrize("name, m, sigma, closed", drift_paths(),
+                         ids=[case[0] for case in drift_paths()])
+def test_rn_drift_maps_a_stack_row_by_row(name, m, sigma, closed):
+    drift = rn_drift(m, sigma, GRID)
+    Y = off_lattice_states(m.d, 6).reshape(2, 3, m.d)
+    out = drift(Y)
+    assert out.shape == Y.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(out[idx], drift(Y[idx]))
+    assert np.array_equal(out.reshape(6, m.d), drift(Y.reshape(6, m.d)))
+
+
+def test_rn_drift_keeps_the_planes_of_its_last_width_only():
+    m = custom_model()
+    c = m.factor_map.coefficients.shape[0]
+    drift = rn_drift(m, CUSTOM_SIGMA, GRID)
+    Y = off_lattice_states(m.d, 200)
+    ref = drift(Y[:7])
+    drift(Y)
+    planes = drift._planes
+    assert planes.nbytes == (m.d + 2 + c) * m.d * 200 * 8
+    # pricing and the tables read the model and its map, which hold no planes
+    ps = simulate(SdeSpec(d=2, drift=lambda y: 0.0 * y, sigma=np.array(CUSTOM_SIGMA),
+                          y0=[0.1, -0.1]), 0.05, 0.5, 9, seed=3)
+    martingale_test(m, ps, FS12)
+    m.derivative_tables(GRID.nodes, Y[:5])
+    assert drift._planes is planes
+    assert np.array_equal(drift(Y[:7]), ref)
+    assert drift._planes.nbytes == (m.d + 2 + c) * m.d * 7 * 8
+
+
+def test_rn_drift_shared_by_threads_of_different_widths_gives_each_its_rows():
+    # each call reads the planes once, so a call of another width that swaps
+    # them in another thread cannot hand it planes of the wrong shape
+    m = custom_model()
+    drift = rn_drift(m, CUSTOM_SIGMA, GRID)
+    Y = off_lattice_states(m.d, 64)
+    widths = (1, 7, 33, 64)
+    refs = {n: rn_drift(m, CUSTOM_SIGMA, GRID)(Y[:n]) for n in widths}
+    bad = []
+
+    def hammer(n):
+        try:
+            for _ in range(300):
+                if not np.array_equal(drift(Y[:n]), refs[n]):
+                    bad.append(n)
+        except Exception as exc:  # recorded: a thread's exception would be lost
+            bad.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(n,)) for n in widths]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 def test_gaussian_example_paths_equal_a_per_state_euler_reference():

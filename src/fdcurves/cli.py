@@ -34,7 +34,7 @@ import numpy as np
 from .families import CurveFamily, model_from_dict
 from .noarb import (AFFINE_RANK_TOL, XGrid, detect_affine, eta_field_from_model,
                     reconstruct_from_eta, scc_probe, solve_drift)
-from .qe import _integer, _plain, _reject_unknown
+from .qe import _integer, _number, _plain, _reject_unknown
 from .sim import (FuturesSpec, PathSet, SdeSpec, estimate_vol, futures_price,
                   martingale_test, rn_drift, simulate)
 
@@ -67,7 +67,7 @@ class SimConfig:
         for key in ("dt", "T", "n_paths", "seed", "y0"):
             if key not in data:
                 raise ScenarioError(f"sim is missing required key {key!r}")
-        return cls(dt=float(data["dt"]), T=float(data["T"]),
+        return cls(dt=_number(data["dt"], "sim.dt"), T=_number(data["T"], "sim.T"),
                    n_paths=_integer(data["n_paths"], "sim.n_paths"),
                    seed=_integer(data["seed"], "sim.seed"),
                    y0=np.atleast_1d(np.asarray(data["y0"], dtype=float)))
@@ -87,7 +87,7 @@ class ReconstructConfig:
         return cls(y=np.atleast_1d(np.asarray(data["y"], dtype=float)),
                    n_steps=(_integer(data["n_steps"], "reconstruct.n_steps")
                             if "n_steps" in data else 1000),
-                   x0=float(data.get("x0", 0.0)))
+                   x0=_number(data.get("x0", 0.0), "reconstruct.x0"))
 
 
 _SCENARIO_KEYS = {
@@ -140,8 +140,8 @@ class Scenario:
                 model=model, grid=grid, raw=dict(raw), sigma=sigma,
                 y_samples=y_samples, base_y=base_y, sim=sim, futures=futures,
                 reconstruct=reconstruct, paths_file=_path(raw, "paths_file"),
-                tolerance=float(raw.get("tolerance", 1e-6)),
-                z_max=float(raw.get("z_max", 3.0)),
+                tolerance=_number(raw.get("tolerance", 1e-6), "tolerance"),
+                z_max=_number(raw.get("z_max", 3.0), "z_max"),
                 output_dir=_path(raw, "output_dir"),
             )
         except ScenarioError:
@@ -216,10 +216,10 @@ def _worst(values) -> float:
     return next((v for v in values if not np.isfinite(v)), max(values, default=0.0))
 
 
-def _require(scenario: Scenario, attr: str, what: str):
+def _require(scenario: Scenario, attr: str):
     value = getattr(scenario, attr)
     if value is None or (isinstance(value, list) and not value):
-        raise ScenarioError(f"this subcommand needs scenario field {what!r}")
+        raise ScenarioError(f"this subcommand needs scenario field {attr!r}")
     return value
 
 
@@ -229,8 +229,8 @@ def _require(scenario: Scenario, attr: str, what: str):
 
 
 def cmd_check_drift(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
-    sigma = _require(scenario, "sigma", "sigma")
-    ys = _require(scenario, "y_samples", "y_samples")
+    sigma = _require(scenario, "sigma")
+    ys = _require(scenario, "y_samples")
     res = solve_drift(scenario.model, ys, sigma, scenario.grid)
     rows = [[idx, "sigma", *row] for idx, row in
             enumerate(zip(res.residual_rms, res.residual_max, res.rank_ok))]
@@ -251,7 +251,7 @@ def cmd_check_drift(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
 
 
 def cmd_scc_probe(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
-    ys = _require(scenario, "y_samples", "y_samples")
+    ys = _require(scenario, "y_samples")
     rep = scc_probe(scenario.model, ys, scenario.grid)
     rows = [[idx, label, res.residual_rms[idx], res.residual_max[idx], res.rank_ok[idx]]
             for idx in range(len(ys)) for label, res in rep.per_sigma.items()]
@@ -274,7 +274,7 @@ def cmd_scc_probe(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
 
 
 def cmd_detect_affine(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
-    ys = _require(scenario, "y_samples", "y_samples")
+    ys = _require(scenario, "y_samples")
     base = (scenario.base_y if scenario.base_y is not None
             else np.zeros(scenario.model.d))
     det = detect_affine(scenario.model, ys, base, scenario.grid,
@@ -293,8 +293,8 @@ def cmd_detect_affine(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult
 
 
 def _simulated_paths(scenario: Scenario) -> PathSet:
-    sim = _require(scenario, "sim", "sim")
-    sigma = _require(scenario, "sigma", "sigma")
+    sim = _require(scenario, "sim")
+    sigma = _require(scenario, "sigma")
     drift = rn_drift(scenario.model, sigma, scenario.grid)
     spec = SdeSpec(d=scenario.model.d, drift=drift, sigma=sigma, y0=sim.y0)
     return simulate(spec, sim.dt, sim.T, sim.n_paths, sim.seed)
@@ -317,8 +317,8 @@ def cmd_simulate(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
 
 
 def cmd_price(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
-    futures = _require(scenario, "futures", "futures")
-    ys = _require(scenario, "y_samples", "y_samples")
+    futures = _require(scenario, "futures")
+    ys = _require(scenario, "y_samples")
     rows = []
     numbers = {}
     for fs in futures:
@@ -334,7 +334,7 @@ def cmd_price(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
 
 
 def cmd_martingale_test(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
-    futures = _require(scenario, "futures", "futures")
+    futures = _require(scenario, "futures")
     ps = _simulated_paths(scenario)
     rows = []
     numbers = {}
@@ -382,7 +382,7 @@ def cmd_estimate_vol(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]
 
 
 def cmd_reconstruct(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
-    cfg = _require(scenario, "reconstruct", "reconstruct")
+    cfg = _require(scenario, "reconstruct")
     model = scenario.model
     origin = np.zeros(model.d)
     eta_field = eta_field_from_model(model, scenario.grid)

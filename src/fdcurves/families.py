@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qe import QEFunction, _integer, _plain, _reject_unknown, qe_derivative
+from .qe import QEFunction, _integer, _number, _plain, _reject_unknown, qe_derivative
 
 # Default finite-difference steps for cross-checks and closure-based
 # families: central first differences and second-difference stencils on
@@ -244,7 +244,7 @@ class XGrid:
         kind = data.get("kind", "chebyshev")
         _reject_unknown(data, {"kind", "n", "x_max"}, "grid")
         n = _integer(data["n"], "grid.n") if "n" in data else 40
-        x_max = float(data.get("x_max", 5.0))
+        x_max = _number(data.get("x_max", 5.0), "grid.x_max")
         if kind == "chebyshev":
             return cls.chebyshev(n, x_max)
         if kind == "uniform":
@@ -580,8 +580,8 @@ class HilbertNormResult:
     ``value`` is h(0)^2 plus the composite-Simpson integral of
     h'(x)^2 * (1+x)^(3/2) over [0, x_max]; ``tail_estimate`` extrapolates
     the remaining mass beyond x_max from the last interval. ``total`` is
-    their sum. ``divergence_warning`` is set when the integrand is not
-    decreasing at the truncation point, i.e. the tail cannot be trusted.
+    their sum. ``divergence_warning`` is set unless the integrand decreases
+    at the truncation point (so also for a NaN): the tail cannot be trusted.
     """
 
     value: float
@@ -619,7 +619,7 @@ def hilbert_norm(h: Callable[[float], float],
         Vectorised derivative. When omitted, central finite differences of
         ``h`` with step ``FD_FIRST_STEP`` are used (one-sided at x = 0).
     x_max : float
-        Truncation point, >= 10. The integral over [x_max, inf) is
+        Truncation point, finite and >= 10. The integral over [x_max, inf) is
         estimated by fitting the slowly varying prefactor
         ``h'(x)^2 (1+x)^3 ~ a + b/(1+x)`` through the last two nodes and
         integrating the model exactly; the estimate is reported (and added
@@ -627,8 +627,8 @@ def hilbert_norm(h: Callable[[float], float],
     n_nodes : int
         Simpson node count, >= 100 (forced odd).
     """
-    if x_max < 10:
-        raise ValueError(f"x_max must be >= 10, got {x_max}")
+    if not 10 <= x_max < np.inf:
+        raise ValueError(f"x_max must be finite and >= 10, got {x_max}")
     if _integer(n_nodes, "n_nodes") < 100:
         raise ValueError(f"n_nodes must be >= 100, got {n_nodes}")
     xs, weights = _simpson_weights(0.0, float(x_max), n_nodes)
@@ -655,7 +655,7 @@ def hilbert_norm(h: Callable[[float], float],
     tail = 2.0 * a / np.sqrt(1.0 + x2) + (2.0 * slope / 3.0) * (1.0 + x2) ** -1.5
     tail = max(float(tail), 0.0)
     return HilbertNormResult(value=value, tail_estimate=tail,
-                             divergence_warning=bool(q2 > q1))
+                             divergence_warning=not q2 <= q1)
 
 
 def curve_hilbert_norm(model: CurveFamily, y: np.ndarray,

@@ -18,6 +18,7 @@ functions, so everything here is safe to use from multiple threads.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Iterable, Sequence
@@ -44,6 +45,14 @@ def _integer(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _number(value, name: str) -> float:
+    """A real number: true or "3" is a ValueError naming ``name``, such as
+    the scenario field ``sim.dt``, never read as 1.0 or 3.0."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def _plain(value):
@@ -161,7 +170,8 @@ class QEFunction:
 
     def eval_grid(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate on an array of points x >= 0 (shape kept) with one stacked
-        matrix exponential; each value equals :func:`qe_eval` bit for bit."""
+        matrix exponential; each value equals ``c @ (mat_exp(A, x) @ b)``
+        bit for bit."""
         xs = np.asarray(xs, dtype=float)
         flat = xs.ravel()
         if np.any(flat < 0):
@@ -169,11 +179,11 @@ class QEFunction:
         if self.n == 1:
             # elementwise, about 5x cheaper than two stacked 1x1 matmuls; the
             # + 0.0 terms are the matmuls' zero-started sums, so -0.0 reads
-            # out as +0.0 exactly as in qe_eval
+            # out as +0.0 exactly as in c @ (e @ b)
             e = mat_exp(self.A, flat)[:, 0, 0]
             return ((e * self.b[0] + 0.0) * self.c[0] + 0.0).reshape(xs.shape)
         states = mat_exp(self.A, flat) @ self.b
-        # row-wise readout sums like qe_eval's c @ state; (K, n) @ (n,) may not
+        # row-wise readout sums like the one-state c @ state; (K, n) @ (n,) may not
         return np.matmul(states[:, None, :], self.c).reshape(xs.shape)
 
     # -- constructors -------------------------------------------------
@@ -195,65 +205,42 @@ class QEFunction:
 
         Each term is ``(alpha, omega, p, q)`` representing
         ``e^(alpha*x) * (p(x)*cos(omega*x) + q(x)*sin(omega*x))`` with
-        polynomial coefficients ``p, q`` in increasing-degree order. Each
-        term becomes one companion block (a Jordan block for omega == 0,
-        interleaved rotation blocks otherwise) and the blocks are direct
-        summed. This is one of several equivalent conversions; the produced
-        state dimension is 2 * (deg + 1) per oscillatory term.
+        polynomial coefficients ``p, q`` in increasing-degree order. A term
+        of degree deg becomes one companion block: deg + 1 copies of
+        R = [alpha] (omega == 0) or [[alpha, -omega], [omega, alpha]] on
+        the diagonal and identity couplings below, so state block k is
+        x^k/k! e^(alpha*x), rotated by omega*x, and reads out through
+        (p_k k!, q_k k!). The blocks of the terms are direct summed.
         """
-        blocks: list[np.ndarray] = []
-        b_parts: list[np.ndarray] = []
-        c_parts: list[np.ndarray] = []
+        parts = []
         for alpha, omega, p, q in terms:
             p = np.atleast_1d(np.asarray(p, dtype=float))
             q = np.atleast_1d(np.asarray(q, dtype=float))
             if omega == 0.0:
                 if np.any(q != 0.0):
                     raise ValueError("sine coefficients require omega != 0")
-                deg = len(p) - 1
-                m = deg + 1
-                # basis u_k = x^k e^(alpha x) / k!  =>  u_k' = alpha u_k + u_(k-1)
-                blk = np.diag(np.full(m, float(alpha)))
-                for k in range(1, m):
-                    blk[k, k - 1] = 1.0
-                b0 = np.zeros(m)
-                b0[0] = 1.0
-                facts = np.cumprod(np.concatenate(([1.0], np.arange(1, m))))
-                c0 = p * facts
+                R, coef = np.array([[alpha]], dtype=float), p[None]
             else:
-                deg = max(len(p), len(q)) - 1
-                p = np.pad(p, (0, deg + 1 - len(p)))
-                q = np.pad(q, (0, deg + 1 - len(q)))
-                m = 2 * (deg + 1)
-                blk = np.zeros((m, m))
-                rot = np.array([[alpha, -omega], [omega, alpha]], dtype=float)
-                for k in range(deg + 1):
-                    blk[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = rot
-                    if k >= 1:
-                        blk[2 * k, 2 * k - 2] = 1.0
-                        blk[2 * k + 1, 2 * k - 1] = 1.0
-                b0 = np.zeros(m)
-                b0[0] = 1.0
-                c0 = np.zeros(m)
-                fact = 1.0
-                for k in range(deg + 1):
-                    if k > 0:
-                        fact *= k
-                    c0[2 * k] = p[k] * fact
-                    c0[2 * k + 1] = q[k] * fact
-            blocks.append(blk)
-            b_parts.append(b0)
-            c_parts.append(c0)
-        if not blocks:
+                m = max(len(p), len(q))
+                R = np.array([[alpha, -omega], [omega, alpha]], dtype=float)
+                coef = np.stack([np.pad(p, (0, m - len(p))), np.pad(q, (0, m - len(q)))])
+            if coef.size == 0:
+                raise ValueError("every term needs at least one coefficient")
+            parts.append((R, coef))
+        if not parts:
             raise ValueError("at least one term is required")
-        n = sum(blk.shape[0] for blk in blocks)
-        A = np.zeros((n, n))
+        n = sum(coef.size for _, coef in parts)
+        # filled block by block: np.kron would write 0 * -omega = -0.0 into A
+        A, b, c = np.zeros((n, n)), np.zeros(n), np.zeros(n)
         pos = 0
-        for blk in blocks:
-            m = blk.shape[0]
-            A[pos : pos + m, pos : pos + m] = blk
-            pos += m
-        return cls(A=A, b=np.concatenate(b_parts), c=np.concatenate(c_parts))
+        for R, coef in parts:
+            r, m = coef.shape
+            idx = np.arange(pos, pos + coef.size).reshape(m, r)  # block k is idx[k]
+            A[idx[:, :, None], idx[:, None, :]] = R
+            A[idx[1:], idx[:-1]] = 1.0
+            b[pos], c[idx] = 1.0, (coef * np.cumprod([1.0, *range(1, m)])).T
+            pos += coef.size
+        return cls(A=A, b=b, c=c)
 
     # -- serialisation ------------------------------------------------
 
@@ -277,10 +264,8 @@ class QEFunction:
 
 
 def qe_eval(f: QEFunction, x: float) -> float:
-    """Evaluate f at time-to-maturity x >= 0."""
-    if x < 0:
-        raise ValueError(f"time-to-maturity must be >= 0, got {x}")
-    return float(f.c @ (mat_exp(f.A, x) @ f.b))
+    """Evaluate f at time-to-maturity x >= 0: one node of ``eval_grid``."""
+    return float(f.eval_grid(np.array([x], dtype=float))[0])
 
 
 def qe_derivative(f: QEFunction) -> QEFunction:
@@ -292,21 +277,16 @@ def qe_integral(f: QEFunction, x0: float, x1: float) -> float:
     """Integrate f exactly over [x0, x1] via the augmented generator.
 
     The block matrix ``[[A, b], [0, 0]]`` has the running integral of the
-    state in the last column of its exponential, so no quadrature is needed:
+    state in the last column of its exponential, so no quadrature is needed
+    and both endpoints take one stacked exponential:
 
         int_0^x f(z) dz = c . exp([[A, b], [0, 0]] * x)[:n, n]
     """
     if not (0 <= x0 <= x1):
         raise ValueError(f"need 0 <= x0 <= x1, got x0={x0}, x1={x1}")
-    n = f.n
-    aug = np.zeros((n + 1, n + 1))
-    aug[:n, :n] = f.A
-    aug[:n, n] = f.b
-
-    def antiderivative(x: float) -> float:
-        return float(f.c @ mat_exp(aug, x)[:n, n])
-
-    return antiderivative(x1) - antiderivative(x0)
+    aug = np.block([[f.A, f.b[:, None]], [np.zeros((1, f.n + 1))]])
+    top = mat_exp(aug, np.array([x1, x0], dtype=float))[:, :-1, -1]
+    return float(f.c @ top[0]) - float(f.c @ top[1])
 
 
 @dataclass(frozen=True)

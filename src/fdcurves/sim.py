@@ -40,7 +40,7 @@ import numpy as np
 from .families import AffineModel, CurveFamily, _grid_nodes, _simpson_weights, _states
 from .noarb import (RANK_TOL, DriftSolveResult, _covariance, _drift_stack,
                     _solve_drift_cov)
-from .qe import _integer, _plain, _reject_unknown
+from .qe import _integer, _number, _plain, _reject_unknown
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes
 N_QUAD = 129  # Simpson nodes per delivery window; 65 misses 1e-10 on slow decays
@@ -214,21 +214,22 @@ class PathSet:
 
 @dataclass(frozen=True)
 class FuturesSpec:
-    """Delivery window (T1, T2) in years, 0 < T1 < T2."""
+    """Delivery window (T1, T2) in years, 0 < T1 < T2 < inf."""
 
     T1: float
     T2: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.T1 < self.T2):
-            raise ValueError(f"need 0 < T1 < T2, got T1={self.T1}, T2={self.T2}")
+        if not (0.0 < self.T1 < self.T2 < np.inf):
+            raise ValueError(f"need 0 < T1 < T2 < inf, got T1={self.T1}, T2={self.T2}")
 
     to_dict = _plain
 
     @classmethod
     def from_dict(cls, data: dict) -> FuturesSpec:
         _reject_unknown(data, {"T1", "T2"}, "futures")
-        return cls(T1=float(data["T1"]), T2=float(data["T2"]))
+        return cls(T1=_number(data["T1"], "futures.T1"),
+                   T2=_number(data["T2"], "futures.T2"))
 
 
 # ---------------------------------------------------------------------------

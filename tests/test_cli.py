@@ -51,6 +51,14 @@ def gaussian_scenario(out_dir, sigma=1.5):
     }
 
 
+def package_env():
+    """The environment for a fresh interpreter that imports this checkout's
+    ``fdcurves``."""
+    src = str(Path(fdcurves.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def write_scenario(tmp_path, data, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -185,6 +193,33 @@ def test_non_integer_grid_and_step_counts_are_config_errors(tmp_path, capsys, se
     assert (f"error: {section}.{key} must be an integer, got {value!r}"
             in capsys.readouterr().out)
     assert not (tmp_path / "out" / "run_result.json").exists()
+
+
+@pytest.mark.parametrize("name,value", [
+    ("sim.dt", True), ("sim.T", "3"), ("reconstruct.x0", "0"), ("tolerance", True),
+    ("z_max", "3"), ("grid.x_max", False), ("futures.T1", True), ("futures.T2", "2")])
+def test_non_number_scenario_field_is_config_error(tmp_path, capsys, name, value):
+    raw = affine_scenario(tmp_path / "out")
+    section, _, key = name.rpartition(".")
+    (raw["futures"][0] if section == "futures" else raw[section] if section
+     else raw)[key] = value
+    scenario = write_scenario(tmp_path, raw)
+    assert main(["simulate", "--scenario", scenario]) == 2
+    assert capsys.readouterr().out == f"error: {name} must be a number, got {value!r}\n"
+    assert not (tmp_path / "out" / "paths.bin").exists()
+
+
+def test_price_with_an_infinite_window_end_exits_2_naming_the_window(tmp_path):
+    # JSON 1e999 parses as inf; the window must be refused before any pricing
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(affine_scenario(tmp_path / "out"))
+                        .replace('"T2": 2.0', '"T2": 1e999'))
+    proc = subprocess.run([sys.executable, "-m", "fdcurves", "price", "--scenario",
+                           str(scenario)], env=package_env(), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == "error: need 0 < T1 < T2 < inf, got T1=1.0, T2=inf\n"
+    assert proc.stderr == ""
 
 
 def test_largest_seed_round_trips_through_paths_bin(tmp_path):
@@ -600,11 +635,8 @@ def test_readme_library_example_runs(tmp_path):
     # the python block under "## Library example", run as a user would
     section = README.read_text().split("\n## Library example\n", 1)[1]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
-    src = str(Path(fdcurves.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     drift, x_residual, z = proc.stdout.splitlines()
     b, rms = drift.rsplit(" ", 1)
@@ -679,11 +711,9 @@ SCIPY_SUBMODULES = {"scipy.linalg", "scipy.special"}
 
 def imported_modules(*args):
     """Every module a fresh ``python -X importtime *args`` imports."""
-    src = str(Path(fdcurves.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    proc = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
-                          capture_output=True, text=True, timeout=120, check=True)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=package_env(), capture_output=True, text=True,
+                          timeout=120, check=True)
     return {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
             if line.startswith("import time:")}
 

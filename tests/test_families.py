@@ -451,6 +451,19 @@ def test_hilbert_norm_flags_growing_integrand():
     assert res.divergence_warning
 
 
+def test_hilbert_norm_flags_a_nan_tail():
+    res = hilbert_norm(lambda x: 1.0, lambda xs: np.where(xs > 40.0, np.nan, 0.0),
+                       x_max=50.0)
+    assert np.isnan(res.tail_estimate)
+    assert res.divergence_warning
+
+
+@pytest.mark.parametrize("x_max", [np.nan, np.inf])
+def test_hilbert_norm_rejects_a_non_finite_truncation(x_max):
+    with pytest.raises(ValueError, match="x_max must be finite and >= 10"):
+        hilbert_norm(lambda x: 1.0, lambda xs: np.zeros_like(xs), x_max=x_max)
+
+
 def test_hilbert_norm_fd_fallback_matches_analytic():
     m = GaussianExampleModel()
     with_analytic = curve_hilbert_norm(m, [0.0], x_max=50.0, n_nodes=501)

@@ -174,9 +174,10 @@ OSCILLATOR_LOADINGS = builtin_models()["affine2-oscillator"].u
 ], ids=["constant", "exponential", "cos-triple", "oscillator-cos",
         "oscillator-sin", "poly-trig-8-state"])
 def test_eval_grid_matches_pointwise_eval_bitwise(f):
+    # qe_eval reads eval_grid, so the reference is the one-matrix formula
     xs = np.concatenate([[0.0], np.linspace(0.05, 6.0, 129)])
     got = f.eval_grid(xs)
-    assert np.array_equal(got, [qe_eval(f, x) for x in xs])
+    assert np.array_equal(got, [f.c @ (mat_exp(f.A, x) @ f.b) for x in xs])
 
 
 @pytest.mark.parametrize("rate,b,c", [
@@ -186,11 +187,12 @@ def test_eval_grid_matches_pointwise_eval_bitwise(f):
         "c-negative-zero", "both-negative", "underflow-c-negative", "b-negative-zero"])
 def test_one_state_eval_grid_matches_pointwise_eval_bytes(rate, b, c):
     # the 1x1 readout is elementwise: bytes compare the sign of zero, which
-    # np.array_equal ignores
+    # np.array_equal ignores; the reference is the one-matrix formula, as
+    # qe_eval reads eval_grid
     f = QEFunction(A=[[rate]], b=[b], c=[c])
     xs = np.concatenate([[0.0], np.linspace(0.05, 6.0, 129)]).reshape(2, 65)
     got = f.eval_grid(xs)
-    want = np.array([qe_eval(f, x) for x in xs.ravel()]).reshape(xs.shape)
+    want = np.reshape([f.c @ (mat_exp(f.A, x) @ f.b) for x in xs.ravel()], xs.shape)
     assert got.tobytes() == want.tobytes()
     assert not np.signbit(got[got == 0.0]).any()
 
@@ -265,6 +267,28 @@ def test_integral_of_cosine_vs_quadrature_oracle():
     oracle, _ = quad(lambda z: qe_eval(COS_TRIPLE, z), 0.0, np.pi)
     assert abs(got - oracle) < 1e-10
     assert abs(got) < 1e-12
+
+
+def augmented_integral(f, x0, x1):
+    """The two-call formula: one exponential of [[A, b], [0, 0]] per endpoint."""
+    n = f.n
+    aug = np.zeros((n + 1, n + 1))
+    aug[:n, :n] = f.A
+    aug[:n, n] = f.b
+    return (float(f.c @ mat_exp(aug, x1)[:n, n])
+            - float(f.c @ mat_exp(aug, x0)[:n, n]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 5.0), st.floats(0.0, 5.0))
+def test_integral_equals_the_two_call_formula_bitwise(seed, a, b):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    f = QEFunction(A=rng.uniform(-1.5, 0.5, (n, n)),
+                   b=rng.uniform(-2, 2, n), c=rng.uniform(-2, 2, n))
+    x0, x1 = sorted((a, b))
+    assert qe_integral(f, x0, x1) == augmented_integral(f, x0, x1)
+    assert qe_integral(f, x1, x1) == 0.0
 
 
 def test_integral_rejects_bad_interval():
@@ -378,6 +402,72 @@ def test_poly_trig_xsin_term():
     f = QEFunction.from_poly_trig([(0.0, 1.0, [0.0, 0.0], [0.0, 1.0])])
     for x in np.linspace(0.0, 3.0, 7):
         assert abs(qe_eval(f, x) - x * np.sin(x)) < 1e-12
+
+
+def two_branch_poly_trig(terms):
+    """Reference (A, b, c): a Jordan block for omega == 0, interleaved
+    rotation blocks otherwise, direct summed."""
+    blocks, bs, cs = [], [], []
+    for alpha, omega, p, q in terms:
+        p = np.atleast_1d(np.asarray(p, dtype=float))
+        q = np.atleast_1d(np.asarray(q, dtype=float))
+        if omega == 0.0:
+            m = len(p)
+            blk = np.diag(np.full(m, float(alpha)))
+            for k in range(1, m):
+                blk[k, k - 1] = 1.0
+            c0 = p * np.cumprod(np.concatenate(([1.0], np.arange(1, m))))
+        else:
+            deg = max(len(p), len(q)) - 1
+            p = np.pad(p, (0, deg + 1 - len(p)))
+            q = np.pad(q, (0, deg + 1 - len(q)))
+            m = 2 * (deg + 1)
+            blk, c0 = np.zeros((m, m)), np.zeros(m)
+            rot = np.array([[alpha, -omega], [omega, alpha]], dtype=float)
+            fact = 1.0
+            for k in range(deg + 1):
+                blk[2 * k:2 * k + 2, 2 * k:2 * k + 2] = rot
+                if k >= 1:
+                    blk[2 * k, 2 * k - 2] = blk[2 * k + 1, 2 * k - 1] = 1.0
+                    fact *= k
+                c0[2 * k], c0[2 * k + 1] = p[k] * fact, q[k] * fact
+        b0 = np.zeros(m)
+        b0[0] = 1.0
+        blocks.append(blk)
+        bs.append(b0)
+        cs.append(c0)
+    n = sum(len(b0) for b0 in bs)
+    A, pos = np.zeros((n, n)), 0
+    for blk in blocks:
+        A[pos:pos + len(blk), pos:pos + len(blk)] = blk
+        pos += len(blk)
+    return A, np.concatenate(bs), np.concatenate(cs)
+
+
+@pytest.mark.parametrize("terms", [
+    [(-1.0, 0.0, [1.0, 2.0, 1.0], [0.0])],
+    [(-0.0, 0.0, [-0.0, 3.0, -0.5, 0.25], [-0.0])],
+    [(-0.5, 2.0, [1.0], [3.0, -1.0, 0.5])],
+    [(0.0, -1.5, [-0.0, 1.0, 2.0], [1.0])],
+    [(-0.5, 1.0, [1.0, 0.3], [0.2, -1.0]), (-1.0, 0.0, [1.0, 2.0, 3.0], []),
+     (0.25, 3.0, [], [-0.0, 2.0]), (-2.0, 0.0, [4.0], [0.0])],
+], ids=["jordan-deg-2", "jordan-signed-zeros", "rotation-short-p",
+        "rotation-short-q", "mixed"])
+def test_poly_trig_equals_the_two_branch_builder_bytes(terms):
+    # bytes, not values: a -0.0 in A or c would change to_dict
+    f = QEFunction.from_poly_trig(terms)
+    for got, want in zip((f.A, f.b, f.c), two_branch_poly_trig(terms)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_poly_trig_rejects_empty_terms():
+    with pytest.raises(ValueError, match="at least one term"):
+        QEFunction.from_poly_trig([])
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        QEFunction.from_poly_trig([(-1.0, 0.0, [], []), (-2.0, 0.0, [1.0], [])])
+    with pytest.raises(ValueError, match="omega != 0"):
+        QEFunction.from_poly_trig([(-1.0, 0.0, [1.0], [0.5])])
 
 
 def test_json_round_trip():

@@ -540,6 +540,13 @@ def test_futures_spec_validation():
         FuturesSpec(0.0, 1.0)
 
 
+@pytest.mark.parametrize("T1,T2", [(1.0, np.inf), (np.inf, np.inf), (np.nan, 2.0),
+                                   (1.0, np.nan)])
+def test_futures_spec_rejects_a_non_finite_window(T1, T2):
+    with pytest.raises(ValueError, match=r"need 0 < T1 < T2 < inf"):
+        FuturesSpec(T1, T2)
+
+
 @pytest.mark.parametrize("name", ["affine1-exp-identity", "affine1-exp-expmap",
                                   "affine2-identity", "affine2-oscillator",
                                   "affine3-cubic", "custom_affine.json"])

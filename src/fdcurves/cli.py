@@ -34,7 +34,7 @@ import numpy as np
 from .families import CurveFamily, model_from_dict
 from .noarb import (AFFINE_RANK_TOL, XGrid, detect_affine, eta_field_from_model,
                     reconstruct_from_eta, scc_probe, solve_drift)
-from .qe import _integer, _number, _plain, _reject_unknown
+from .qe import _integer, _number, _numbers, _plain, _reject_unknown
 from .sim import (FuturesSpec, PathSet, SdeSpec, estimate_vol, futures_price,
                   martingale_test, rn_drift, simulate)
 
@@ -43,6 +43,16 @@ OUTPUT_DIR_ENV = "FDCURVES_OUTPUT_DIR"
 
 class ScenarioError(ValueError):
     """The scenario file is malformed or misses a required field."""
+
+
+def _threshold(value, name: str) -> float:
+    """A verdict's threshold, ``tolerance`` or ``z_max``: a finite number
+    >= 0, since a NaN or negative one would fail every check and report a
+    violation where the configuration is at fault."""
+    value = _number(value, name)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ScenarioError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
 
 
 def _path(raw: dict, key: str) -> str | None:
@@ -70,7 +80,7 @@ class SimConfig:
         return cls(dt=_number(data["dt"], "sim.dt"), T=_number(data["T"], "sim.T"),
                    n_paths=_integer(data["n_paths"], "sim.n_paths"),
                    seed=_integer(data["seed"], "sim.seed"),
-                   y0=np.atleast_1d(np.asarray(data["y0"], dtype=float)))
+                   y0=np.atleast_1d(_numbers(data["y0"], "sim.y0")))
 
 
 @dataclass
@@ -84,7 +94,7 @@ class ReconstructConfig:
         _reject_unknown(data, {"y", "n_steps", "x0"}, "reconstruct")
         if "y" not in data:
             raise ScenarioError("reconstruct is missing required key 'y'")
-        return cls(y=np.atleast_1d(np.asarray(data["y"], dtype=float)),
+        return cls(y=np.atleast_1d(_numbers(data["y"], "reconstruct.y")),
                    n_steps=(_integer(data["n_steps"], "reconstruct.n_steps")
                             if "n_steps" in data else 1000),
                    x0=_number(data.get("x0", 0.0), "reconstruct.x0"))
@@ -126,11 +136,11 @@ class Scenario:
             model = model_from_dict(raw["model"])
             grid = (XGrid.from_dict(raw["grid"]) if "grid" in raw
                     else XGrid.chebyshev())
-            sigma = (np.atleast_2d(np.asarray(raw["sigma"], dtype=float))
+            sigma = (np.atleast_2d(_numbers(raw["sigma"], "sigma"))
                      if "sigma" in raw else None)
-            y_samples = (np.atleast_2d(np.asarray(raw["y_samples"], dtype=float))
+            y_samples = (np.atleast_2d(_numbers(raw["y_samples"], "y_samples"))
                          if "y_samples" in raw else None)
-            base_y = (np.atleast_1d(np.asarray(raw["base_y"], dtype=float))
+            base_y = (np.atleast_1d(_numbers(raw["base_y"], "base_y"))
                       if "base_y" in raw else None)
             sim = SimConfig.from_dict(raw["sim"]) if "sim" in raw else None
             futures = [FuturesSpec.from_dict(f) for f in raw.get("futures", [])]
@@ -140,8 +150,8 @@ class Scenario:
                 model=model, grid=grid, raw=dict(raw), sigma=sigma,
                 y_samples=y_samples, base_y=base_y, sim=sim, futures=futures,
                 reconstruct=reconstruct, paths_file=_path(raw, "paths_file"),
-                tolerance=_number(raw.get("tolerance", 1e-6), "tolerance"),
-                z_max=_number(raw.get("z_max", 3.0), "z_max"),
+                tolerance=_threshold(raw.get("tolerance", 1e-6), "tolerance"),
+                z_max=_threshold(raw.get("z_max", 3.0), "z_max"),
                 output_dir=_path(raw, "output_dir"),
             )
         except ScenarioError:
@@ -435,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> None:
     if args.tolerance is not None:
-        scenario.tolerance = args.tolerance
+        scenario.tolerance = _threshold(args.tolerance, "--tolerance")
     if args.rank_tol is not None:
         scenario.rank_tol = args.rank_tol
     if any(v is not None for v in (args.seed, args.n_paths, args.dt)):

@@ -55,6 +55,20 @@ def _number(value, name: str) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
+def _numbers(value, name: str) -> np.ndarray:
+    """A number or nested lists of numbers as a float array: a true or "3"
+    entry is a ValueError naming ``name``, such as the scenario field
+    ``sigma``, never read as 1.0 or 3.0."""
+    pending = [value]
+    while pending:
+        v = pending.pop()
+        if isinstance(v, (list, tuple)):
+            pending.extend(reversed(v))  # entries in order: the first bad one is named
+        elif isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{name} entries must be numbers, got {v!r}")
+    return np.asarray(value, dtype=float)
+
+
 def _plain(value):
     """The JSON form of a result: a dataclass is the dict of its fields in
     field order, containers recurse and numpy values go through ``tolist``.

@@ -72,7 +72,10 @@ class SdeSpec:
     ``drift`` maps a batch of states (n, d) to (n, d), row by row. In
     :func:`simulate` it is called once per step on all paths, each time
     with a fresh C-contiguous float array (n_paths, d) that it may keep or
-    overwrite, and must return that shape.
+    overwrite, and must return that shape. The one exception is a
+    closed-form :class:`RiskNeutralDrift`, which :func:`simulate` steps on
+    the drift's component-major core instead of calling it, with the same
+    bits; the contract for every other drift is unchanged.
     """
 
     d: int
@@ -433,6 +436,12 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     its own row in j order and no BLAS routine runs, so path p is the same
     bits whatever n_paths and whatever BLAS library. Beyond the normals and
     the paths, the loop holds O(n_paths d) floats.
+
+    A closed-form :class:`RiskNeutralDrift` (``rn_drift`` of an affine
+    model with full-rank loadings) is not called: the steps run on its
+    component-major core, the state held as (d, n_paths), inside one
+    ``np.errstate`` for the whole loop, with the bits of calling it. Every
+    other drift, the solved one of a non-affine family included, is called.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -455,6 +464,10 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
 
     paths = np.empty((n_paths, n_steps + 1, d))
     paths[:, 0] = spec.y0
+    drift = spec.drift
+    if type(drift) is RiskNeutralDrift and drift._rows == drift._closed_form:
+        _closed_form_steps(drift, noise, dt, paths)
+        return PathSet(times=dt * np.arange(n_steps + 1), paths=paths, seed=key)
     y = np.tile(spec.y0, (n_paths, 1))
     # y + mu dt + noise in that order, mu dt built in a reused buffer; the
     # sum is a fresh array, so the drift never sees a state it was handed
@@ -474,6 +487,28 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
         y = step + noise[:, k]
         paths[:, k + 1] = y
     return PathSet(times=dt * np.arange(n_steps + 1), paths=paths, seed=key)
+
+
+def _closed_form_steps(drift: RiskNeutralDrift, noise: np.ndarray, dt: float,
+                       paths: np.ndarray) -> None:
+    """:func:`simulate`'s steps under a closed-form drift, written into
+    paths[:, 1:] from paths[:, 0]: the generic loop's y + mu dt + noise and
+    SimulationError, on the state y (d, n_paths) held component-major."""
+    planes = drift._planes_of(paths.shape[0])
+    y = paths[:, 0].T.copy()  # its own buffer: the steps write into it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(noise.shape[1]):
+            mu = drift._cm_rows(y, planes)
+            if not np.isfinite(mu).all():
+                bad = int(np.flatnonzero(~np.isfinite(mu).all(axis=0))[0])
+                raise SimulationError(
+                    f"drift returned non-finite values on path {bad} at t={k * dt:.6g}")
+            # the core returns a fresh array and keeps no reference to y, so
+            # both are updated in place
+            mu *= dt
+            mu += y
+            np.add(mu, noise[:, k].T, out=y)
+            paths[:, k + 1] = y.T
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +589,10 @@ def martingale_test(model: CurveFamily, ps: PathSet,
     if ps.horizon > fs.T1 + 1e-12:
         raise ValueError(
             f"path horizon {ps.horizon} exceeds delivery start T1={fs.T1}")
-    price = _window_pricer(model, ps.times, fs)
+    # a horizon within the 1e-12 tolerance past T1 is priced at T1, so the
+    # window's nodes never fall before the valuation time; every time up to
+    # T1 keeps its own
+    price = _window_pricer(model, np.minimum(ps.times, fs.T1), fs)
     # stream the slices in chunks: keep the last price column and each
     # path's max |increment|, never the (n_paths, n_times) price matrix
     max_inc = np.zeros(ps.n_paths)
@@ -735,6 +773,11 @@ class RiskNeutralDrift:
     Every other model is solved in stacks of ``_DRIFT_CHUNK`` states, one
     table evaluation and one stacked projection per stack; a row does not
     depend on the stack it was solved in.
+
+    The closed form exists once, as a core on component-major states with
+    no width check and no error-state scope; a call wraps it in both and
+    the transposes, and :func:`simulate` steps on the core directly, with
+    the same bits.
     """
 
     def __init__(self, model: CurveFamily, sigma: np.ndarray, grid):
@@ -755,14 +798,21 @@ class RiskNeutralDrift:
                 self._planes = self._consts[:, :, None]  # width 1
                 self._rows = self._closed_form
 
-    def _closed_form(self, Y: np.ndarray) -> np.ndarray:
-        d = self.model.d
-        Yt = np.ascontiguousarray(Y.T)
+    def _planes_of(self, m: int) -> np.ndarray:
+        """The (d + 2 + c, d, m) planes of width m, kept for the next call."""
         planes = self._planes  # read once: a call of another width may swap it
-        if planes.shape[2] != Yt.shape[1]:
-            planes = np.repeat(self._consts[:, :, None], Yt.shape[1], axis=2)
+        if planes.shape[2] != m:
+            planes = np.repeat(self._consts[:, :, None], m, axis=2)
             self._planes = planes
-        A, dA, d2A = self.model.factor_map.cm_jet(Yt, 2, planes[d + 2:])
+        return planes
+
+    def _cm_rows(self, yt: np.ndarray, planes: np.ndarray) -> np.ndarray:
+        """The closed form's core: b (d, m), a fresh array, at the
+        component-major states yt (d, m), read from ``planes`` of width m.
+        It checks no width and enters no error-state scope: where A'(y) = 0
+        numpy warns unless the caller has silenced divide and invalid."""
+        d = self.model.d
+        A, dA, d2A = self.model.factor_map.cm_jet(yt, 2, planes[d + 2:])
         # Q A(y) as a row-local sum in j order, not a matmul, so a row never
         # depends on the batch (A[j:j + 1] is (1, m), the planes' own shape
         # at d = 1); then (p + QA - A'' a/2) / A' in place, in that order
@@ -770,11 +820,15 @@ class RiskNeutralDrift:
         qa = planes[0] * A[:1]
         for j in range(1, d):
             qa += planes[j] * A[j:j + 1]
+        qa += planes[d]
+        qa -= d2A * planes[d + 1]
+        qa /= dA
+        return qa
+
+    def _closed_form(self, Y: np.ndarray) -> np.ndarray:
+        Yt = np.ascontiguousarray(Y.T)
         with np.errstate(divide="ignore", invalid="ignore"):
-            qa += planes[d]
-            qa -= d2A * planes[d + 1]
-            qa /= dA
-        return qa.T
+            return self._cm_rows(Yt, self._planes_of(Yt.shape[1])).T
 
     def _solved(self, Y: np.ndarray) -> np.ndarray:
         out = np.empty(Y.shape)

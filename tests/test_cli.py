@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import struct
@@ -207,6 +208,44 @@ def test_non_number_scenario_field_is_config_error(tmp_path, capsys, name, value
     assert main(["simulate", "--scenario", scenario]) == 2
     assert capsys.readouterr().out == f"error: {name} must be a number, got {value!r}\n"
     assert not (tmp_path / "out" / "paths.bin").exists()
+
+
+@pytest.mark.parametrize("entry", [True, "1"])
+@pytest.mark.parametrize("name,command", [
+    ("sigma", "simulate"), ("y_samples", "check-drift"), ("base_y", "detect-affine"),
+    ("sim.y0", "simulate"), ("reconstruct.y", "reconstruct")])
+def test_non_number_array_entry_is_config_error(tmp_path, capsys, name, command, entry):
+    # np.asarray(..., dtype=float) would read true as 1.0 and "1" as 1.0
+    raw = affine_scenario(tmp_path / "out", base_y=[0.0])
+    section, _, key = name.rpartition(".")
+    field = raw[section] if section else raw
+    field[key] = [[entry]] if name in ("sigma", "y_samples") else [entry]
+    scenario = write_scenario(tmp_path, raw)
+    assert main([command, "--scenario", scenario]) == 2
+    assert capsys.readouterr().out == f"error: {name} entries must be numbers, got {entry!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("name,command", [("tolerance", "check-drift"),
+                                          ("z_max", "martingale-test")])
+def test_scenario_threshold_must_be_finite_and_non_negative(tmp_path, capsys, name,
+                                                            command, value):
+    # a NaN or negative threshold would report every check as a violation
+    scenario = write_scenario(tmp_path, affine_scenario(tmp_path / "out", **{name: value}))
+    assert main([command, "--scenario", scenario]) == 2
+    assert capsys.readouterr().out == (
+        f"error: {name} must be a finite number >= 0, got {value!r}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_tolerance_override_must_be_finite_and_non_negative(tmp_path, capsys, value):
+    assert main(["check-drift", "--scenario", str(SCENARIOS / "affine_demo.json"),
+                 "--tolerance", value, "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out == (
+        f"error: --tolerance must be a finite number >= 0, got {float(value)!r}\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_price_with_an_infinite_window_end_exits_2_naming_the_window(tmp_path):

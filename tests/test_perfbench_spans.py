@@ -9,7 +9,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # install() looks every wrapped name up on the library, so a renamed symbol
-# raises here; the short simulation checks that the drift counter fires.
+# raises here; the short simulation checks that the drift counter fires. It
+# runs a non-affine family, whose drift simulate calls once per step: a
+# closed-form drift is stepped on its core, which the tracer does not wrap.
 PROGRAM = """
 import json
 import fdcurves as fd
@@ -17,7 +19,7 @@ import spans
 
 tracer = spans.Tracer()
 spans.install(tracer)
-model = fd.builtin_models()["affine1-exp-identity"]
+model = fd.builtin_models()["gaussian-example"]
 spec = fd.SdeSpec(d=1, drift=fd.rn_drift(model, [[1.0]], fd.XGrid.chebyshev()),
                   sigma=[[1.0]], y0=[0.5])
 tracer.active = True

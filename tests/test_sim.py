@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -737,6 +738,22 @@ def test_martingale_rejects_paths_beyond_delivery():
         martingale_test(simple_affine(), ps, FS12)
 
 
+@pytest.mark.parametrize("name", ["affine1-exp-identity", "gaussian-example"])
+def test_martingale_prices_a_horizon_rounded_past_t1_at_t1(name):
+    # 3 steps of 0.1 end at 0.30000000000000004, inside the 1e-12 the test
+    # admits past T1 = 0.3; the affine pricer used to reject the negative
+    # time-to-maturity and the Gaussian family priced it
+    m = builtin_models()[name]
+    spec = SdeSpec(d=1, drift=rn_drift(m, [[1.0]], GRID), sigma=[[1.0]], y0=[0.5])
+    ps = simulate(spec, 0.1, 0.3, 50, seed=3)
+    assert ps.horizon == 0.30000000000000004
+    fs = FuturesSpec(0.3, 1.0)
+    res = martingale_test(m, ps, fs)
+    assert math.isfinite(res.z_score)
+    at_t1 = PathSet(times=np.minimum(ps.times, 0.3), paths=ps.paths, seed=ps.seed)
+    assert martingale_test(m, at_t1, fs) == res
+
+
 def test_martingale_z_within_band_for_nearly_all_seeds():
     # fixed seed list: the z statistic is standard normal under the
     # risk-neutral drift, so at least 99% of seeds stay inside [-3, 3]
@@ -1193,6 +1210,57 @@ def test_gaussian_example_paths_equal_a_per_state_euler_reference():
     ref = per_path_philox_paths(SdeSpec(d=1, drift=per_state, sigma=sigma, y0=[0.5]),
                                 0.01, 5, n_paths, 13)
     assert np.array_equal(ps.paths, ref)
+
+
+@pytest.mark.parametrize("n_paths", [1, 257])
+@pytest.mark.parametrize("name, m, sigma", affine_drift_cases(),
+                         ids=[case[0] for case in affine_drift_cases()])
+def test_closed_form_paths_equal_the_reference_that_calls_the_drift(name, m, sigma, n_paths):
+    # simulate steps a closed-form drift on its component-major core; the
+    # reference calls the drift itself, once per step on (n_paths, d)
+    drift = rn_drift(m, sigma, GRID)
+    assert drift._rows == drift._closed_form
+    spec = SdeSpec(d=m.d, drift=drift, sigma=sigma, y0=np.linspace(-0.2, 0.3, m.d))
+    ps = simulate(spec, 0.05, 0.25, n_paths, seed=21)
+    assert ps.paths.tobytes() == per_path_philox_paths(spec, 0.05, 5, n_paths, 21).tobytes()
+
+
+def test_closed_form_drift_with_a_zero_slope_raises_without_a_warning():
+    # A'(0) = 0 in both components: b_1 = -a_11 / 0 = -inf (a division by
+    # zero) and b_2 = -0.0 / 0 = nan (an invalid operation)
+    m = AffineModel(c=QEFunction.constant(0.0),
+                    u=[QEFunction.exponential(-1.0), QEFunction.exponential(-2.0)],
+                    factor_map=ComponentwiseCubicMap([0.0, 0.0], [0.5, 0.0], [0.1, 1.0]))
+    drift = rn_drift(m, np.eye(2), GRID)
+    assert drift._rows == drift._closed_form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError) as closed:
+            simulate(SdeSpec(d=2, drift=drift, sigma=np.eye(2), y0=[0.0, 0.0]),
+                     0.01, 0.1, 4, seed=0)
+        with pytest.raises(SimulationError) as generic:
+            simulate(SdeSpec(d=2, drift=lambda y: drift(y), sigma=np.eye(2),
+                             y0=[0.0, 0.0]), 0.01, 0.1, 4, seed=0)
+    assert str(closed.value) == str(generic.value) == (
+        "drift returned non-finite values on path 0 at t=0")
+
+
+def test_simulate_calls_only_a_drift_without_a_closed_form(monkeypatch):
+    calls = []
+    call = sim.RiskNeutralDrift.__call__
+
+    def spy(self, y):
+        calls.append(np.shape(y))
+        return call(self, y)
+
+    monkeypatch.setattr(sim.RiskNeutralDrift, "__call__", spy)
+    for m, sigma, n_calls in ((custom_model(), np.array(CUSTOM_SIGMA), 0),
+                              (GaussianExampleModel(), np.array([[1.2]]), 5)):
+        calls.clear()
+        spec = SdeSpec(d=m.d, drift=rn_drift(m, sigma, GRID), sigma=sigma,
+                       y0=np.full(m.d, 0.1))
+        simulate(spec, 0.05, 0.25, 3, seed=5)
+        assert calls == [(3, m.d)] * n_calls
 
 
 @pytest.mark.parametrize("name", ["affine3-cubic", "custom_affine.json",

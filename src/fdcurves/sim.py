@@ -474,7 +474,7 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     # before, and may keep or overwrite its input
     step = np.empty(y.shape)
     for k in range(n_steps):
-        mu = np.asarray(spec.drift(y), dtype=float)
+        mu = np.asarray(drift(y), dtype=float)
         if mu.shape != y.shape:
             raise ValueError(f"drift must map a batch (n_paths, d) = {y.shape} "
                              f"to the same shape, got {mu.shape}")

@@ -69,13 +69,12 @@ class SimulationError(RuntimeError):
 class SdeSpec:
     """Factor dynamics dY = drift(Y) dt + sigma dW started at y0.
 
-    ``drift`` maps a batch of states (n, d) to (n, d), row by row. In
-    :func:`simulate` it is called once per step on all paths, each time
-    with a fresh C-contiguous float array (n_paths, d) that it may keep or
-    overwrite, and must return that shape. The one exception is a
-    closed-form :class:`RiskNeutralDrift`, which :func:`simulate` steps on
-    the drift's component-major core instead of calling it, with the same
-    bits; the contract for every other drift is unchanged.
+    ``d`` is an integer >= 1. ``drift`` maps a batch of states (n, d) to
+    (n, d), row by row. In :func:`simulate` it is called once per step on
+    all paths, each time with a fresh C-contiguous float array (n_paths, d)
+    that it may keep or overwrite, and must return that shape; a
+    closed-form :class:`RiskNeutralDrift` is evaluated on its
+    component-major core instead, with the same bits.
     """
 
     d: int
@@ -84,6 +83,10 @@ class SdeSpec:
     y0: np.ndarray
 
     def __post_init__(self) -> None:
+        d = _integer(self.d, "d")
+        if d < 1:
+            raise ValueError(f"d must be >= 1, got {d}")
+        object.__setattr__(self, "d", d)
         sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
         y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
         if sigma.shape != (self.d, self.d):
@@ -434,14 +437,13 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     The noise sigma sqrt(dt) Z_k of every step is formed once, before the
     steps, in the normals' own buffer (see :func:`_noise`): each entry sums
     its own row in j order and no BLAS routine runs, so path p is the same
-    bits whatever n_paths and whatever BLAS library. Beyond the normals and
-    the paths, the loop holds O(n_paths d) floats.
-
-    A closed-form :class:`RiskNeutralDrift` (``rn_drift`` of an affine
-    model with full-rank loadings) is not called: the steps run on its
-    component-major core, the state held as (d, n_paths), inside one
-    ``np.errstate`` for the whole loop, with the bits of calling it. Every
-    other drift, the solved one of a non-affine family included, is called.
+    bits whatever n_paths and whatever BLAS library. One loop steps every
+    drift with the state held component-major, (d, n_paths); beyond the
+    normals and the paths it holds O(n_paths d) floats. A closed-form
+    :class:`RiskNeutralDrift` (``rn_drift`` of an affine model with
+    full-rank loadings) is evaluated on its core inside one ``np.errstate``
+    for the whole loop, with the bits of calling it; every other drift is
+    called as described above, under the caller's error state.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -465,50 +467,42 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     paths = np.empty((n_paths, n_steps + 1, d))
     paths[:, 0] = spec.y0
     drift = spec.drift
-    if type(drift) is RiskNeutralDrift and drift._rows == drift._closed_form:
-        _closed_form_steps(drift, noise, dt, paths)
-        return PathSet(times=dt * np.arange(n_steps + 1), paths=paths, seed=key)
-    y = np.tile(spec.y0, (n_paths, 1))
-    # y + mu dt + noise in that order, mu dt built in a reused buffer; the
-    # sum is a fresh array, so the drift never sees a state it was handed
-    # before, and may keep or overwrite its input
-    step = np.empty(y.shape)
-    for k in range(n_steps):
-        mu = np.asarray(drift(y), dtype=float)
-        if mu.shape != y.shape:
-            raise ValueError(f"drift must map a batch (n_paths, d) = {y.shape} "
-                             f"to the same shape, got {mu.shape}")
-        if not np.isfinite(mu).all():
-            bad = int(np.flatnonzero(~np.isfinite(mu).all(axis=1))[0])
-            raise SimulationError(
-                f"drift returned non-finite values on path {bad} at t={k * dt:.6g}")
-        np.multiply(mu, dt, out=step)
-        step += y
-        y = step + noise[:, k]
-        paths[:, k + 1] = y
-    return PathSet(times=dt * np.arange(n_steps + 1), paths=paths, seed=key)
-
-
-def _closed_form_steps(drift: RiskNeutralDrift, noise: np.ndarray, dt: float,
-                       paths: np.ndarray) -> None:
-    """:func:`simulate`'s steps under a closed-form drift, written into
-    paths[:, 1:] from paths[:, 0]: the generic loop's y + mu dt + noise and
-    SimulationError, on the state y (d, n_paths) held component-major."""
-    planes = drift._planes_of(paths.shape[0])
+    # one loop for every drift, rows(y, arg) at the state y (d, n_paths);
+    # only the closed form's division is silenced, so any other drift's
+    # numpy warnings surface as the caller has them set
+    if type(drift) is RiskNeutralDrift and drift._consts is not None:
+        _states(paths[:, 0], drift.model.d)  # the drift's own error for another width
+        rows, arg, silenced = drift._cm_rows, _planes(drift._consts, n_paths), "ignore"
+    else:
+        rows, arg, silenced = _called, drift, None
     y = paths[:, 0].T.copy()  # its own buffer: the steps write into it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(noise.shape[1]):
-            mu = drift._cm_rows(y, planes)
+    step = np.empty(y.shape)
+    with np.errstate(divide=silenced, invalid=silenced):
+        for k in range(n_steps):
+            mu = rows(y, arg)
             if not np.isfinite(mu).all():
                 bad = int(np.flatnonzero(~np.isfinite(mu).all(axis=0))[0])
                 raise SimulationError(
                     f"drift returned non-finite values on path {bad} at t={k * dt:.6g}")
-            # the core returns a fresh array and keeps no reference to y, so
-            # both are updated in place
-            mu *= dt
-            mu += y
-            np.add(mu, noise[:, k].T, out=y)
+            # y + mu dt + noise in that order, mu dt built in a reused buffer
+            np.multiply(mu, dt, out=step)
+            step += y
+            np.add(step, noise[:, k].T, out=y)
             paths[:, k + 1] = y.T
+    return PathSet(times=dt * np.arange(n_steps + 1), paths=paths, seed=key)
+
+
+def _called(y: np.ndarray, drift: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """drift at the component-major states y (d, n), as a (d, n) view. The
+    drift is handed a fresh C-contiguous (n, d) copy, which it may keep or
+    overwrite: what it leaves there is written back to y."""
+    x = y.T.copy()
+    mu = np.asarray(drift(x), dtype=float)
+    if mu.shape != x.shape:
+        raise ValueError(f"drift must map a batch (n_paths, d) = {x.shape} "
+                         f"to the same shape, got {mu.shape}")
+    y[...] = x.T
+    return mu.T
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +575,9 @@ def martingale_test(model: CurveFamily, ps: PathSet,
     and loadings once per call and builds no curve. The statistic is the
     cross-path mean of the terminal-minus-initial change divided by its
     standard error. Under the risk-neutral drift the z-score is standard
-    normal; a misspecified drift shows up as |z| far outside [-3, 3].
+    normal; a misspecified drift shows up as |z| far outside [-3, 3]. A
+    non-finite price anywhere on a path (or an increment that overflows)
+    makes ``max_abs_increment`` non-finite and the z-score NaN.
     """
     # the affine pricer reads the factor map directly, which would
     # broadcast states of another width
@@ -610,14 +606,16 @@ def martingale_test(model: CurveFamily, ps: PathSet,
         std_error = float(np.std(total, ddof=1) / np.sqrt(ps.n_paths))
     else:
         std_error = 0.0
-    if std_error > 0.0:
+    max_abs_increment = float(np.max(max_inc))
+    if not math.isfinite(max_abs_increment):  # a non-finite price on some path
+        z = math.nan
+    elif std_error > 0.0:
         z = drift_estimate / std_error
     else:
         z = 0.0 if drift_estimate == 0.0 else float("inf") * np.sign(drift_estimate)
     return MartingaleTestResult(
         drift_estimate=drift_estimate, std_error=std_error, z_score=float(z),
-        max_abs_increment=float(np.max(max_inc)),
-        n_paths=ps.n_paths)
+        max_abs_increment=max_abs_increment, n_paths=ps.n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -763,28 +761,24 @@ class RiskNeutralDrift:
         p = U^+ c',  Q = U^+ U',
 
     with p and Q computed once here; it is non-finite where A'(y) = 0. The
-    closed form runs component-major on the m states of a call and reads
-    its constants -- the d columns of Q, p, 1/2 diag(a) and the factor
-    map's c coefficient rows -- copied out to (d, m) planes, so that its
-    products have same-shape operands (bar the rows A_j(y) that Q A scales
-    at d >= 2). The drift keeps the planes of the last width m it was
-    called with, (d + 2 + c) * d * m floats (c = 6 for the cubic map, 0 for
-    the identity and exp maps), and rebuilds them when the width changes.
+    closed form runs component-major on m states, reading its constants --
+    the d columns of Q, p, 1/2 diag(a) and the factor map's c coefficient
+    rows (c = 6 for the cubic map, 0 for the identity and exp maps) --
+    copied out to (d, m) planes, so that its products have same-shape
+    operands (bar the rows A_j(y) that Q A scales at d >= 2). A call builds
+    the planes for its own states; :func:`simulate` builds them once for
+    its paths and steps on the core, with the bits of calling the drift.
     Every other model is solved in stacks of ``_DRIFT_CHUNK`` states, one
     table evaluation and one stacked projection per stack; a row does not
-    depend on the stack it was solved in.
-
-    The closed form exists once, as a core on component-major states with
-    no width check and no error-state scope; a call wraps it in both and
-    the transposes, and :func:`simulate` steps on the core directly, with
-    the same bits.
+    depend on the stack it was solved in. Nothing changes after
+    ``__init__``, so one drift may serve calls of any width in any thread.
     """
 
     def __init__(self, model: CurveFamily, sigma: np.ndarray, grid):
         self.model = model
         self.cov = _covariance(sigma, model.d)
         self.grid = grid
-        self._rows = self._solved
+        self._consts = None  # the closed form's constants, if it has one
         if isinstance(model, AffineModel):
             dc, U, dU = model._basis(_grid_nodes(grid))
             pq, _, rank, _ = np.linalg.lstsq(U, np.column_stack([dc, dU]),
@@ -795,16 +789,6 @@ class RiskNeutralDrift:
                 self._consts = np.vstack([pq[:, 1:].T, pq[:, 0],
                                           0.5 * np.diag(self.cov),
                                           model.factor_map.coefficients])
-                self._planes = self._consts[:, :, None]  # width 1
-                self._rows = self._closed_form
-
-    def _planes_of(self, m: int) -> np.ndarray:
-        """The (d + 2 + c, d, m) planes of width m, kept for the next call."""
-        planes = self._planes  # read once: a call of another width may swap it
-        if planes.shape[2] != m:
-            planes = np.repeat(self._consts[:, :, None], m, axis=2)
-            self._planes = planes
-        return planes
 
     def _cm_rows(self, yt: np.ndarray, planes: np.ndarray) -> np.ndarray:
         """The closed form's core: b (d, m), a fresh array, at the
@@ -825,21 +809,26 @@ class RiskNeutralDrift:
         qa /= dA
         return qa
 
-    def _closed_form(self, Y: np.ndarray) -> np.ndarray:
-        Yt = np.ascontiguousarray(Y.T)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._cm_rows(Yt, self._planes_of(Yt.shape[1])).T
-
-    def _solved(self, Y: np.ndarray) -> np.ndarray:
-        out = np.empty(Y.shape)
-        for k in range(0, Y.shape[0], _DRIFT_CHUNK):
-            rows = slice(k, k + _DRIFT_CHUNK)
-            out[rows] = _drift_stack(self.model, Y[rows], self.cov, self.grid)[0]
-        return out
-
     def __call__(self, y: np.ndarray) -> np.ndarray:
         y = _states(y, self.model.d)
-        return self._rows(y.reshape(-1, y.shape[-1])).reshape(y.shape)
+        Y = y.reshape(-1, y.shape[-1])
+        if self._consts is None:
+            out = np.empty(Y.shape)
+            for k in range(0, Y.shape[0], _DRIFT_CHUNK):
+                rows = slice(k, k + _DRIFT_CHUNK)
+                out[rows] = _drift_stack(self.model, Y[rows], self.cov, self.grid)[0]
+            return out.reshape(y.shape)
+        Yt = np.ascontiguousarray(Y.T)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = self._cm_rows(Yt, _planes(self._consts, Yt.shape[1]))
+        return b.T.reshape(y.shape)
+
+
+def _planes(consts: np.ndarray, m: int) -> np.ndarray:
+    """The closed form's constants (k, d) copied out to planes (k, d, m)."""
+    planes = np.empty(consts.shape + (m,))
+    planes[...] = consts[:, :, None]  # faster than np.repeat or np.tile
+    return planes
 
 
 # Alias kept only for the benchmark tracer (perfbench/spans.py), which

@@ -241,6 +241,16 @@ def test_normals_import_scipy_once_the_draws_pass_the_budget(draws, loaded):
     assert json.loads(proc.stdout) == {"loaded": loaded, "same": True}
 
 
+@pytest.mark.parametrize("d, message", [
+    (2.0, "d must be an integer, got 2.0"), (True, "d must be an integer, got True"),
+    (0, "d must be >= 1, got 0")])
+def test_sde_spec_rejects_a_dimension_that_is_not_a_positive_integer(d, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SdeSpec(d=d, drift=lambda y: -y, sigma=np.eye(2), y0=[0.0, 0.0])
+    spec = SdeSpec(d=np.int64(2), drift=lambda y: -y, sigma=np.eye(2), y0=[0.0, 0.0])
+    assert type(spec.d) is int and spec.d == 2
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, np.True_])
 def test_simulate_rejects_seeds_outside_u64(seed):
     with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
@@ -310,6 +320,17 @@ def test_a_drift_that_writes_into_its_input_gives_the_unbuffered_paths(d, n_path
     spec = correlated_spec(overwriting, d)
     ps = simulate(spec, 0.05, 0.5, n_paths, seed=14)
     assert ps.paths.tobytes() == per_path_philox_paths(spec, 0.05, 10, n_paths, 14).tobytes()
+
+
+def test_a_drift_s_own_numpy_warning_surfaces_from_simulate():
+    def warning(y):
+        np.log(-1.0 - np.abs(y))  # invalid: numpy warns; the result is unused
+        return -0.5 * y
+
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in log"):
+        ps = simulate(correlated_spec(warning), 0.05, 0.25, 3, seed=15)
+    ref = simulate(correlated_spec(lambda y: -0.5 * y), 0.05, 0.25, 3, seed=15)
+    assert ps.paths.tobytes() == ref.paths.tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -732,6 +753,19 @@ def test_pathset_rejects_zero_paths(tmp_path):
         PathSet.load(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", [0, 4, 10])
+def test_martingale_z_is_nan_for_a_non_finite_price_anywhere_on_a_path(value, k):
+    ps = simulate(ou_spec(0.3), 0.05, 0.5, 9, seed=16)
+    paths = ps.paths.copy()
+    paths[3, k, 0] = value
+    with np.errstate(invalid="ignore"):  # inf - inf, which numpy reports
+        res = martingale_test(simple_affine(), PathSet(ps.times, paths, ps.seed), FS12)
+    assert math.isnan(res.z_score)
+    assert not math.isfinite(res.max_abs_increment)
+    assert math.isfinite(martingale_test(simple_affine(), ps, FS12).z_score)
+
+
 def test_martingale_rejects_paths_beyond_delivery():
     ps = simulate(ou_spec(), 0.1, 1.5, 2, seed=0)
     with pytest.raises(ValueError, match="horizon"):
@@ -1126,7 +1160,7 @@ def drift_paths():
 def test_rn_drift_names_d_and_the_shape_for_a_state_of_another_width(
         name, m, sigma, closed):
     drift = rn_drift(m, sigma, GRID)
-    assert (drift._rows == drift._closed_form) is closed
+    assert (drift._consts is not None) is closed
     for y in (np.zeros(m.d + 1), np.zeros((4, m.d + 1)), np.zeros((2, 3, m.d + 1))):
         with pytest.raises(ValueError) as err:
             drift(y)
@@ -1146,28 +1180,27 @@ def test_rn_drift_maps_a_stack_row_by_row(name, m, sigma, closed):
     assert np.array_equal(out.reshape(6, m.d), drift(Y.reshape(6, m.d)))
 
 
-def test_rn_drift_keeps_the_planes_of_its_last_width_only():
-    m = custom_model()
-    c = m.factor_map.coefficients.shape[0]
-    drift = rn_drift(m, CUSTOM_SIGMA, GRID)
-    Y = off_lattice_states(m.d, 200)
-    ref = drift(Y[:7])
-    drift(Y)
-    planes = drift._planes
-    assert planes.nbytes == (m.d + 2 + c) * m.d * 200 * 8
-    # pricing and the tables read the model and its map, which hold no planes
-    ps = simulate(SdeSpec(d=2, drift=lambda y: 0.0 * y, sigma=np.array(CUSTOM_SIGMA),
-                          y0=[0.1, -0.1]), 0.05, 0.5, 9, seed=3)
-    martingale_test(m, ps, FS12)
-    m.derivative_tables(GRID.nodes, Y[:5])
-    assert drift._planes is planes
-    assert np.array_equal(drift(Y[:7]), ref)
-    assert drift._planes.nbytes == (m.d + 2 + c) * m.d * 7 * 8
+def test_rn_drift_keeps_no_state_that_its_calls_or_simulate_change():
+    for m, sigma in ((custom_model(), np.array(CUSTOM_SIGMA)),
+                     (GaussianExampleModel(), np.array([[1.2]]))):
+        drift = rn_drift(m, sigma, GRID)
+        before = {k: (v, v.tobytes() if isinstance(v, np.ndarray) else None)
+                  for k, v in vars(drift).items()}
+        Y = off_lattice_states(m.d, 200)
+        for n in (1, 7, 200):
+            drift(Y[:n])
+        simulate(SdeSpec(d=m.d, drift=drift, sigma=sigma, y0=np.full(m.d, 0.1)),
+                 0.05, 0.25, 9, seed=3)
+        after = vars(drift)
+        assert after.keys() == before.keys()
+        for k, (v, raw) in before.items():
+            assert after[k] is v, k
+            assert raw is None or v.tobytes() == raw, k
 
 
 def test_rn_drift_shared_by_threads_of_different_widths_gives_each_its_rows():
-    # each call reads the planes once, so a call of another width that swaps
-    # them in another thread cannot hand it planes of the wrong shape
+    # the drift keeps no per-call state, so calls of other widths in other
+    # threads cannot hand a call constants of the wrong shape
     m = custom_model()
     drift = rn_drift(m, CUSTOM_SIGMA, GRID)
     Y = off_lattice_states(m.d, 64)
@@ -1219,7 +1252,7 @@ def test_closed_form_paths_equal_the_reference_that_calls_the_drift(name, m, sig
     # simulate steps a closed-form drift on its component-major core; the
     # reference calls the drift itself, once per step on (n_paths, d)
     drift = rn_drift(m, sigma, GRID)
-    assert drift._rows == drift._closed_form
+    assert drift._consts is not None
     spec = SdeSpec(d=m.d, drift=drift, sigma=sigma, y0=np.linspace(-0.2, 0.3, m.d))
     ps = simulate(spec, 0.05, 0.25, n_paths, seed=21)
     assert ps.paths.tobytes() == per_path_philox_paths(spec, 0.05, 5, n_paths, 21).tobytes()
@@ -1232,7 +1265,7 @@ def test_closed_form_drift_with_a_zero_slope_raises_without_a_warning():
                     u=[QEFunction.exponential(-1.0), QEFunction.exponential(-2.0)],
                     factor_map=ComponentwiseCubicMap([0.0, 0.0], [0.5, 0.0], [0.1, 1.0]))
     drift = rn_drift(m, np.eye(2), GRID)
-    assert drift._rows == drift._closed_form
+    assert drift._consts is not None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SimulationError) as closed:
@@ -1261,6 +1294,23 @@ def test_simulate_calls_only_a_drift_without_a_closed_form(monkeypatch):
                        y0=np.full(m.d, 0.1))
         simulate(spec, 0.05, 0.25, 3, seed=5)
         assert calls == [(3, m.d)] * n_calls
+
+
+@pytest.mark.parametrize("model_d, spec_d", [(1, 2), (2, 1), (2, 3)])
+def test_simulate_names_the_drift_s_d_for_a_spec_of_another_width(model_d, spec_d):
+    closed = {1: builtin_models()["affine1-exp-identity"], 2: custom_model()}[model_d]
+    solved = {1: GaussianExampleModel(), 2: collinear_affine()}[model_d]
+    sigma = np.eye(spec_d)
+    messages = []
+    for m in (closed, solved):
+        drift = rn_drift(m, np.eye(model_d), GRID)
+        for f in (drift, lambda y: drift(y)):
+            with pytest.raises(ValueError) as err:
+                simulate(SdeSpec(d=spec_d, drift=f, sigma=sigma, y0=np.zeros(spec_d)),
+                         0.05, 0.25, 3, seed=1)
+            messages.append(str(err.value))
+    assert messages == [f"a state needs d={model_d} factors, shape (d,) or (..., d); "
+                        f"got shape (3, {spec_d})"] * 4
 
 
 @pytest.mark.parametrize("name", ["affine3-cubic", "custom_affine.json",

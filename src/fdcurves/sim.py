@@ -17,14 +17,13 @@ delivery window,
     F_t(T1, T2) = 1/(T2 - T1) * int_T1^T2 g(u - t, Y_t) du,
 
 evaluated by composite Simpson quadrature on N_QUAD = 129 fixed nodes. An
-affine family prices as F_t = cbar(t) + sum_k ubar_k(t) A_k(Y_t), with its
-intercept and loadings averaged over the window. Under the risk-neutral drift
-these prices are local martingales, which :func:`martingale_test` checks
-with a Monte Carlo z-score on terminal-minus-initial increments. The loop
-closes with :func:`estimate_vol` (realised covariation of the factor
-increments) and :func:`scc_loop`, which re-estimates the diffusion matrix
-from simulated data and asks whether the curve family still admits a
-risk-neutral drift for it.
+affine family prices as F_t = cbar(t) + sum_k ubar_k(t) A_k(Y_t), each
+average read out of one window-integrated QE state. Under the risk-neutral
+drift these prices are local martingales, which :func:`martingale_test`
+checks with a Monte Carlo z-score on terminal-minus-initial increments.
+The loop closes with :func:`estimate_vol` (realised covariation) and
+:func:`scc_loop`, which re-estimates the diffusion matrix from simulated
+data and asks whether the curve family still admits a risk-neutral drift.
 """
 
 from __future__ import annotations
@@ -40,7 +39,8 @@ import numpy as np
 from .families import AffineModel, CurveFamily, _grid_nodes, _simpson_weights, _states
 from .noarb import (RANK_TOL, DriftSolveResult, _covariance, _drift_stack,
                     _solve_drift_cov)
-from .qe import _integer, _number, _plain, _reject_unknown
+from .qe import (MatrixExponentialOverflowError, _integer, _number, _plain,
+                 _reject_unknown, mat_exp)
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes
 N_QUAD = 129  # Simpson nodes per delivery window; 65 misses 1e-10 on slow decays
@@ -51,10 +51,6 @@ _CHUNK = 32
 # larger stack was faster (d = 1 and d = 3), and a drift call peaks at
 # 0.6 MB (d = 1) to 1.4 MB (d = 3) under tracemalloc
 _DRIFT_CHUNK = 256
-# sample times per block of a window pricer's averaged loadings: the
-# (rows x N_QUAD) node tables stay near 130 KB per array however long the
-# path grid, and a 101-time grid stays one block
-_WINDOW_ROWS = 128
 # normal rows per block of the Euler noise at d >= 2, whose temporaries hold
 # (d + 2) * d * _NOISE_ROWS floats (256 KB at d = 2): at 200 x 100, d = 2,
 # 2**12 rows ran as fast as 2**14 (82 against 85 us, 2-core x86-64 VM)
@@ -513,26 +509,29 @@ def _called(y: np.ndarray, drift: Callable[[np.ndarray], np.ndarray]) -> np.ndar
 def _window_pricer(model: CurveFamily, ts: np.ndarray,
                    fs: FuturesSpec) -> Callable[[np.ndarray, slice], np.ndarray]:
     """price(Y, rows): the prices (n, k) of the states Y (n, k, d) at the
-    times ts[rows], by Simpson on N_QUAD nodes over the delivery window.
+    times ts[rows] <= T1, by Simpson on N_QUAD nodes over the delivery window.
 
-    An affine family averages c and each u_k over the window once here, for
-    every time in ts, _WINDOW_ROWS times to a node table, and each call
-    evaluates A(Y) alone; any other family builds its curves on the window's
-    nodes. Every sum is row-local, so a price never depends on the block it
-    was computed in.
+    An affine family averages c and each u_k over the window once here; each
+    call evaluates A(Y) alone. A loading c e^(Ax) b at the node T1 + s_j is
+    c e^(A(T1 - t)) e^(A s_j) b, so its window average is c e^(A(T1 - t)) W,
+    W = sum_j (w_j / L) e^(A s_j) b: one mat_exp stack of (N_QUAD + len(ts))
+    n^2 floats per loading. Other families build curves on the window's nodes.
+    Sums are row-local with no BLAS call: a price never depends on its block.
     """
     us, w = _simpson_weights(fs.T1, fs.T2, N_QUAD)
     length = fs.T2 - fs.T1
     if isinstance(model, AffineModel):
+        xs = np.concatenate([us - fs.T1, fs.T1 - ts])
         avg = np.empty((ts.shape[0], 1 + model.d))
-        for k in range(0, ts.shape[0], _WINDOW_ROWS):
-            xs = us[None, :] - ts[k:k + _WINDOW_ROWS, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # raised below
             for i, f in enumerate((model.c, *model.u)):
-                avg[k:k + _WINDOW_ROWS, i] = (f.eval_grid(xs) * w).sum(axis=-1)
-        avg /= length
-        c_avg, u_avg = avg[:, 0], avg[:, 1:]
-        return lambda Y, rows: (c_avg[rows]
-                                + (model.factor_map.value(Y) * u_avg[rows]).sum(axis=-1))
+                e = mat_exp(f.A, xs)
+                W = np.einsum("j,ji->i", w / length, (e[:N_QUAD] * f.b).sum(axis=-1))
+                avg[:, i] = (e[N_QUAD:] * (f.c[:, None] * W)).sum(axis=(1, 2))
+        if not np.isfinite(avg).all():
+            raise MatrixExponentialOverflowError("a window average left the double range")
+        return lambda Y, rows: (avg[rows, 0]
+                                + (model.factor_map.value(Y) * avg[rows, 1:]).sum(axis=-1))
     return lambda Y, rows: np.stack(
         [(model.curve_matrix(us - t, Y[:, j]) * w).sum(axis=1)
          for j, t in enumerate(ts[rows])], axis=1) / length
@@ -541,8 +540,9 @@ def _window_pricer(model: CurveFamily, ts: np.ndarray,
 def futures_price(model: CurveFamily, y: np.ndarray, t: float,
                   fs: FuturesSpec) -> np.ndarray:
     """Delivery-period price 1/(T2-T1) * int_T1^T2 g(u - t, y) du at time t,
-    by Simpson on N_QUAD nodes (affine families: cbar(t) + ubar(t) . A(y)),
-    for a state y (d,) or a stack y (..., d): prices of the batch shape of y."""
+    by Simpson on N_QUAD nodes (affine families: cbar(t) + ubar(t) . A(y) by
+    window states), for a state y (d,) or a stack y (..., d): prices of the
+    batch shape of y."""
     if not math.isfinite(t):
         raise ValueError(f"valuation time t must be finite, got {t}")
     if t > fs.T1:
@@ -597,15 +597,15 @@ def martingale_test(model: CurveFamily, ps: PathSet,
         block = price(ps.paths[:, rows], rows)
         if k == 0:
             first = prev = block[:, 0]
-        steps = np.diff(block, axis=1, prepend=prev[:, None])
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: NaN, as promised
+            steps = np.diff(block, axis=1, prepend=prev[:, None])
         np.maximum(max_inc, np.abs(steps).max(axis=1), out=max_inc)
         prev = block[:, -1]
-    total = prev - first
-    drift_estimate = float(np.mean(total))
-    if ps.n_paths > 1:
-        std_error = float(np.std(total, ddof=1) / np.sqrt(ps.n_paths))
-    else:
-        std_error = 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        total = prev - first
+        drift_estimate = float(np.mean(total))
+        std_error = (float(np.std(total, ddof=1) / np.sqrt(ps.n_paths))
+                     if ps.n_paths > 1 else 0.0)
     max_abs_increment = float(np.max(max_inc))
     if not math.isfinite(max_abs_increment):  # a non-finite price on some path
         z = math.nan

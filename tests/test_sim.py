@@ -20,7 +20,8 @@ from fdcurves.families import (AffineModel, ComponentwiseCubicMap, ExpMinusOneMa
                                GaussianExampleModel, IdentityMap, NumericCurveFamily,
                                _simpson_weights, builtin_models, model_from_dict)
 from fdcurves.noarb import RANK_TOL, XGrid, rn_residual, solve_drift
-from fdcurves.qe import QEFunction, qe_integral
+from fdcurves.qe import (MatrixExponentialOverflowError, QEFunction, qe_derivative,
+                         qe_integral)
 from fdcurves import noarb, sim
 from fdcurves.sim import (N_QUAD, PATHSET_MAGIC, FuturesSpec, PathSet, SccLoopReport,
                           SdeSpec, SimulationError, estimate_vol, futures_price,
@@ -53,7 +54,21 @@ def pricing_models():
     models["custom_affine.json"] = model_from_dict(custom)
     models["numeric-d1"] = NumericCurveFamily(
         lambda x, y: float(np.exp(-x) * np.sin(y[0])), d=1)
+    # a growing loading, and a 7-state poly x trig one whose exponentials
+    # take scipy's general Pade route rather than the 1x1 or 2x2 formulas
+    models["positive-rate-qe"] = AffineModel(
+        c=QEFunction.exponential(0.7, 0.3), u=[QEFunction.exponential(1.3)],
+        factor_map=IdentityMap(1))
+    models["poly-trig-qe"] = AffineModel(
+        c=QEFunction.constant(0.1),
+        u=[QEFunction.from_poly_trig([(-0.3, 2.0, [1.0, 0.5], [0.2, -0.1]),
+                                      (0.0, 0.0, [0.5, 0.1, 0.05], [])])],
+        factor_map=ExpMinusOneMap(1))
     return models
+
+
+AFFINE_PRICING = sorted(name for name, m in pricing_models().items()
+                        if isinstance(m, AffineModel))
 
 
 def window_average(m, y, t, fs=FS12):
@@ -569,20 +584,48 @@ def test_futures_spec_rejects_a_non_finite_window(T1, T2):
         FuturesSpec(T1, T2)
 
 
-@pytest.mark.parametrize("name", ["affine1-exp-identity", "affine1-exp-expmap",
-                                  "affine2-identity", "affine2-oscillator",
-                                  "affine3-cubic", "custom_affine.json"])
+def simpson_remainder(f, lo, hi):
+    """(hi - lo) h^4 max|f^(4)| / 180: the most the N_QUAD-node composite
+    Simpson rule can miss the integral of f over [lo, hi] by, with the
+    maximum sampled on 2,049 points (f^(4) is QE, so smooth)."""
+    for _ in range(4):
+        f = qe_derivative(f)
+    h = (hi - lo) / (N_QUAD - 1)
+    return (hi - lo) * h**4 * np.abs(f.eval_grid(np.linspace(lo, hi, 2049))).max() / 180
+
+
+@pytest.mark.parametrize("name", AFFINE_PRICING)
 def test_price_quadrature_matches_exact_qe_integrals(name):
     # Simpson against the closed-form antiderivative of each QE component
+    # (the augmented generator), at the start, inside and at T1, within the
+    # rule's own remainder (up to 7e-10 here; the errors measured at most
+    # 0.82 of it) plus rounding
     m = pricing_models()[name]
     y = np.linspace(0.3, -0.4, m.d)
     z = m.factor_map.value(y)
     length = FS12.T2 - FS12.T1
-    exact = (qe_integral(m.c, FS12.T1, FS12.T2)
-             + sum(qe_integral(f, FS12.T1, FS12.T2) * z[k]
-                   for k, f in enumerate(m.u))) / length
-    got = futures_price(m, y, 0.0, FS12)
-    assert abs(got - exact) <= 1e-10
+    for t in (0.0, 0.3, FS12.T1):
+        lo, hi = FS12.T1 - t, FS12.T2 - t
+        exact = (qe_integral(m.c, lo, hi)
+                 + sum(qe_integral(f, lo, hi) * z[k] for k, f in enumerate(m.u))) / length
+        bound = (simpson_remainder(m.c, lo, hi)
+                 + sum(abs(z[k]) * simpson_remainder(f, lo, hi)
+                       for k, f in enumerate(m.u))) / length
+        assert abs(futures_price(m, y, t, FS12) - exact) <= bound + 1e-14
+
+
+@pytest.mark.parametrize("name", AFFINE_PRICING)
+def test_window_state_prices_equal_the_whole_curve_simpson_sum_to_rounding(name):
+    # the window state regroups the same 129-node Simpson sum: measured at
+    # most 8.6 ulps of max(1, |price|) (poly-trig-qe; 1.5 on the zoo), so
+    # 16 such ulps bound the regrouping
+    m = pricing_models()[name]
+    Y = np.random.default_rng(41).uniform(-1.0, 1.0, (9, m.d))
+    for t in (0.0, 0.3, FS12.T1):
+        for y in Y:
+            ref = window_average(m, y, t)
+            got = futures_price(m, y, t, FS12)
+            assert abs(got - ref) <= 16 * np.spacing(max(1.0, abs(ref)))
 
 
 def test_corollary_transformed_factor_reprices_exactly():
@@ -617,6 +660,16 @@ def test_batch_prices_equal_single_state_prices_bit_for_bit(name):
     assert np.array_equal(batch, [futures_price(m, y, 0.3, FS12) for y in Y])
 
 
+def test_a_window_average_that_overflows_raises_as_its_exponentials_would():
+    # e^(A (T1 - t)) and e^(A s_j) each stay near e^400, inside the double
+    # range, but their product does not: the price raises, as the node
+    # table's e^(A (u - t)) did, with no numpy warning on the way
+    m = AffineModel(c=QEFunction.constant(0.0), u=[QEFunction.exponential(1.0)],
+                    factor_map=IdentityMap(1))
+    with pytest.raises(MatrixExponentialOverflowError, match="double range"):
+        futures_price(m, [1.0], 0.0, FuturesSpec(400.0, 800.0))
+
+
 def test_non_finite_valuation_time_names_one_value():
     for name, y, t in [("affine2-identity", [0.1, 0.2], math.nan),
                        ("gaussian-example", [0.1], math.nan),
@@ -627,8 +680,8 @@ def test_non_finite_valuation_time_names_one_value():
 
 
 def test_window_pricer_memory_does_not_grow_with_the_time_grid():
-    # 5,001 sample times at dt = 1e-4: one (times x N_QUAD) node table is
-    # 5.2 MB, and the averages are built in blocks of sim._WINDOW_ROWS
+    # 5,001 sample times at dt = 1e-4: one (times x N_QUAD) node table would
+    # be 5.2 MB; the window state needs (N_QUAD + times) n^2 floats per loading
     ts = np.linspace(0.0, 0.5, 5001)
     table_bytes = ts.size * N_QUAD * 8
     m = builtin_models()["affine3-cubic"]
@@ -715,10 +768,12 @@ def reference_martingale(m, ps, fs):
 
 
 @pytest.mark.parametrize("n_steps", [100, 32])
-@pytest.mark.parametrize("name", ["affine3-cubic", "gaussian-example"])
+@pytest.mark.parametrize("name", ["affine3-cubic", "gaussian-example", "poly-trig-qe"])
 def test_martingale_equals_a_futures_price_loop_bit_for_bit(name, n_steps):
-    # 101 and 33 slices put a chunk boundary inside the run
-    m = builtin_models()[name]
+    # 101 and 33 slices put a chunk boundary inside the run; the 7x7
+    # loading's exponentials are slices of a longer stack than in one
+    # futures_price call
+    m = pricing_models()[name]
     ps = simulate(driftless(0.4, 0.2, d=m.d), 0.5 / n_steps, 0.5, 7, seed=11)
     res = martingale_test(m, ps, FS12)
     assert (res.drift_estimate, res.z_score, res.max_abs_increment) == \
@@ -726,22 +781,23 @@ def test_martingale_equals_a_futures_price_loop_bit_for_bit(name, n_steps):
 
 
 def test_martingale_evaluates_each_loading_once_per_call(monkeypatch):
-    # c and each u_k are averaged over the window once per call, for all
+    # c and each u_k are averaged over the window once per call: one
+    # exponential stack per loading holds the N_QUAD window offsets and all
     # sample times, however many chunks the slices are priced in
     m = builtin_models()["affine3-cubic"]
     calls = []
-    eval_grid = QEFunction.eval_grid
+    mat_exp = sim.mat_exp
 
-    def counted(self, xs):
-        calls.append(np.shape(xs))
-        return eval_grid(self, xs)
+    def counted(A, xs):
+        calls.append((A.shape, np.shape(xs)))
+        return mat_exp(A, xs)
 
-    monkeypatch.setattr(QEFunction, "eval_grid", counted)
+    monkeypatch.setattr(sim, "mat_exp", counted)
+    monkeypatch.setattr(QEFunction, "eval_grid", None)  # no node table
     ps = simulate(driftless(0.3, 0.1, d=3), 0.005, 0.5, 4, seed=2)
     assert ps.n_times > sim._CHUNK
     martingale_test(m, ps, FS12)
-    assert len(calls) == m.d + 1
-    assert sum(shape[0] for shape in calls) == (m.d + 1) * ps.n_times
+    assert calls == [(f.A.shape, (N_QUAD + ps.n_times,)) for f in (m.c, *m.u)]
 
 
 def test_pathset_rejects_zero_paths(tmp_path):
@@ -754,16 +810,31 @@ def test_pathset_rejects_zero_paths(tmp_path):
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("k", [0, 4, 10])
+@pytest.mark.parametrize("k", [0, 4, 10, pytest.param([4, 5], id="4+5"),
+                               pytest.param([9, 10], id="9+10")])
 def test_martingale_z_is_nan_for_a_non_finite_price_anywhere_on_a_path(value, k):
+    # under the suite's filterwarnings = error: an inf at the last time
+    # (inf - mean in the statistics) or at two adjacent times (inf - inf in
+    # the increments) must return as silently as a NaN
     ps = simulate(ou_spec(0.3), 0.05, 0.5, 9, seed=16)
     paths = ps.paths.copy()
     paths[3, k, 0] = value
-    with np.errstate(invalid="ignore"):  # inf - inf, which numpy reports
-        res = martingale_test(simple_affine(), PathSet(ps.times, paths, ps.seed), FS12)
+    res = martingale_test(simple_affine(), PathSet(ps.times, paths, ps.seed), FS12)
     assert math.isnan(res.z_score)
     assert not math.isfinite(res.max_abs_increment)
     assert math.isfinite(martingale_test(simple_affine(), ps, FS12).z_score)
+
+
+def test_a_family_s_own_numpy_warning_surfaces_from_martingale_test():
+    # only the increment statistics are silenced, never the pricer
+    def curve(x, y):
+        np.log(-1.0 - abs(y[0]))  # invalid: numpy warns; the result is unused
+        return math.exp(-x) * y[0]
+
+    ps = simulate(ou_spec(0.3), 0.1, 0.2, 2, seed=4)
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in log"):
+        res = martingale_test(NumericCurveFamily(curve, d=1), ps, FS12)
+    assert math.isfinite(res.z_score)
 
 
 def test_martingale_rejects_paths_beyond_delivery():

@@ -94,10 +94,14 @@ class ReconstructConfig:
         _reject_unknown(data, {"y", "n_steps", "x0"}, "reconstruct")
         if "y" not in data:
             raise ScenarioError("reconstruct is missing required key 'y'")
+        x0 = _number(data.get("x0", 0.0), "reconstruct.x0")
+        if not 0.0 <= x0 < math.inf:  # a maturity: no curve is defined below 0
+            raise ScenarioError(
+                f"reconstruct.x0 must be a finite maturity >= 0, got {x0!r}")
         return cls(y=np.atleast_1d(_numbers(data["y"], "reconstruct.y")),
                    n_steps=(_integer(data["n_steps"], "reconstruct.n_steps")
                             if "n_steps" in data else 1000),
-                   x0=_number(data.get("x0", 0.0), "reconstruct.x0"))
+                   x0=x0)
 
 
 _SCENARIO_KEYS = {
@@ -108,11 +112,10 @@ _SCENARIO_KEYS = {
 
 @dataclass
 class Scenario:
-    """Parsed scenario; ``raw`` keeps the original JSON for round-trips."""
+    """Parsed scenario."""
 
     model: CurveFamily
     grid: XGrid
-    raw: dict = field(repr=False)
     sigma: np.ndarray | None = None
     y_samples: np.ndarray | None = None
     base_y: np.ndarray | None = None
@@ -147,7 +150,7 @@ class Scenario:
             reconstruct = (ReconstructConfig.from_dict(raw["reconstruct"])
                            if "reconstruct" in raw else None)
             return cls(
-                model=model, grid=grid, raw=dict(raw), sigma=sigma,
+                model=model, grid=grid, sigma=sigma,
                 y_samples=y_samples, base_y=base_y, sim=sim, futures=futures,
                 reconstruct=reconstruct, paths_file=_path(raw, "paths_file"),
                 tolerance=_threshold(raw.get("tolerance", 1e-6), "tolerance"),
@@ -158,9 +161,6 @@ class Scenario:
             raise
         except (ValueError, TypeError, KeyError) as exc:
             raise ScenarioError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        return dict(self.raw)
 
 
 def load_scenario(path) -> Scenario:

@@ -446,24 +446,13 @@ def _fd_tables(curve_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray],
     """Finite-difference (dx g, grad_y g, hess_y g) over ``xs x {y}``, for a
     state y (d,) or a batch y (..., d), shaped as ``derivative_tables``.
 
-    dx g is a central difference with step h1 where x >= h1 and the
-    one-sided second-order stencil otherwise, so g is never evaluated at
-    x < 0; grad_y g uses central differences with step h1 and hess_y g the
-    second-difference stencils with step h2. ``curve_matrix`` runs twice
-    whatever the batch: once on the stacked x stencils at every y, once on
-    the grid for the stack (..., m, d) of the m y stencil states of each y.
+    dx g is :func:`_dx_stencil` with step h1, grad_y g central differences
+    with step h1 and hess_y g second differences with step h2. ``curve_matrix``
+    runs twice whatever the batch: on the stacked x stencils at every y, and
+    on the grid for the stack (..., m, d) of the m y stencil states of each y.
     """
     batch, d = y.shape[:-1], y.shape[-1]
-    K = xs.shape[0]
-    central = xs >= h1
-    edge = xs[~central]
-    fx = curve_matrix(np.concatenate([xs + h1, np.where(central, xs - h1, xs),
-                                      edge + 2 * h1]), y)
-    up, lo = fx[..., :K], fx[..., K:2 * K]
-    dxg = np.empty(batch + (K,))
-    dxg[..., central] = (up[..., central] - lo[..., central]) / (2 * h1)
-    dxg[..., ~central] = (-3 * lo[..., ~central] + 4 * up[..., ~central]
-                          - fx[..., 2 * K:]) / (2 * h1)
+    dxg = _dx_stencil(lambda x: curve_matrix(x, y), xs, h1)
 
     e1, e2 = np.diag(np.full(d, h1)), np.diag(np.full(d, h2))
     iu, ju = np.triu_indices(d, 1)
@@ -476,14 +465,30 @@ def _fd_tables(curve_matrix: Callable[[np.ndarray, np.ndarray], np.ndarray],
     f1p, f1m, f2p, f2m = np.split(F[..., 1:1 + 4 * d, :], 4, axis=-2)
     pp, pm, mp, mm = np.split(F[..., 1 + 4 * d:, :], 4, axis=-2)
     # filled through grid-last views, so both tables stay C-ordered
-    grads = np.empty(batch + (K, d))
-    hesses = np.empty(batch + (K, d, d))
+    grads = np.empty(batch + xs.shape + (d,))
+    hesses = np.empty(batch + xs.shape + (d, d))
     g_view, h_view = np.moveaxis(grads, -2, -1), np.moveaxis(hesses, -3, -1)
     diag = np.arange(d)
     g_view[...] = (f1p - f1m) / (2 * h1)
     h_view[..., diag, diag, :] = (f2p - 2 * F[..., :1, :] + f2m) / h2**2
     h_view[..., iu, ju, :] = h_view[..., ju, iu, :] = (pp - pm - mp + mm) / (4 * h2**2)
     return dxg, grads, hesses
+
+
+def _dx_stencil(f: Callable, xs: np.ndarray, h1: float) -> np.ndarray:
+    """d/dx of f (..., K) on the nodes xs (K,): central differences with step
+    h1 where x >= h1, one-sided second order below, so no x < 0 is evaluated;
+    ``f`` maps maturities (n,) to values (..., n) and runs once."""
+    K = xs.shape[0]
+    central = xs >= h1
+    fx = f(np.concatenate([xs + h1, np.where(central, xs - h1, xs),
+                           xs[~central] + 2 * h1]))
+    up, lo = fx[..., :K], fx[..., K:2 * K]
+    dx = np.empty(fx.shape[:-1] + (K,))
+    dx[..., central] = (up[..., central] - lo[..., central]) / (2 * h1)
+    dx[..., ~central] = (-3 * lo[..., ~central] + 4 * up[..., ~central]
+                         - fx[..., 2 * K:]) / (2 * h1)
+    return dx
 
 
 def _fd_steps(first_step, second_step) -> tuple[float, float]:
@@ -616,8 +621,8 @@ def hilbert_norm(h: Callable[[float], float],
     h : callable
         The curve. Only h(0) is used when ``h_prime`` is supplied.
     h_prime : callable, optional
-        Vectorised derivative. When omitted, central finite differences of
-        ``h`` with step ``FD_FIRST_STEP`` are used (one-sided at x = 0).
+        Vectorised derivative. When omitted, the stencil of :func:`_dx_stencil`
+        with step ``FD_FIRST_STEP`` is applied to ``h``, one call per stencil node.
     x_max : float
         Truncation point, finite and >= 10. The integral over [x_max, inf) is
         estimated by fitting the slowly varying prefactor
@@ -632,15 +637,11 @@ def hilbert_norm(h: Callable[[float], float],
     if _integer(n_nodes, "n_nodes") < 100:
         raise ValueError(f"n_nodes must be >= 100, got {n_nodes}")
     xs, weights = _simpson_weights(0.0, float(x_max), n_nodes)
-    n_nodes = xs.shape[0]
     if h_prime is not None:
         dvals = np.asarray(h_prime(xs), dtype=float)
     else:
-        step = FD_FIRST_STEP
-        dvals = np.empty(n_nodes)
-        dvals[0] = (-3 * h(0.0) + 4 * h(step) - h(2 * step)) / (2 * step)
-        for k in range(1, n_nodes):
-            dvals[k] = (h(xs[k] + step) - h(xs[k] - step)) / (2 * step)
+        dvals = _dx_stencil(lambda x: np.fromiter(map(h, x.tolist()), float, x.size),
+                            xs, FD_FIRST_STEP)
     integrand = dvals**2 * (1.0 + xs) ** 1.5
     value = float(h(0.0)) ** 2 + float(weights @ integrand)
 
@@ -662,12 +663,8 @@ def curve_hilbert_norm(model: CurveFamily, y: np.ndarray,
                        x_max: float = 200.0, n_nodes: int = 2001) -> HilbertNormResult:
     """Hilbert norm of the model curve g(., y) using analytic derivatives."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
-
-    def deriv(xs: np.ndarray) -> np.ndarray:
-        dxg, _, _ = model.derivative_tables(np.asarray(xs, dtype=float), y)
-        return dxg
-
-    return hilbert_norm(lambda x: model.value(x, y), deriv,
+    return hilbert_norm(lambda x: model.value(x, y),
+                        lambda xs: model.derivative_tables(xs, y)[0],
                         x_max=x_max, n_nodes=n_nodes)
 
 

@@ -8,11 +8,11 @@ drift b through the pointwise identity
 
 for all maturities x. On a finite maturity grid this is an overdetermined
 linear system in b, solved here by SVD least squares: with G = grad_y g on
-the grid, b = G^+ (dx g - trace term). Every least-squares solve in this
-module is one call of that projection. The consistency probe projects
-dx g and each hess_y g[i,j] at once, giving vector fields gamma and
-eta[i][j] with b = gamma - 1/2 sum_ij a[i,j] eta[i][j] for every
-covariance a. One drift exists per covariance exactly when they express
+the grid, b = G^+ (dx g - trace term). Every drift solve of the package,
+``sim``'s closed form included, is one call of that projection. The
+consistency probe projects dx g and each hess_y g[i,j] at once, giving
+fields gamma and eta[i][j] with b = gamma - 1/2 sum_ij a[i,j] eta[i][j]
+for every covariance a. One drift exists per covariance exactly when they express
 the x-derivative and the y-Hessian through the y-gradient alone:
 
     hess_y g[i,j] = grad_y g . eta[i][j]        (Hessian identity)

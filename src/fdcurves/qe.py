@@ -56,9 +56,9 @@ def _number(value, name: str) -> float:
 
 
 def _numbers(value, name: str) -> np.ndarray:
-    """A number or nested lists of numbers as a float array: a true or "3"
-    entry is a ValueError naming ``name``, such as the scenario field
-    ``sigma``, never read as 1.0 or 3.0."""
+    """A finite number or nested lists of them as a float array: a true,
+    "3", NaN or infinite entry is a ValueError naming ``name``, such as the
+    scenario field ``sigma``, never read as 1.0 or 3.0 or passed on."""
     pending = [value]
     while pending:
         v = pending.pop()
@@ -66,6 +66,8 @@ def _numbers(value, name: str) -> np.ndarray:
             pending.extend(reversed(v))  # entries in order: the first bad one is named
         elif isinstance(v, bool) or not isinstance(v, numbers.Real):
             raise ValueError(f"{name} entries must be numbers, got {v!r}")
+        elif not np.isfinite(float(v)):  # an int past the double range overflows
+            raise ValueError(f"{name} entries must be finite, got {v!r}")
     return np.asarray(value, dtype=float)
 
 

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .families import AffineModel, CurveFamily, _grid_nodes, _simpson_weights, _states
-from .noarb import (RANK_TOL, DriftSolveResult, _covariance, _drift_stack,
+from .noarb import (DriftSolveResult, _covariance, _drift_stack, _project,
                     _solve_drift_cov)
 from .qe import (MatrixExponentialOverflowError, _integer, _number, _plain,
                  _reject_unknown, mat_exp)
@@ -68,9 +68,9 @@ class SdeSpec:
     ``d`` is an integer >= 1. ``drift`` maps a batch of states (n, d) to
     (n, d), row by row. In :func:`simulate` it is called once per step on
     all paths, each time with a fresh C-contiguous float array (n_paths, d)
-    that it may keep or overwrite, and must return that shape; a
-    closed-form :class:`RiskNeutralDrift` is evaluated on its
-    component-major core instead, with the same bits.
+    that it may keep or overwrite (only the Euler step writes the state),
+    and must return that shape; a closed-form :class:`RiskNeutralDrift` is
+    evaluated on its component-major core instead, with the same bits.
     """
 
     d: int
@@ -418,8 +418,8 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     ----------
     spec : SdeSpec
         Dynamics. The drift is called once per step on all paths, each
-        time with a fresh C-contiguous float array (n_paths, d), and must
-        return an array of that shape; a non-finite value raises
+        time with a fresh C-contiguous float copy (n_paths, d) of the state,
+        and must return that shape; a non-finite value raises
         SimulationError naming the first such path.
     dt, T : float
         Step and horizon; the number of steps is round(T / dt) >= 1.
@@ -489,15 +489,13 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
 
 
 def _called(y: np.ndarray, drift: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """drift at the component-major states y (d, n), as a (d, n) view. The
-    drift is handed a fresh C-contiguous (n, d) copy, which it may keep or
-    overwrite: what it leaves there is written back to y."""
+    """drift at the component-major states y (d, n), as a (d, n) view; the
+    drift gets a fresh C-contiguous (n, d) copy of y to keep or overwrite."""
     x = y.T.copy()
     mu = np.asarray(drift(x), dtype=float)
     if mu.shape != x.shape:
         raise ValueError(f"drift must map a batch (n_paths, d) = {x.shape} "
                          f"to the same shape, got {mu.shape}")
-    y[...] = x.T
     return mu.T
 
 
@@ -760,7 +758,9 @@ class RiskNeutralDrift:
         b(y) = (p + Q A(y) - 1/2 A''(y) * diag(a)) / A'(y),
         p = U^+ c',  Q = U^+ U',
 
-    with p and Q computed once here; it is non-finite where A'(y) = 0. The
+    with p, Q and the full-rank test from the projection of every drift
+    solve, once here, where loadings that vanish on the grid raise
+    DegenerateFamilyError; it is non-finite where A'(y) = 0. The
     closed form runs component-major on m states, reading its constants --
     the d columns of Q, p, 1/2 diag(a) and the factor map's c coefficient
     rows (c = 6 for the cubic map, 0 for the identity and exp maps) --
@@ -781,9 +781,9 @@ class RiskNeutralDrift:
         self._consts = None  # the closed form's constants, if it has one
         if isinstance(model, AffineModel):
             dc, U, dU = model._basis(_grid_nodes(grid))
-            pq, _, rank, _ = np.linalg.lstsq(U, np.column_stack([dc, dU]),
-                                             rcond=RANK_TOL)
-            if rank == model.d:
+            # a U that vanishes degenerates every state: the error names y = 0
+            pq, full_rank, _ = _project(U, np.column_stack([dc, dU]), np.zeros(model.d))
+            if full_rank:
                 # the constants as (d,) rows: the d columns of Q, then p,
                 # then 1/2 diag(a), then the map's coefficient rows
                 self._consts = np.vstack([pq[:, 1:].T, pq[:, 0],

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fdcurves.families import (_BASIS_CACHE_SIZE, AffineModel, ComponentwiseCubicMap,
-                               ExpMinusOneMap, GaussianExampleModel,
-                               IdentityMap, NumericCurveFamily,
-                               builtin_models, check_c12, curve_hilbert_norm,
-                               eval_curve, hilbert_norm, model_from_dict,
-                               norm_pdf)
+from fdcurves.families import (_BASIS_CACHE_SIZE, FD_FIRST_STEP, AffineModel,
+                               ComponentwiseCubicMap, ExpMinusOneMap,
+                               GaussianExampleModel, IdentityMap, NumericCurveFamily,
+                               _simpson_weights, builtin_models, check_c12,
+                               curve_hilbert_norm, eval_curve, hilbert_norm,
+                               model_from_dict, norm_pdf)
 from fdcurves.noarb import XGrid, scc_probe, solve_drift
 from fdcurves.qe import QEFunction
 from fdcurves.sim import (FuturesSpec, SdeSpec, futures_price, martingale_test, scc_loop,
@@ -470,6 +470,28 @@ def test_hilbert_norm_fd_fallback_matches_analytic():
     fd = hilbert_norm(lambda x: m.value(x, [0.0]), None,
                       x_max=50.0, n_nodes=501)
     assert abs(with_analytic.value - fd.value) < 1e-7
+
+
+def per_node_fd_derivative(h, xs, step):
+    """A finite-difference h' by one expression per node: one-sided second
+    order at x = 0, central everywhere else."""
+    dvals = np.empty(xs.shape[0])
+    dvals[0] = (-3 * h(0.0) + 4 * h(step) - h(2 * step)) / (2 * step)
+    for k in range(1, xs.shape[0]):
+        dvals[k] = (h(xs[k] + step) - h(xs[k] - step)) / (2 * step)
+    return dvals
+
+
+@pytest.mark.parametrize("x_max, n_nodes", [(200.0, 2001), (50.0, 501), (10.0, 100)])
+def test_hilbert_norm_fd_fallback_equals_a_per_node_reference_bit_for_bit(x_max, n_nodes):
+    m = GaussianExampleModel()
+    for h in (lambda x: np.exp(-x), lambda x: m.value(x, [0.0]),
+              lambda x: 1.0 / (1.0 + x) ** 2):
+        xs = _simpson_weights(0.0, x_max, n_nodes)[0]
+        ref = per_node_fd_derivative(h, xs, FD_FIRST_STEP)
+        # repr: every float field to the bit
+        assert repr(hilbert_norm(h, None, x_max, n_nodes)) == repr(
+            hilbert_norm(h, lambda _: ref, x_max, n_nodes))
 
 
 def test_hilbert_norm_validates_inputs():

@@ -160,7 +160,8 @@ def test_simulate_names_a_non_finite_step_or_horizon(dt, T, message):
 
 def per_path_philox_paths(spec, dt, n_steps, n_paths, seed):
     """Euler paths from one freshly built Philox per path, keyed by the exact
-    uint64 pair (seed, p): the reference simulate must reproduce."""
+    uint64 pair (seed, p): the reference simulate must reproduce. The drift
+    is handed a copy of the state, so what it writes there moves no path."""
     z = np.stack([ndtri(np.maximum(np.random.Generator(np.random.Philox(
         key=np.array([seed, p], np.uint64))).random((n_steps, spec.d)), 1e-300))
         for p in range(n_paths)])
@@ -171,7 +172,7 @@ def per_path_philox_paths(spec, dt, n_steps, n_paths, seed):
         noise = z[:, k, :1] * spec.sigma[:, 0]
         for j in range(1, spec.d):
             noise = noise + z[:, k, j:j + 1] * spec.sigma[:, j]
-        y = y + spec.drift(y) * dt + noise * np.sqrt(dt)
+        y = y + spec.drift(y.copy()) * dt + noise * np.sqrt(dt)
         paths[:, k + 1] = y
     return paths
 
@@ -325,16 +326,23 @@ def test_inputs_a_drift_keeps_are_unchanged_after_simulate():
 
 @pytest.mark.parametrize("d, n_paths", [(1, 1), (2, 9), (3, 4)])
 def test_a_drift_that_writes_into_its_input_gives_the_unbuffered_paths(d, n_paths):
-    def overwriting(y):
+    def in_place(y):
         y *= 0.9
         y -= 0.01
-        return -0.5 * y
+        return np.multiply(y, -0.5, out=y)
 
-    # the reference loop builds y + mu dt + noise from fresh temporaries,
-    # reading y after the drift has written into it
-    spec = correlated_spec(overwriting, d)
-    ps = simulate(spec, 0.05, 0.5, n_paths, seed=14)
-    assert ps.paths.tobytes() == per_path_philox_paths(spec, 0.05, 10, n_paths, 14).tobytes()
+    def copying(y):
+        y = y * 0.9
+        y -= 0.01
+        return y * -0.5
+
+    # only the Euler step writes the state: the in-place drift, which
+    # returns the very array it was handed, gives the paths of its copying
+    # twin and of the reference loop
+    paths = [simulate(correlated_spec(drift, d), 0.05, 0.5, n_paths, seed=14).paths
+             for drift in (in_place, copying)]
+    ref = per_path_philox_paths(correlated_spec(copying, d), 0.05, 10, n_paths, 14)
+    assert paths[0].tobytes() == paths[1].tobytes() == ref.tobytes()
 
 
 def test_a_drift_s_own_numpy_warning_surfaces_from_simulate():
@@ -1074,6 +1082,25 @@ def test_rn_drift_equals_the_broadcast_closed_form_bit_for_bit():
         for Y in (np.ascontiguousarray(block[:, 0]), block[:, 1], block[::3, 2],
                   np.asfortranarray(block[:, 0])):
             assert np.array_equal(drift(Y), broadcast_closed_form(m, sigma, Y)), name
+
+
+@pytest.mark.parametrize("grid", [GRID, XGrid.uniform(7, 2.0), XGrid.chebyshev(200, 20.0)],
+                         ids=["chebyshev40", "uniform7", "chebyshev200"])
+def test_rn_drift_constants_equal_an_lstsq_reference_bit_for_bit(grid):
+    for name, m, sigma in affine_drift_cases():
+        dc, U, dU = m._basis(grid.nodes)
+        pq, _, rank, _ = np.linalg.lstsq(U, np.column_stack([dc, dU]), rcond=RANK_TOL)
+        assert rank == m.d, name
+        ref = np.vstack([pq[:, 1:].T, pq[:, 0], 0.5 * np.diag(sigma @ sigma.T),
+                         m.factor_map.coefficients])
+        assert rn_drift(m, sigma, grid)._consts.tobytes() == ref.tobytes(), name
+
+
+def test_rn_drift_on_loadings_that_vanish_on_the_grid_raises_when_built():
+    m = AffineModel(c=QEFunction.exponential(-1.0), u=[QEFunction.constant(0.0)],
+                    factor_map=IdentityMap(1))
+    with pytest.raises(noarb.DegenerateFamilyError, match=re.escape("y=[0.0]")):
+        rn_drift(m, [[1.0]], GRID)
 
 
 def jet_inputs(d):

@@ -34,7 +34,7 @@ import numpy as np
 from .families import CurveFamily, model_from_dict
 from .noarb import (AFFINE_RANK_TOL, XGrid, detect_affine, eta_field_from_model,
                     reconstruct_from_eta, scc_probe, solve_drift)
-from .qe import _integer, _number, _numbers, _plain, _reject_unknown
+from .qe import _integer, _number, _numbers, _plain, _section, _sections
 from .sim import (FuturesSpec, PathSet, SdeSpec, estimate_vol, futures_price,
                   martingale_test, rn_drift, simulate)
 
@@ -55,11 +55,10 @@ def _threshold(value, name: str) -> float:
     return value
 
 
-def _path(raw: dict, key: str) -> str | None:
-    """An optional file or directory name: a string, or absent or null."""
-    value = raw.get(key)
+def _path(value, name: str) -> str | None:
+    """An optional file or directory name: a string, or null."""
     if value is not None and not isinstance(value, str):
-        raise ScenarioError(f"{key} must be a string, got {value!r}")
+        raise ScenarioError(f"{name} must be a string, got {value!r}")
     return value
 
 
@@ -73,14 +72,10 @@ class SimConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> SimConfig:
-        _reject_unknown(data, {"dt", "T", "n_paths", "seed", "y0"}, "sim")
-        for key in ("dt", "T", "n_paths", "seed", "y0"):
-            if key not in data:
-                raise ScenarioError(f"sim is missing required key {key!r}")
+        _section(data, "sim", ("dt", "T", "n_paths", "seed", "y0"))
         return cls(dt=_number(data["dt"], "sim.dt"), T=_number(data["T"], "sim.T"),
                    n_paths=_integer(data["n_paths"], "sim.n_paths"),
-                   seed=_integer(data["seed"], "sim.seed"),
-                   y0=np.atleast_1d(_numbers(data["y0"], "sim.y0")))
+                   seed=_integer(data["seed"], "sim.seed"), y0=_numbers(data["y0"], "sim.y0", 1))
 
 
 @dataclass
@@ -91,22 +86,28 @@ class ReconstructConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> ReconstructConfig:
-        _reject_unknown(data, {"y", "n_steps", "x0"}, "reconstruct")
-        if "y" not in data:
-            raise ScenarioError("reconstruct is missing required key 'y'")
+        _section(data, "reconstruct", ("y",), ("n_steps", "x0"))
         x0 = _number(data.get("x0", 0.0), "reconstruct.x0")
         if not 0.0 <= x0 < math.inf:  # a maturity: no curve is defined below 0
             raise ScenarioError(
                 f"reconstruct.x0 must be a finite maturity >= 0, got {x0!r}")
-        return cls(y=np.atleast_1d(_numbers(data["y"], "reconstruct.y")),
-                   n_steps=(_integer(data["n_steps"], "reconstruct.n_steps")
-                            if "n_steps" in data else 1000),
-                   x0=x0)
+        return cls(y=_numbers(data["y"], "reconstruct.y", 1),
+                   n_steps=_integer(data.get("n_steps", 1000), "reconstruct.n_steps"), x0=x0)
 
 
-_SCENARIO_KEYS = {
-    "model", "grid", "sigma", "y_samples", "base_y", "sim", "futures",
-    "reconstruct", "paths_file", "tolerance", "z_max", "output_dir",
+_READERS = {  # every scenario field, in reading order, with its reader
+    "model": model_from_dict,
+    "grid": XGrid.from_dict,
+    "sigma": lambda value: _numbers(value, "sigma", 2),
+    "y_samples": lambda value: _numbers(value, "y_samples", 2),
+    "base_y": lambda value: _numbers(value, "base_y", 1),
+    "sim": SimConfig.from_dict,
+    "futures": lambda value: [FuturesSpec.from_dict(f) for f in _sections(value, "futures")],
+    "reconstruct": ReconstructConfig.from_dict,
+    "paths_file": lambda value: _path(value, "paths_file"),
+    "tolerance": lambda value: _threshold(value, "tolerance"),
+    "z_max": lambda value: _threshold(value, "z_max"),
+    "output_dir": lambda value: _path(value, "output_dir"),
 }
 
 
@@ -115,7 +116,7 @@ class Scenario:
     """Parsed scenario."""
 
     model: CurveFamily
-    grid: XGrid
+    grid: XGrid = field(default_factory=XGrid.chebyshev)
     sigma: np.ndarray | None = None
     y_samples: np.ndarray | None = None
     base_y: np.ndarray | None = None
@@ -130,36 +131,10 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, raw: dict) -> Scenario:
-        if not isinstance(raw, dict):
-            raise ScenarioError("scenario must be a JSON object")
         try:
-            _reject_unknown(raw, _SCENARIO_KEYS, "scenario")
-            if "model" not in raw:
-                raise ScenarioError("scenario is missing required key 'model'")
-            model = model_from_dict(raw["model"])
-            grid = (XGrid.from_dict(raw["grid"]) if "grid" in raw
-                    else XGrid.chebyshev())
-            sigma = (np.atleast_2d(_numbers(raw["sigma"], "sigma"))
-                     if "sigma" in raw else None)
-            y_samples = (np.atleast_2d(_numbers(raw["y_samples"], "y_samples"))
-                         if "y_samples" in raw else None)
-            base_y = (np.atleast_1d(_numbers(raw["base_y"], "base_y"))
-                      if "base_y" in raw else None)
-            sim = SimConfig.from_dict(raw["sim"]) if "sim" in raw else None
-            futures = [FuturesSpec.from_dict(f) for f in raw.get("futures", [])]
-            reconstruct = (ReconstructConfig.from_dict(raw["reconstruct"])
-                           if "reconstruct" in raw else None)
-            return cls(
-                model=model, grid=grid, sigma=sigma,
-                y_samples=y_samples, base_y=base_y, sim=sim, futures=futures,
-                reconstruct=reconstruct, paths_file=_path(raw, "paths_file"),
-                tolerance=_threshold(raw.get("tolerance", 1e-6), "tolerance"),
-                z_max=_threshold(raw.get("z_max", 3.0), "z_max"),
-                output_dir=_path(raw, "output_dir"),
-            )
-        except ScenarioError:
-            raise
-        except (ValueError, TypeError, KeyError) as exc:
+            _section(raw, "scenario", ("model",), _READERS)
+            return cls(**{key: read(raw[key]) for key, read in _READERS.items() if key in raw})
+        except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
 
 
@@ -472,7 +447,7 @@ def main(argv=None) -> int:
         exit_code, result = _COMMANDS[args.command](scenario, out_dir)
         result.wall_time_s = time.perf_counter() - started
         _write_json(out_dir / "run_result.json", result.to_dict())
-    except (ScenarioError, ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}")
         return 2
     return exit_code

@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qe import QEFunction, _integer, _number, _plain, _reject_unknown, qe_derivative
+from .qe import (QEFunction, _integer, _number, _numbers, _plain, _qe_from_dict, _section,
+                 _sections, qe_derivative)
 
 # Default finite-difference steps for cross-checks and closure-based
 # families: central first differences and second-difference stencils on
@@ -186,17 +187,16 @@ class ComponentwiseCubicMap(FactorMap):
 
 
 def factor_map_from_dict(data: dict, d: int) -> FactorMap:
-    tag = data.get("tag")
-    if tag == "identity":
-        _reject_unknown(data, {"tag"}, "identity map")
-        return IdentityMap(d)
-    if tag == "exp-minus-one":
-        _reject_unknown(data, {"tag"}, "exp-minus-one map")
-        return ExpMinusOneMap(d)
+    """The factor map ``model.amap``: its keys checked against every tag's, then its own."""
+    coefficients = ("linear", "quadratic", "cubic")
+    tag = _section(data, "model.amap", ("tag",), coefficients)["tag"]
+    if tag in ("identity", "exp-minus-one"):
+        _section(data, "model.amap", ("tag",))
+        return IdentityMap(d) if tag == "identity" else ExpMinusOneMap(d)
     if tag == "componentwise-cubic":
-        _reject_unknown(data, {"tag", "linear", "quadratic", "cubic"}, "cubic map")
-        m = ComponentwiseCubicMap(
-            data["linear"], data.get("quadratic"), data.get("cubic"))
+        _section(data, "model.amap", ("tag", "linear"), coefficients)
+        m = ComponentwiseCubicMap(*(_numbers(data[k], f"model.amap.{k}", 1) if k in data
+                                    else None for k in coefficients))
         if m.d != d:
             raise ValueError(f"cubic map has {m.d} components, model has d={d}")
         return m
@@ -238,12 +238,11 @@ class XGrid:
 
     @classmethod
     def from_dict(cls, data: dict) -> XGrid:
-        if "nodes" in data:
-            _reject_unknown(data, {"nodes"}, "grid")
-            return cls(np.asarray(data["nodes"], dtype=float))
+        if "nodes" in _section(data, "grid", (), ("nodes", "kind", "n", "x_max")):
+            _section(data, "grid", ("nodes",))
+            return cls(_numbers(data["nodes"], "grid.nodes", 1))
         kind = data.get("kind", "chebyshev")
-        _reject_unknown(data, {"kind", "n", "x_max"}, "grid")
-        n = _integer(data["n"], "grid.n") if "n" in data else 40
+        n = _integer(data.get("n", 40), "grid.n")
         x_max = _number(data.get("x_max", 5.0), "grid.x_max")
         if kind == "chebyshev":
             return cls.chebyshev(n, x_max)
@@ -400,13 +399,10 @@ class AffineModel(CurveFamily):
 
     @classmethod
     def from_dict(cls, data: dict) -> AffineModel:
-        _reject_unknown(data, {"type", "c", "u", "amap"}, "affine model")
-        u = [QEFunction.from_dict(f) for f in data["u"]]
-        return cls(
-            c=QEFunction.from_dict(data["c"]),
-            u=u,
-            factor_map=factor_map_from_dict(data["amap"], len(u)),
-        )
+        _section(data, "model", ("c", "u", "amap"), ("type",))
+        u = [_qe_from_dict(f, "model.u") for f in _sections(data["u"], "model.u")]
+        return cls(c=_qe_from_dict(data["c"], "model.c"), u=u,
+                   factor_map=factor_map_from_dict(data["amap"], len(u)))
 
 
 class GaussianExampleModel(CurveFamily):
@@ -717,18 +713,14 @@ def model_from_dict(data: dict) -> CurveFamily:
     full affine specification ``{"type": "affine", "c": ..., "u": [...],
     "amap": {...}}``.
     """
-    if not isinstance(data, dict):
-        raise ValueError("model specification must be an object")
-    if "builtin" in data:
-        _reject_unknown(data, {"builtin"}, "builtin model reference")
-        name = data["builtin"]
-        if name not in _BUILTINS:
-            raise ValueError(
-                f"unknown builtin model {name!r}; available: {sorted(_BUILTINS)}")
+    if "builtin" in _section(data, "model", (), ("builtin", "type", "c", "u", "amap")):
+        name = _section(data, "model", ("builtin",))["builtin"]
+        if not isinstance(name, str) or name not in _BUILTINS:  # a list is unhashable
+            raise ValueError(f"unknown builtin model {name!r}; available: {sorted(_BUILTINS)}")
         return _BUILTINS[name]()
     kind = data.get("type")
     if kind == "gaussian-example":
-        _reject_unknown(data, {"type"}, "gaussian model")
+        _section(data, "model", ("type",))
         return GaussianExampleModel()
     if kind == "affine":
         return AffineModel.from_dict(data)

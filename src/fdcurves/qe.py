@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numbers
 import operator
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Iterable, Sequence
 
@@ -30,10 +31,26 @@ class MatrixExponentialOverflowError(ArithmeticError):
     """exp(M*x) left the representable double-precision range."""
 
 
-def _reject_unknown(data: dict, allowed: set, what: str) -> None:
-    unknown = set(data) - allowed
+def _section(data, name: str, required=(), optional=()) -> dict:
+    """A scenario section: a JSON object with every key in ``required`` and
+    no key outside ``required`` and ``optional``, else a ValueError naming
+    ``name``, such as ``sim`` or ``model.amap``. Returns ``data``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be an object, got {data!r}")
+    unknown = data.keys() - {*required, *optional}
     if unknown:
-        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{name} is missing required key {key!r}")
+    return data
+
+
+def _sections(value, name: str) -> list:
+    """A list of scenario sections, such as ``futures``, each read with :func:`_section`."""
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be a list of objects, got {value!r}")
+    return value
 
 
 def _integer(value, name: str) -> int:
@@ -48,27 +65,39 @@ def _integer(value, name: str) -> int:
 
 
 def _number(value, name: str) -> float:
-    """A real number: true or "3" is a ValueError naming ``name``, such as
-    the scenario field ``sim.dt``, never read as 1.0 or 3.0."""
+    """A real number: true, "3" or an integer past the double range is a ValueError
+    naming ``name``, such as the scenario field ``sim.dt``, never read as 1.0 or 3.0."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be within the double range, got {value!r}") from None
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
-def _numbers(value, name: str) -> np.ndarray:
-    """A finite number or nested lists of them as a float array: a true,
-    "3", NaN or infinite entry is a ValueError naming ``name``, such as the
-    scenario field ``sigma``, never read as 1.0 or 3.0 or passed on."""
+def _numbers(value, name: str, ndim: int) -> np.ndarray:
+    """A scenario array such as the field ``sigma`` as a float array of rank
+    ``ndim``, leading axes of length 1 added as by ``np.atleast_2d``. A true,
+    "3", NaN or infinite entry, an integer past the double range, a ragged
+    array or one of higher rank is a ValueError naming ``name``."""
     pending = [value]
     while pending:
         v = pending.pop()
-        if isinstance(v, (list, tuple)):
-            pending.extend(reversed(v))  # entries in order: the first bad one is named
-        elif isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ValueError(f"{name} entries must be numbers, got {v!r}")
-        elif not np.isfinite(float(v)):  # an int past the double range overflows
+        if type(v) is not float:  # JSON's usual entry skips the slower checks
+            if isinstance(v, (list, tuple)):
+                pending.extend(reversed(v))  # entries in order: the first bad one is named
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} entries must be numbers, got {v!r}")
+        if not -sys.float_info.max <= v <= sys.float_info.max:  # exact for ints, false for NaN
             raise ValueError(f"{name} entries must be finite, got {v!r}")
-    return np.asarray(value, dtype=float)
+    try:
+        array = np.array(value, dtype=float, ndmin=ndim)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise ValueError(f"{name} must be a rectangular array, got {value!r}") from None
+    if array.ndim > ndim:
+        raise ValueError(f"{name} must be an array of rank <= {ndim}, got rank {array.ndim}")
+    return array
 
 
 def _plain(value):
@@ -270,13 +299,17 @@ class QEFunction:
 
     @classmethod
     def from_dict(cls, data: dict) -> QEFunction:
-        _reject_unknown(data, {"n", "A", "b", "c"}, "QEFunction")
-        f = cls(A=np.asarray(data["A"], dtype=float),
-                b=np.asarray(data["b"], dtype=float),
-                c=np.asarray(data["c"], dtype=float))
-        if "n" in data and _integer(data["n"], "declared n") != f.n:
-            raise ValueError(f"declared n={data['n']} does not match A shape {f.A.shape}")
-        return f
+        return _qe_from_dict(data, "QEFunction")
+
+
+def _qe_from_dict(data, name: str) -> QEFunction:
+    """A QE function from its JSON form; errors name ``name``, such as ``model.c``."""
+    _section(data, name, ("A", "b", "c"), ("n",))
+    f = QEFunction(A=_numbers(data["A"], f"{name}.A", 2), b=_numbers(data["b"], f"{name}.b", 1),
+                   c=_numbers(data["c"], f"{name}.c", 1))
+    if "n" in data and _integer(data["n"], "declared n") != f.n:
+        raise ValueError(f"declared n={data['n']} does not match A shape {f.A.shape}")
+    return f
 
 
 def qe_eval(f: QEFunction, x: float) -> float:

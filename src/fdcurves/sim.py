@@ -39,8 +39,8 @@ import numpy as np
 from .families import AffineModel, CurveFamily, _grid_nodes, _simpson_weights, _states
 from .noarb import (DriftSolveResult, _covariance, _drift_stack, _project,
                     _solve_drift_cov)
-from .qe import (MatrixExponentialOverflowError, _integer, _number, _plain,
-                 _reject_unknown, mat_exp)
+from .qe import (MatrixExponentialOverflowError, _integer, _number, _plain, _section,
+                 mat_exp)
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes
 N_QUAD = 129  # Simpson nodes per delivery window; 65 misses 1e-10 on slow decays
@@ -229,7 +229,7 @@ class FuturesSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> FuturesSpec:
-        _reject_unknown(data, {"T1", "T2"}, "futures")
+        _section(data, "futures", ("T1", "T2"))
         return cls(T1=_number(data["T1"], "futures.T1"),
                    T2=_number(data["T2"], "futures.T2"))
 

@@ -1,7 +1,9 @@
 """Scenario parsing, subcommand dispatch, exit codes, CSV determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,10 +11,13 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fdcurves
 from fdcurves import cli
@@ -296,6 +301,151 @@ def test_missing_required_section_is_config_error(tmp_path):
     del raw["futures"]
     scenario = write_scenario(tmp_path, raw)
     assert main(["price", "--scenario", scenario]) == 2
+
+
+# -- malformed shipped scenarios ----------------------------------------------------
+
+BIG = 10**400  # a JSON integer past the double range
+DELETE = object()
+
+
+def shipped(name):
+    return json.loads((SCENARIOS / f"{name}.json").read_text())
+
+
+def replaced(tree, path, value):
+    """A copy of the JSON ``tree`` with the node at ``path`` (a tuple of keys
+    and indices, () for the root) set to ``value``, or deleted for DELETE."""
+    if not path:
+        return value
+    tree = json.loads(json.dumps(tree))
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return tree
+
+
+def run_main(argv):
+    """``main``'s exit code and stdout, read without pytest's capture fixtures,
+    which hypothesis cannot reset between examples."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name,path,value,message", [
+    # not an object, or not a list of objects
+    ("affine_demo", ("grid",), "chebyshev", "grid must be an object, got 'chebyshev'"),
+    ("affine_demo", ("grid",), [0, 1, 2], "grid must be an object, got [0, 1, 2]"),
+    ("custom_affine", ("model", "amap"), "identity",
+     "model.amap must be an object, got 'identity'"),
+    ("custom_affine", ("model", "amap"), [1], "model.amap must be an object, got [1]"),
+    ("affine_demo", ("sim",), "x", "sim must be an object, got 'x'"),
+    ("affine_demo", ("futures",), "ab", "futures must be a list of objects, got 'ab'"),
+    ("affine_demo", ("futures",), [5], "futures must be an object, got 5"),
+    ("affine_demo", ("reconstruct",), 5, "reconstruct must be an object, got 5"),
+    ("custom_affine", ("model", "u"), [5], "model.u must be an object, got 5"),
+    ("custom_affine", ("model", "c"), 5, "model.c must be an object, got 5"),
+    ("custom_affine", ("model", "u"), {"A": [[-1.0]], "b": [1.0], "c": [1.0]},
+     "model.u must be a list of objects, got {'A': [[-1.0]], 'b': [1.0], 'c': [1.0]}"),
+    ("affine_demo", ("model", "builtin"), ["x"],
+     f"unknown builtin model ['x']; available: {sorted(builtin_models())}"),
+    ("affine_demo", (), [], "scenario must be an object, got []"),
+    ("affine_demo", ("model",), None, "model must be an object, got None"),
+    ("affine_demo", ("grid",), None, "grid must be an object, got None"),
+    ("affine_demo", ("sim",), None, "sim must be an object, got None"),
+    ("affine_demo", ("futures",), None, "futures must be a list of objects, got None"),
+    ("affine_demo", ("reconstruct",), None, "reconstruct must be an object, got None"),
+    ("custom_affine", ("model", "amap"), None, "model.amap must be an object, got None"),
+    ("custom_affine", ("model", "u"), None, "model.u must be a list of objects, got None"),
+    ("custom_affine", ("model", "c"), None, "model.c must be an object, got None"),
+    # a missing key
+    ("affine_demo", ("futures", 0, "T2"), DELETE, "futures is missing required key 'T2'"),
+    ("affine_demo", ("sim", "y0"), DELETE, "sim is missing required key 'y0'"),
+    ("custom_affine", ("model", "c"), DELETE, "model is missing required key 'c'"),
+    ("custom_affine", ("model", "u"), DELETE, "model is missing required key 'u'"),
+    ("custom_affine", ("model", "u", 0, "c"), DELETE, "model.u is missing required key 'c'"),
+    ("custom_affine", ("model", "amap", "linear"), DELETE,
+     "model.amap is missing required key 'linear'"),
+    ("custom_affine", ("model", "amap", "tag"), DELETE,
+     "model.amap is missing required key 'tag'"),
+    # an array of the wrong rank
+    ("affine_demo", ("y_samples",), [[[1.0]]],
+     "y_samples must be an array of rank <= 2, got rank 3"),
+    ("affine_demo", ("reconstruct",), {"y": [[1.0]]},
+     "reconstruct.y must be an array of rank <= 1, got rank 2"),
+    ("affine_demo", ("base_y",), [[0.0]], "base_y must be an array of rank <= 1, got rank 2"),
+    # a non-number entry of a grid, QE or factor-map array
+    ("affine_demo", ("grid",), {"nodes": ["0", "0.5", "1", "2"]},
+     "grid.nodes entries must be numbers, got '0'"),
+    ("affine_demo", ("grid",), {"nodes": [False, True]},
+     "grid.nodes entries must be numbers, got False"),
+    ("custom_affine", ("model", "u", 0, "A"), [["-1"]],
+     "model.u.A entries must be numbers, got '-1'"),
+    ("custom_affine", ("model", "u", 1, "b"), [True],
+     "model.u.b entries must be numbers, got True"),
+    ("custom_affine", ("model", "c", "c"), ["0"], "model.c.c entries must be numbers, got '0'"),
+    ("custom_affine", ("model", "amap", "linear"), ["1", "1"],
+     "model.amap.linear entries must be numbers, got '1'"),
+    ("custom_affine", ("model", "amap", "cubic"), [True, True],
+     "model.amap.cubic entries must be numbers, got True"),
+    # an integer past the double range: a scalar, an array and a model array
+    ("affine_demo", ("tolerance",), BIG, f"tolerance must be within the double range, got {BIG!r}"),
+    ("affine_demo", ("sim", "dt"), BIG, f"sim.dt must be within the double range, got {BIG!r}"),
+    ("affine_demo", ("futures", 0, "T2"), BIG,
+     f"futures.T2 must be within the double range, got {BIG!r}"),
+    ("affine_demo", ("sigma",), [[BIG]], f"sigma entries must be finite, got {BIG!r}"),
+    ("custom_affine", ("model", "u", 0, "A"), [[BIG]],
+     f"model.u.A entries must be finite, got {BIG!r}"),
+    # a ragged array
+    ("affine_demo", ("y_samples",), [[1.0], [1.0, 2.0]],
+     "y_samples must be a rectangular array, got [[1.0], [1.0, 2.0]]"),
+    ("custom_affine", ("model", "u", 0, "A"), [[1.0], [1.0, 2.0]],
+     "model.u.A must be a rectangular array, got [[1.0], [1.0, 2.0]]"),
+])
+def test_malformed_shipped_scenario_is_a_config_error_naming_its_field(tmp_path, name, path,
+                                                                       value, message):
+    scenario = write_scenario(tmp_path, replaced(shipped(name), path, value))
+    out_dir = tmp_path / "out"
+    assert run_main(["check-drift", "--scenario", scenario, "--output-dir", str(out_dir)]) == (
+        2, f"error: {message}\n")
+    assert not out_dir.exists()
+
+
+def json_paths(tree, path=()):
+    """The path of every node of a JSON tree, the root's () first."""
+    yield path
+    if isinstance(tree, (dict, list)):
+        for key, node in (tree.items() if isinstance(tree, dict) else enumerate(tree)):
+            yield from json_paths(node, path + (key,))
+
+
+SHIPPED_NODES = [(name, path) for name in ("affine_demo", "custom_affine", "gaussian_probe")
+                 for path in json_paths(shipped(name))]
+MUTANTS = [None, True, "x", [], {}, 5, 1.5, math.nan, BIG, [[1.0], [1.0, 2.0]], [[[1.0]]]]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(node=st.sampled_from(SHIPPED_NODES), mutant=st.sampled_from(MUTANTS),
+       command=st.sampled_from(["check-drift", "scc-probe", "detect-affine", "price"]))
+def test_a_shipped_scenario_with_one_node_replaced_exits_0_1_or_2(node, mutant, command):
+    # none of these commands simulates or reconstructs, so no mutant loops for long
+    name, path = node
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = write_scenario(Path(tmp), replaced(shipped(name), path, mutant))
+        code, out = run_main([command, "--scenario", scenario, "--output-dir", f"{tmp}/out"])
+    lines = out.splitlines()
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), out
+    elif code == 1:
+        assert re.fullmatch(r"[A-Z]+-VIOLATION \(residual=.*\)", lines[-1]), out
+    else:
+        assert code == 0 and "error:" not in out, out
 
 
 # -- subcommand behaviour -----------------------------------------------------------

@@ -3,19 +3,19 @@
 A single JSON scenario file is the unit of reproducibility: it names the
 curve model, the maturity grid, the diffusion matrix, the states to probe,
 the simulation parameters and the contracts. Subcommands dispatch onto the
-library operations and write fixed-format CSV tables plus a
+library operations and write fixed-format artifacts plus a
 ``run_result.json`` that repeats every number shown in the summary line.
 
 Exit codes: 0 when the check passes (or the command only reports), 1 on a
 detected violation, 2 on configuration errors.
 
-CSV formats:
+Artifacts:
     residuals.csv        y_index,sigma_label,residual_rms,residual_max,rank_ok
     martingale.csv       T1,T2,drift_estimate,std_error,z_score
     singular_values.csv  index,value
     prices.csv           T1,T2,y_index,price
     vol.csv              i,j,value
-    paths.csv            path,time,y_1..y_d   (next to paths.bin)
+    paths.bin            header and little-endian float64 paths, see PathSet.save
 """
 
 from __future__ import annotations
@@ -138,10 +138,19 @@ class Scenario:
             raise ScenarioError(str(exc)) from exc
 
 
+def _json_int(digits: str) -> int:
+    """A JSON integer; one past the interpreter's digit limit is a ScenarioError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ScenarioError(f"scenario holds an integer too long to read "
+                            f"({len(digits.lstrip('-'))} digits)") from None
+
+
 def load_scenario(path) -> Scenario:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_int=_json_int)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -163,10 +172,6 @@ class RunResult:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
@@ -288,16 +293,14 @@ def _simulated_paths(scenario: Scenario) -> PathSet:
 def cmd_simulate(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
     ps = _simulated_paths(scenario)
     bin_path = out_dir / "paths.bin"
-    csv_path = out_dir / "paths.csv"
     ps.save(bin_path)
-    ps.export_csv(csv_path)
     print(f"simulated n_paths={ps.n_paths} n_times={ps.n_times} d={ps.d} "
           f"-> {bin_path}")
     result = RunResult(
         command="simulate",
         numbers={"n_paths": ps.n_paths, "n_times": ps.n_times, "d": ps.d,
                  "dt": ps.dt, "horizon": ps.horizon, "seed": ps.seed},
-        artifacts=[str(bin_path), str(csv_path)])
+        artifacts=[str(bin_path)])
     return 0, result
 
 
@@ -382,8 +385,7 @@ def cmd_reconstruct(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
         command="reconstruct",
         verdicts={"reconstruction_ok": ok},
         numbers={"reconstructed": rebuilt, "direct": direct,
-                 "abs_error": err, "tolerance": scenario.tolerance},
-        artifacts=[])
+                 "abs_error": err, "tolerance": scenario.tolerance})
     return (0 if ok else 1), result
 
 
@@ -397,6 +399,14 @@ _COMMANDS = {
     "estimate-vol": cmd_estimate_vol,
     "reconstruct": cmd_reconstruct,
 }
+_SIMULATING = ("simulate", "martingale-test", "estimate-vol")
+_FLAGS = {  # each override flag: its type, its help and the only subcommands that read it
+    "--seed": (int, "override sim.seed", _SIMULATING),
+    "--n-paths": (int, "override sim.n_paths", _SIMULATING),
+    "--dt": (float, "override sim.dt", _SIMULATING),
+    "--tolerance": (float, "override tolerance", ("check-drift", "scc-probe", "reconstruct")),
+    "--rank-tol": (float, "relative singular-value cutoff", ("detect-affine",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,32 +417,25 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--seed", type=int, help="override sim.seed")
-        p.add_argument("--n-paths", type=int, help="override sim.n_paths")
-        p.add_argument("--dt", type=float, help="override sim.dt")
-        p.add_argument("--tolerance", type=float, help="override tolerance")
-        p.add_argument("--rank-tol", type=float,
-                       help="relative singular-value cutoff for detect-affine")
+        for flag, (kind, text, readers) in _FLAGS.items():
+            if name in readers:
+                p.add_argument(flag, type=kind, help=text)
         p.add_argument("--output-dir", help="where to write artifacts "
                        f"(default: scenario, then ${OUTPUT_DIR_ENV}, then cwd)")
     return parser
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> None:
-    if args.tolerance is not None:
-        scenario.tolerance = _threshold(args.tolerance, "--tolerance")
-    if args.rank_tol is not None:
-        scenario.rank_tol = args.rank_tol
-    if any(v is not None for v in (args.seed, args.n_paths, args.dt)):
-        if scenario.sim is None:
-            raise ScenarioError("--seed/--n-paths/--dt override sim fields, "
-                                "but the scenario has no sim section")
-        if args.seed is not None:
-            scenario.sim.seed = args.seed
-        if args.n_paths is not None:
-            scenario.sim.n_paths = args.n_paths
-        if args.dt is not None:
-            scenario.sim.dt = args.dt
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    if "tolerance" in given:
+        scenario.tolerance = _threshold(given["tolerance"], "--tolerance")
+    scenario.rank_tol = given.get("rank_tol", scenario.rank_tol)
+    sim = [key for key in ("seed", "n_paths", "dt") if key in given]
+    if sim and scenario.sim is None:
+        raise ScenarioError("--seed/--n-paths/--dt override sim fields, "
+                            "but the scenario has no sim section")
+    for key in sim:
+        setattr(scenario.sim, key, given[key])
 
 
 def main(argv=None) -> int:

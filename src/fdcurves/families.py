@@ -32,8 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .qe import (QEFunction, _integer, _number, _numbers, _plain, _qe_from_dict, _section,
-                 _sections, qe_derivative)
+from .qe import (QEFunction, _built, _integer, _number, _numbers, _plain, _qe_from_dict,
+                 _section, _sections, qe_derivative)
 
 # Default finite-difference steps for cross-checks and closure-based
 # families: central first differences and second-difference stencils on
@@ -195,8 +195,9 @@ def factor_map_from_dict(data: dict, d: int) -> FactorMap:
         return IdentityMap(d) if tag == "identity" else ExpMinusOneMap(d)
     if tag == "componentwise-cubic":
         _section(data, "model.amap", ("tag", "linear"), coefficients)
-        m = ComponentwiseCubicMap(*(_numbers(data[k], f"model.amap.{k}", 1) if k in data
-                                    else None for k in coefficients))
+        m = _built("model.amap", ComponentwiseCubicMap,
+                   *(_numbers(data[k], f"model.amap.{k}", 1) if k in data else None
+                     for k in coefficients))
         if m.d != d:
             raise ValueError(f"cubic map has {m.d} components, model has d={d}")
         return m

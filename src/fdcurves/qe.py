@@ -100,6 +100,14 @@ def _numbers(value, name: str, ndim: int) -> np.ndarray:
     return array
 
 
+def _built(name: str, make, *args):
+    """``make(*args)``, its ValueError prefixed with the scenario section ``name``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _plain(value):
     """The JSON form of a result: a dataclass is the dict of its fields in
     field order, containers recurse and numpy values go through ``tolist``.
@@ -305,8 +313,8 @@ class QEFunction:
 def _qe_from_dict(data, name: str) -> QEFunction:
     """A QE function from its JSON form; errors name ``name``, such as ``model.c``."""
     _section(data, name, ("A", "b", "c"), ("n",))
-    f = QEFunction(A=_numbers(data["A"], f"{name}.A", 2), b=_numbers(data["b"], f"{name}.b", 1),
-                   c=_numbers(data["c"], f"{name}.c", 1))
+    f = _built(name, QEFunction, _numbers(data["A"], f"{name}.A", 2),
+               _numbers(data["b"], f"{name}.b", 1), _numbers(data["c"], f"{name}.c", 1))
     if "n" in data and _integer(data["n"], "declared n") != f.n:
         raise ValueError(f"declared n={data['n']} does not match A shape {f.A.shape}")
     return f

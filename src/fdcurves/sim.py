@@ -200,19 +200,6 @@ class PathSet:
                    paths=data.reshape(n_paths, n_times, d).copy(),
                    seed=int(seed))
 
-    def export_csv(self, path) -> None:
-        """Long-format CSV with columns path, time, y_1..y_d; every number
-        is its Python repr."""
-        cols = ",".join(f"y_{i + 1}" for i in range(self.d))
-        # one % template per path: each time's repr is built once, the path
-        # index goes in before every line, and the values fill the %r slots
-        values = ",%r" * self.d
-        lines = ["", *(f",{t!r}{values}\n" for t in self.times.tolist())]
-        with open(path, "w", newline="") as fh:
-            fh.write(f"path,time,{cols}\n")
-            for p in range(self.n_paths):
-                fh.write(str(p).join(lines) % tuple(self.paths[p].ravel().tolist()))
-
 
 @dataclass(frozen=True)
 class FuturesSpec:

@@ -407,6 +407,12 @@ def run_main(argv):
      "y_samples must be a rectangular array, got [[1.0], [1.0, 2.0]]"),
     ("custom_affine", ("model", "u", 0, "A"), [[1.0], [1.0, 2.0]],
      "model.u.A must be a rectangular array, got [[1.0], [1.0, 2.0]]"),
+    # arrays the constructors refuse, named by their section
+    ("custom_affine", ("model", "u", 0, "A"), [], "model.u: A must be square, got shape (1, 0)"),
+    ("custom_affine", ("model", "c", "b"), [1.0, 2.0],
+     "model.c: b and c must have shape (1,), got (2,) and (1,)"),
+    ("custom_affine", ("model", "amap", "cubic"), [0.1],
+     "model.amap: coefficient arrays must share one length"),
 ])
 def test_malformed_shipped_scenario_is_a_config_error_naming_its_field(tmp_path, name, path,
                                                                        value, message):
@@ -414,6 +420,17 @@ def test_malformed_shipped_scenario_is_a_config_error_naming_its_field(tmp_path,
     out_dir = tmp_path / "out"
     assert run_main(["check-drift", "--scenario", scenario, "--output-dir", str(out_dir)]) == (
         2, f"error: {message}\n")
+    assert not out_dir.exists()
+
+
+def test_an_integer_too_long_to_read_is_a_config_error(tmp_path):
+    text = json.dumps(replaced(shipped("affine_demo"), ("tolerance",), "LONG"))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(text.replace('"LONG"', "9" * 5001))
+    out_dir = tmp_path / "out"
+    assert run_main(["check-drift", "--scenario", str(scenario),
+                     "--output-dir", str(out_dir)]) == (
+        2, "error: scenario holds an integer too long to read (5001 digits)\n")
     assert not out_dir.exists()
 
 
@@ -503,8 +520,25 @@ def test_simulate_writes_loadable_paths(tmp_path):
     assert main(["simulate", "--scenario", scenario]) == 0
     ps = PathSet.load(out / "paths.bin")
     assert ps.n_paths == 40
-    assert (out / "paths.csv").read_text().startswith("path,time,y_1")
+    assert not (out / "paths.csv").exists()
     assert json.loads((out / "run_result.json").read_text())["command"] == "simulate"
+
+
+def test_simulate_paths_bin_is_the_in_process_simulation_bit_for_bit(tmp_path):
+    # paths.bin is the one path artifact: read back, it is the library's
+    # PathSet of the same scenario, every time and every value the same bits
+    scenario = str(SCENARIOS / "affine_demo.json")
+    assert main(["simulate", "--scenario", scenario, "--n-paths", "30",
+                 "--output-dir", str(tmp_path)]) == 0
+    sc = load_scenario(scenario)
+    spec = SdeSpec(d=sc.model.d, drift=rn_drift(sc.model, sc.sigma, sc.grid),
+                   sigma=sc.sigma, y0=sc.sim.y0)
+    want = simulate(spec, sc.sim.dt, sc.sim.T, 30, sc.sim.seed)
+    got = PathSet.load(tmp_path / "paths.bin")
+    assert got.seed == want.seed
+    for name in ("times", "paths"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
 
 
 def test_martingale_csv_and_verdict(tmp_path, capsys):
@@ -597,7 +631,7 @@ def test_reconstruct_matches_direct_evaluation(tmp_path, capsys):
 def test_runs_are_byte_identical(tmp_path):
     for cmd, fname in (("check-drift", "residuals.csv"),
                        ("martingale-test", "martingale.csv"),
-                       ("simulate", "paths.csv")):
+                       ("simulate", "paths.bin")):
         blobs = []
         for run in ("one", "two"):
             out = tmp_path / f"{cmd}-{run}"
@@ -646,6 +680,36 @@ def test_tolerance_override(tmp_path, capsys):
     assert "DRIFT-VIOLATION" in capsys.readouterr().out
     result = json.loads((tmp_path / "run_result.json").read_text())
     assert result["numbers"]["tolerance"] == 1e-30
+
+
+# the override flags each subcommand reads; all of them take --scenario and --output-dir
+READS = {"check-drift": {"--tolerance"}, "scc-probe": {"--tolerance"},
+         "detect-affine": {"--rank-tol"}, "simulate": {"--seed", "--n-paths", "--dt"},
+         "price": set(), "martingale-test": {"--seed", "--n-paths", "--dt"},
+         "estimate-vol": {"--seed", "--n-paths", "--dt"}, "reconstruct": {"--tolerance"}}
+OVERRIDES = {"--seed": "3", "--n-paths": "4", "--dt": "0.01", "--tolerance": "1e-30",
+             "--rank-tol": "0.9"}
+
+
+def test_each_subcommand_takes_the_flags_it_reads():
+    parser = cli.build_parser()
+    for command, flags in READS.items():
+        args = parser.parse_args([command, "--scenario", "s.json", "--output-dir", "out",
+                                  *(part for flag in flags for part in (flag, OVERRIDES[flag]))])
+        assert {k for k, v in vars(args).items() if v is not None} == {
+            "command", "scenario", "output_dir",
+            *(flag[2:].replace("-", "_") for flag in flags)}, command
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command in READS
+                                           for flag in OVERRIDES if flag not in READS[command]])
+def test_a_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--scenario", str(SCENARIOS / "affine_demo.json"), flag,
+              OVERRIDES[flag], "--output-dir", str(tmp_path / "out")])
+    assert exited.value.code == 2
+    assert f"error: unrecognized arguments: {flag} {OVERRIDES[flag]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_output_dir_env_fallback(tmp_path, monkeypatch):
@@ -802,7 +866,7 @@ README_PINS = {
         (0, r"rank=2", ["singular_values.csv"]),
     ("simulate", "affine_demo.json"):
         (0, r"simulated n_paths=200 n_times=501 d=1 -> out/affine_demo/paths\.bin",
-         ["paths.bin", "paths.csv"]),
+         ["paths.bin"]),
     ("price", "affine_demo.json"):
         (0, r"\d+\.\d{6}", ["prices.csv"]),
     ("martingale-test", "affine_demo.json"):
@@ -856,6 +920,18 @@ def test_readme_library_example_runs(tmp_path):
     assert b == "[-2.]"
     assert float(rms) < 1e-12 and float(x_residual) < 1e-12
     assert abs(float(z)) < 3.0
+
+
+def test_readme_paths_example_reads_the_simulated_paths(tmp_path, monkeypatch):
+    # the python block under "### Artifacts", after the README's simulate line
+    section = README.read_text().split("\n### Artifacts\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--scenario", str(SCENARIOS / "affine_demo.json"),
+                 "--n-paths", "3"]) == 0
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["paths"].shape == (3, 501, 1)
 
 
 def test_scenario_state_with_the_wrong_factor_count_exits_2(tmp_path, capsys):
@@ -944,8 +1020,9 @@ def test_importing_the_package_leaves_scipy_submodules_out():
 def test_cli_imports_scipy_only_for_the_routines_it_calls(tmp_path, command, loaded):
     # the simulating commands draw their normals through sim._ndtri, well
     # inside sim._PORT_BUDGET, so none of them imports scipy.special
+    paths = ["--n-paths", "4"] if command in SIMULATING else []
     modules = imported_modules("-m", "fdcurves", command, "--scenario",
-                               str(SCENARIOS / "affine_demo.json"), "--n-paths", "4",
+                               str(SCENARIOS / "affine_demo.json"), *paths,
                                "--output-dir", str(tmp_path))
     assert (tmp_path / "run_result.json").exists()
     assert not any(m == "scipy" or m.startswith("scipy.") for m in modules)

@@ -512,48 +512,6 @@ def test_pathset_load_rejects_truncated_header(tmp_path):
         PathSet.load(target)
 
 
-def test_pathset_csv_export(tmp_path):
-    ps = simulate(driftless(d=2), 0.1, 0.2, 2, seed=4)
-    target = tmp_path / "paths.csv"
-    ps.export_csv(target)
-    lines = target.read_text().splitlines()
-    assert lines[0] == "path,time,y_1,y_2"
-    assert len(lines) == 1 + ps.n_paths * ps.n_times
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[1]) == 0.0
-
-
-def row_loop_csv(ps, path):
-    """The row-by-row writer the joined export must match byte for byte."""
-    cols = ",".join(f"y_{i + 1}" for i in range(ps.d))
-    with open(path, "w", newline="") as fh:
-        fh.write(f"path,time,{cols}\n")
-        for p in range(ps.n_paths):
-            for k in range(ps.n_times):
-                vals = ",".join(repr(float(v)) for v in ps.paths[p, k])
-                fh.write(f"{p},{float(ps.times[k])!r},{vals}\n")
-
-
-def test_pathset_csv_export_bytes_match_row_loop(tmp_path):
-    rng = np.random.default_rng(31)
-    paths = rng.standard_normal((3, 7, 2)) * np.logspace(-12, 12, 7)[None, :, None]
-    paths[0, 1] = [0.0, -0.0]
-    ps = PathSet(times=0.1 * np.arange(7), paths=paths, seed=3)
-    ps.export_csv(tmp_path / "joined.csv")
-    row_loop_csv(ps, tmp_path / "rows.csv")
-    assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_pathset_csv_export_bytes_match_row_loop_on_special_values(tmp_path, d):
-    special = [-0.0, 1e-300, 1e22, math.nan, -math.inf, math.inf, 0.1, -2.5e-8]
-    paths = np.resize(special, 5 * d).reshape(1, 5, d)
-    ps = PathSet(times=0.1 * np.arange(5), paths=paths, seed=0)
-    ps.export_csv(tmp_path / "template.csv")
-    row_loop_csv(ps, tmp_path / "rows.csv")
-    assert (tmp_path / "template.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
-
-
 # -- futures_price ----------------------------------------------------------------
 
 

@@ -422,6 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, type=kind, help=text)
         p.add_argument("--output-dir", help="where to write artifacts "
                        f"(default: scenario, then ${OUTPUT_DIR_ENV}, then cwd)")
+    parser.commands = sub.choices  # each subcommand's parser, by name
     return parser
 
 
@@ -439,7 +440,10 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # refused by the subcommand's parser, so the message shows its usage
+        parser.commands[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         scenario = load_scenario(args.scenario)
         _apply_overrides(scenario, args)

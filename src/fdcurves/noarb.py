@@ -39,6 +39,7 @@ order, so results are reproducible and thread-safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -187,21 +188,24 @@ def _solve_drift_cov(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
     return DriftSolveResult(b, *_residual_stats(*tables, b), cond, rank_ok)
 
 
+@lru_cache(maxsize=8)
+def _sweep(d: int) -> tuple[tuple[str, ...], np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The probe's constants for dimension d, built once, shared and read-only: the
+    sweep labels, its covariances as one (s, d, d) stack and the pair index (iu, ju)."""
+    pairs = [(i, i) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)]
+    covs = np.tile(np.eye(d), (len(pairs) + 2, 1, 1))
+    for s, (i, j) in enumerate(pairs, 1):
+        covs[s, i, j] = covs[s, j, i] = covs[s, i, j] + 1.0
+    covs[-1] *= 2.0
+    iu, ju = np.triu_indices(d)  # the pairs i <= j in row-major order
+    covs.flags.writeable = iu.flags.writeable = ju.flags.writeable = False
+    return ("I", *(f"I+e{i + 1}{j + 1}" for i, j in pairs), "2I"), covs, (iu, ju)
+
+
 def sigma_sweep(d: int) -> list[tuple[str, np.ndarray]]:
-    """The fixed probe covariances: I, I + E_ii, I + E_ij + E_ji (i<j), 2I."""
-    out: list[tuple[str, np.ndarray]] = [("I", np.eye(d))]
-    for i in range(d):
-        m = np.eye(d)
-        m[i, i] += 1.0
-        out.append((f"I+e{i + 1}{i + 1}", m))
-    for i in range(d):
-        for j in range(i + 1, d):
-            m = np.eye(d)
-            m[i, j] += 1.0
-            m[j, i] += 1.0
-            out.append((f"I+e{i + 1}{j + 1}", m))
-    out.append(("2I", 2.0 * np.eye(d)))
-    return out
+    """The probe covariances I, I + E_ii, I + E_ij + E_ji (i<j), 2I, fresh writable copies."""
+    labels, covs, _ = _sweep(d)
+    return [(label, cov.copy()) for label, cov in zip(labels, covs)]
 
 
 def _probe_nodes(model: CurveFamily, grid) -> np.ndarray:
@@ -220,8 +224,7 @@ def _probe_fields(dxg: np.ndarray, grads: np.ndarray, hesses: np.ndarray,
     (..., d) and (..., d, d, d), from one projection of the columns
     [dx g | hess_y g[i,j] for i <= j]."""
     d = grads.shape[-1]
-    # pairs i <= j in row-major order; np.triu_indices costs as much as the lstsq
-    iu, ju = np.array([(i, j) for i in range(d) for j in range(i, d)]).T
+    iu, ju = _sweep(d)[2]
     rhs = np.concatenate([dxg[..., None], hesses[..., iu, ju]], axis=-1)
     sol, rank_ok, cond = _project(grads, rhs, y)
     eta = np.empty(sol.shape[:-2] + (d, d, d))
@@ -276,11 +279,11 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid) -> SCCReport:
     and the drift for any covariance a is their combination
     b_a = G^+ (dx g - 1/2 sum_ij a_ij hess_y g[i,j])
         = gamma - 1/2 sum_ij a_ij eta[i][j].
-    ``per_sigma`` reports that drift, with its residuals, for each
-    :func:`sigma_sweep` covariance. The report carries the worst-case grid
-    residuals of the Hessian and x identities. Large residuals certify
-    that no single drift can repair the corresponding covariance, i.e. the
-    family's shape is incompatible with freely estimated volatility.
+    ``per_sigma`` reports that drift, with its residuals, for each :func:`sigma_sweep`
+    covariance; the sweep and the i <= j pair index are built once per d and shared
+    read-only. The report carries the worst-case grid residuals of the Hessian and x
+    identities. Large residuals certify that no single drift can repair the corresponding
+    covariance, i.e. the family's shape is incompatible with freely estimated volatility.
     """
     xs = _probe_nodes(model, grid)
     y = _states(y, model.d)
@@ -288,8 +291,7 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid) -> SCCReport:
     gamma, eta, rank_ok, cond = _probe_fields(dxg, grads, hesses, y)
     r_x = dxg - np.matmul(grads, gamma[..., None])[..., 0]
     r_hess = hesses - np.einsum("...km,...ijm->...kij", grads, eta)
-    labels, covs = zip(*sigma_sweep(model.d))
-    covs = np.array(covs)
+    labels, covs, _ = _sweep(model.d)
     # covariance-major, (s, ..., d) and (s, ..., K): each entry is C-ordered
     b = gamma - 0.5 * np.einsum("sij,...ijk->s...k", covs, eta)
     rms, r_max = _rms_max(r_x - 0.5 * np.einsum("sij,...kij->s...k", covs, r_hess))
@@ -337,10 +339,10 @@ def detect_affine(model: CurveFamily, y_samples: Sequence[np.ndarray],
                   rel_tol: float = AFFINE_RANK_TOL) -> AffineDetection:
     """SVD rank of the sampled curve differences g(., y_k) - g(., base_y).
 
-    An affine family of factor dimension d never exceeds rank d no matter
-    how many states are sampled; families outside any finite-dimensional
-    affine space keep producing new directions as samples accumulate.
-    The cutoff ``rel_tol``, in [0, 1), is relative to the largest value.
+    An affine family of factor dimension d never exceeds rank d no matter how many states
+    are sampled; families outside any finite-dimensional affine space keep producing new
+    directions as samples accumulate. The cutoff ``rel_tol``, in [0, 1), is relative to
+    the largest value. A non-finite curve is a ValueError naming its state.
     """
     if not 0.0 <= rel_tol < 1.0:
         raise ValueError(f"rel_tol must be a number in [0, 1), got {rel_tol!r}")
@@ -353,6 +355,10 @@ def detect_affine(model: CurveFamily, y_samples: Sequence[np.ndarray],
         raise ValueError(
             f"grid has {xs.shape[0]} nodes, need at least {2 * Y.shape[0]}")
     curves = model.curve_matrix(xs, np.vstack([base[None, :], Y]))
+    k = np.flatnonzero(~np.isfinite(curves).all(axis=-1))  # LAPACK would return NaNs
+    if k.size:
+        raise ValueError("curve is non-finite at " + (
+            f"y_samples[{k[0] - 1}]={Y[k[0] - 1].tolist()}" if k[0] else f"base_y={base.tolist()}"))
     # the (K, n) matrix of differences, one column per sample
     sv = np.linalg.svd((curves[1:] - curves[:1]).T, compute_uv=False)
     if sv[0] == 0.0:

@@ -497,6 +497,16 @@ def test_detect_affine_summary_rank(tmp_path, capsys):
     assert "rank=1" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_detect_affine_refuses_a_sample_with_a_non_finite_curve(tmp_path, capsys):
+    # exp(800) overflows; the SVD would report rank=0 from NaN singular values
+    raw = {"model": {"builtin": "affine1-exp-expmap"},
+           "y_samples": [[0.1], [800.0], [0.2], [0.3]], "output_dir": str(tmp_path / "out")}
+    assert main(["detect-affine", "--scenario", write_scenario(tmp_path, raw)]) == 2
+    assert capsys.readouterr().out == "error: curve is non-finite at y_samples[1]=[800.0]\n"
+    assert not (tmp_path / "out" / "singular_values.csv").exists()
+
+
 @pytest.mark.parametrize("rank_tol", ["nan", "1.0", "-1"])
 def test_detect_affine_rejects_a_cutoff_outside_the_unit_interval(capsys, tmp_path,
                                                                   rank_tol):
@@ -708,7 +718,10 @@ def test_a_subcommand_rejects_a_flag_it_does_not_read(tmp_path, capsys, command,
         main([command, "--scenario", str(SCENARIOS / "affine_demo.json"), flag,
               OVERRIDES[flag], "--output-dir", str(tmp_path / "out")])
     assert exited.value.code == 2
-    assert f"error: unrecognized arguments: {flag} {OVERRIDES[flag]}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the subcommand's own usage, listing the flags it does read, not the top-level one
+    assert err.startswith(f"usage: fdcurves {command} [-h] --scenario SCENARIO"), err
+    assert f"fdcurves {command}: error: unrecognized arguments: {flag} {OVERRIDES[flag]}" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -206,12 +206,55 @@ def test_solve_drift_stable_under_grid_refinement():
 # -- scc_probe ---------------------------------------------------------------------
 
 
-def test_sweep_matrices():
-    labels = [lab for lab, _ in sigma_sweep(2)]
-    assert labels == ["I", "I+e11", "I+e22", "I+e12", "2I"]
-    mats = dict(sigma_sweep(2))
-    assert np.array_equal(mats["I+e12"], [[1.0, 1.0], [1.0, 1.0]])
-    assert np.array_equal(mats["2I"], 2.0 * np.eye(2))
+def unit(d, i, j):
+    """E_ij, the d x d matrix with a single 1 at (i, j)."""
+    m = np.zeros((d, d))
+    m[i, j] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sweep_matrices(d):
+    # I, then I + E_ii for each i, then I + E_ij + E_ji for i < j row by row, then 2I
+    eye = np.eye(d)
+    want = ([("I", eye)] + [(f"I+e{i + 1}{i + 1}", eye + unit(d, i, i)) for i in range(d)]
+            + [(f"I+e{i + 1}{j + 1}", eye + unit(d, i, j) + unit(d, j, i))
+               for i in range(d) for j in range(i + 1, d)] + [("2I", 2.0 * eye)])
+    labels, covs, (iu, ju) = noarb._sweep(d)
+    assert labels == tuple(label for label, _ in want)
+    assert covs.shape == (len(want), d, d) and covs.dtype == np.float64
+    assert np.array_equal(covs, [m for _, m in want])
+    assert [(i, j) for i, j in zip(iu.tolist(), ju.tolist())] == [
+        (i, j) for i in range(d) for j in range(i, d)]
+    got = sigma_sweep(d)
+    assert [label for label, _ in got] == list(labels)
+    for (_, m), (_, w) in zip(got, want):
+        assert m.tobytes() == w.tobytes() and m.shape == (d, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_probe_constants_are_read_only_and_built_once(d):
+    _, covs, pairs = noarb._sweep(d)
+    assert noarb._sweep(d)[1] is covs
+    for arr in (covs, *pairs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    # sigma_sweep hands out fresh, writable copies, never the shared stack
+    first, again = sigma_sweep(d), sigma_sweep(d)
+    for (_, m), (_, n) in zip(first, again):
+        assert m.flags.writeable and m is not n and not np.shares_memory(m, covs)
+
+
+def test_mutating_sigma_sweep_matrices_leaves_the_probe_unchanged():
+    for name, m, grid in probe_cases():
+        y = np.random.default_rng(43).uniform(-1.0, 1.0, (3, m.d))
+        before = scc_probe(m, y, grid)
+        for _, mat in sigma_sweep(m.d):
+            mat[...] = np.nan
+        after = scc_probe(m, y, grid)
+        assert_state_bits(after, ..., before, name)
+        assert all(np.isfinite(mat).all() for _, mat in sigma_sweep(m.d)), name
 
 
 def test_scc_probe_affine_identity_map():
@@ -326,6 +369,19 @@ def test_detect_affine_names_d_when_a_width_is_wrong(samples, base, shape):
     m = builtin_models()["affine2-identity"]
     message = f"a state needs d=2 factors, shape (d,) or (..., d); got shape {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        detect_affine(m, samples, base, GRID)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("samples, base, where", [
+    ([[0.1], [800.0], [0.2], [np.nan], [0.3]], [0.0], "y_samples[1]=[800.0]"),
+    ([[0.1], [0.2], [0.3], [np.nan]], [0.0], "y_samples[3]=[nan]"),
+    ([[0.1], [0.2], [0.3], [0.4]], [np.inf], "base_y=[inf]"),
+    ([[0.1], [0.2], [0.3], [np.nan]], [900.0], "base_y=[900.0]")])
+def test_detect_affine_names_the_first_state_with_a_non_finite_curve(samples, base, where):
+    # exp(800) overflows: LAPACK would return NaN singular values and rank 0
+    m = builtin_models()["affine1-exp-expmap"]
+    with pytest.raises(ValueError, match=f"^{re.escape('curve is non-finite at ' + where)}$"):
         detect_affine(m, samples, base, GRID)
 
 
@@ -726,7 +782,9 @@ def numeric_d2():
 def test_stacked_drift_solves_equal_solve_drift_on_every_field(layout):
     rng = np.random.default_rng(19)
     fs = FuturesSpec(1.0, 2.0)
-    for name, m, grid in probe_cases() + [("numeric-d2", numeric_d2(), GRID)]:
+    cases = probe_cases() + [("numeric-d2", numeric_d2(), GRID)]
+    assert {m.d for _, m, _ in cases} == {1, 2, 3}  # every d the probe constants serve
+    for name, m, grid in cases:
         Y = state_layouts(m.d, rng)[layout]
         sigma = rng.uniform(-1.0, 1.0, (m.d, m.d))
         batch = Y.shape[:-1]

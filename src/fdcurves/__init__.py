@@ -15,8 +15,7 @@ from .families import (AffineModel, ComponentwiseCubicMap, CurveFamily,
                        eval_curve, hilbert_norm, model_from_dict)
 from .noarb import (AffineDetection, DegenerateFamilyError, DriftSolveResult,
                     SCCReport, XGrid, detect_affine, eta_field_from_model,
-                    reconstruct_from_eta, rn_residual, scc_probe, sigma_sweep,
-                    solve_drift)
+                    reconstruct_from_eta, rn_residual, scc_probe, solve_drift)
 from .qe import (MatrixExponentialOverflowError, OdeFitResult, QEFunction,
                  fit_linear_ode, mat_exp, qe_derivative, qe_eval, qe_integral)
 from .sim import (FuturesSpec, MartingaleTestResult, PathSet, RiskNeutralDrift,
@@ -40,5 +39,5 @@ __all__ = [
     "futures_price", "hilbert_norm", "martingale_test", "mat_exp",
     "model_from_dict", "nearest_psd", "qe_derivative", "qe_eval",
     "qe_integral", "reconstruct_from_eta", "rn_drift", "rn_residual",
-    "scc_loop", "scc_probe", "sigma_sweep", "simulate", "solve_drift",
+    "scc_loop", "scc_probe", "simulate", "solve_drift",
 ]

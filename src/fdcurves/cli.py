@@ -7,10 +7,12 @@ library operations and write fixed-format artifacts plus a
 ``run_result.json`` that repeats every number shown in the summary line.
 
 Exit codes: 0 when the check passes (or the command only reports), 1 on a
-detected violation, 2 on configuration errors.
+detected violation, 2 on configuration errors and non-finite states. numpy's overflow
+and invalid-value warnings are silenced: each non-finite value fails a verdict or raises.
 
 Artifacts:
-    residuals.csv        y_index,sigma_label,residual_rms,residual_max,rank_ok
+    residuals.csv        y_index,sigma_label,residual_rms,residual_max,rank_ok (check-drift)
+    scc_report.json      SCCReport.to_dict() (scc-probe)
     martingale.csv       T1,T2,drift_estimate,std_error,z_score
     singular_values.csv  index,value
     prices.csv           T1,T2,y_index,price
@@ -35,8 +37,8 @@ from .families import CurveFamily, model_from_dict
 from .noarb import (AFFINE_RANK_TOL, XGrid, detect_affine, eta_field_from_model,
                     reconstruct_from_eta, scc_probe, solve_drift)
 from .qe import _integer, _number, _numbers, _plain, _section, _sections
-from .sim import (FuturesSpec, PathSet, SdeSpec, estimate_vol, futures_price,
-                  martingale_test, rn_drift, simulate)
+from .sim import (FuturesSpec, PathSet, SdeSpec, SimulationError, estimate_vol,
+                  futures_price, martingale_test, rn_drift, simulate)
 
 OUTPUT_DIR_ENV = "FDCURVES_OUTPUT_DIR"
 
@@ -241,15 +243,9 @@ def cmd_check_drift(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
 
 
 def cmd_scc_probe(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
-    ys = _require(scenario, "y_samples")
-    rep = scc_probe(scenario.model, ys, scenario.grid)
-    rows = [[idx, label, res.residual_rms[idx], res.residual_max[idx], res.rank_ok[idx]]
-            for idx in range(len(ys)) for label, res in rep.per_sigma.items()]
+    rep = scc_probe(scenario.model, _require(scenario, "y_samples"), scenario.grid)
     inconclusive = bool(rep.inconclusive.any())
     worst = _worst(rep.max_residual)
-    csv_path = out_dir / "residuals.csv"
-    _write_csv(csv_path, ["y_index", "sigma_label", "residual_rms",
-                          "residual_max", "rank_ok"], rows)
     report_path = out_dir / "scc_report.json"
     _write_json(report_path, rep.to_dict())
     ok = worst <= scenario.tolerance and not inconclusive
@@ -259,7 +255,7 @@ def cmd_scc_probe(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
         verdicts={"affine_consistent": ok, "inconclusive": inconclusive},
         numbers={"max_identity_residual": worst,
                  "tolerance": scenario.tolerance},
-        artifacts=[str(csv_path), str(report_path)])
+        artifacts=[str(report_path)])
     return (0 if ok else 1), result
 
 
@@ -308,16 +304,18 @@ def cmd_price(scenario: Scenario, out_dir: Path) -> tuple[int, RunResult]:
     futures = _require(scenario, "futures")
     ys = _require(scenario, "y_samples")
     rows = []
-    numbers = {}
     for fs in futures:
-        for idx, p in enumerate(futures_price(scenario.model, ys, 0.0, fs)):
-            rows.append([fs.T1, fs.T2, idx, p])
-            numbers[f"price_T1={fs.T1:g}_T2={fs.T2:g}_y{idx}"] = p
-            print(f"{p:.6f}")
+        prices = futures_price(scenario.model, ys, 0.0, fs)
+        bad = np.flatnonzero(~np.isfinite(prices))
+        if bad.size:
+            raise ValueError(f"price is non-finite at y_samples[{bad[0]}]={ys[bad[0]].tolist()} "
+                             f"in the window [T1, T2]=[{fs.T1!r}, {fs.T2!r}]")
+        rows += [[fs.T1, fs.T2, idx, p] for idx, p in enumerate(prices)]
+    print("".join(f"{row[3]:.6f}\n" for row in rows), end="")
     csv_path = out_dir / "prices.csv"
     _write_csv(csv_path, ["T1", "T2", "y_index", "price"], rows)
-    result = RunResult(command="price", numbers=numbers,
-                       artifacts=[str(csv_path)])
+    numbers = {f"price_T1={T1:g}_T2={T2:g}_y{idx}": p for T1, T2, idx, p in rows}
+    result = RunResult(command="price", numbers=numbers, artifacts=[str(csv_path)])
     return 0, result
 
 
@@ -451,10 +449,12 @@ def main(argv=None) -> int:
                        or os.environ.get(OUTPUT_DIR_ENV) or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
         started = time.perf_counter()
-        exit_code, result = _COMMANDS[args.command](scenario, out_dir)
+        with np.errstate(over="ignore", invalid="ignore"):  # see the module docstring
+            exit_code, result = _COMMANDS[args.command](scenario, out_dir)
         result.wall_time_s = time.perf_counter() - started
         _write_json(out_dir / "run_result.json", result.to_dict())
-    except (ValueError, ArithmeticError, OSError) as exc:  # ScenarioError is a ValueError
+    # ScenarioError is a ValueError
+    except (ValueError, ArithmeticError, OSError, SimulationError) as exc:
         print(f"error: {exc}")
         return 2
     return exit_code

@@ -38,7 +38,7 @@ order, so results are reproducible and thread-safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -93,17 +93,13 @@ def _covariance(sigma: np.ndarray, d: int) -> np.ndarray:
     return sigma @ sigma.T
 
 
-def _rms_max(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rms, max |r|) of residuals r over the grid, their last axis."""
-    # the rms is np.mean's sum and division, without its overhead
-    return np.sqrt(np.add.reduce(r * r, axis=-1) / r.shape[-1]), np.abs(r).max(axis=-1)
-
-
 def _residual_stats(dxg: np.ndarray, grads: np.ndarray, trace_term: np.ndarray,
                     b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(rms, max) of the drift residual over the grid, per state of a stack."""
-    # a column matmul equals grads @ b bit for bit (einsum does not for d >= 2)
-    return _rms_max(dxg - np.matmul(grads, b[..., None])[..., 0] - trace_term)
+    # a column matmul equals grads @ b bit for bit (einsum does not for d >= 2),
+    # and the rms is np.mean's sum and division, without its overhead
+    r = dxg - np.matmul(grads, b[..., None])[..., 0] - trace_term
+    return np.sqrt(np.add.reduce(r * r, axis=-1) / r.shape[-1]), np.abs(r).max(axis=-1)
 
 
 def rn_residual(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
@@ -129,19 +125,21 @@ def _project(grads: np.ndarray, rhs: np.ndarray,
     Returns the solutions (..., d, r), whether each G has full column rank
     at the relative cutoff ``RANK_TOL``, and the condition number of each
     G. One gufunc call runs the LAPACK solve of ``np.linalg.lstsq`` on each
-    slice, so every slice equals its own ``lstsq`` bit for bit and a NaN
-    stays in its slice. A G that vanishes on the whole grid raises
-    :class:`DegenerateFamilyError` naming the first such state.
+    slice, so every slice equals its own ``lstsq`` bit for bit and a NaN in rhs
+    stays in its slice. A G that vanishes on the grid raises :class:`DegenerateFamilyError`,
+    one with a non-finite entry a ValueError, each naming the first such state.
     """
-    nonzero = grads.any(axis=(-2, -1))
-    if not nonzero.all():
-        first = np.unravel_index(np.argmin(nonzero), nonzero.shape)
-        raise DegenerateFamilyError(f"degenerate family at y={y[first].tolist()}")
+    scale = np.abs(grads).max(axis=(-2, -1))  # 0 if degenerate, inf or NaN if non-finite
+    ok = (scale > 0.0) & (scale < np.inf)
+    if not ok.all():
+        first = np.unravel_index(np.argmin(ok), ok.shape)
+        if scale[first] == 0.0:
+            raise DegenerateFamilyError(f"degenerate family at y={y[first].tolist()}")
+        raise ValueError(f"grad_y g is non-finite at y={y[first].tolist()}")
     with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
                      divide="ignore", under="ignore"):
         sol, _, rank, sv = _LSTSQ(grads, rhs, RANK_TOL, signature="ddd->ddid")
-        # a non-finite G fails the SVD above, so sv is finite: a zero last
-        # singular value gives an infinite condition number
+        # G is finite, so sv is: a zero last one gives an infinite condition number
         cond = sv[..., 0] / sv[..., -1]
     return sol, rank == grads.shape[-1], cond
 
@@ -189,23 +187,11 @@ def _solve_drift_cov(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
 
 
 @lru_cache(maxsize=8)
-def _sweep(d: int) -> tuple[tuple[str, ...], np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """The probe's constants for dimension d, built once, shared and read-only: the
-    sweep labels, its covariances as one (s, d, d) stack and the pair index (iu, ju)."""
-    pairs = [(i, i) for i in range(d)] + [(i, j) for i in range(d) for j in range(i + 1, d)]
-    covs = np.tile(np.eye(d), (len(pairs) + 2, 1, 1))
-    for s, (i, j) in enumerate(pairs, 1):
-        covs[s, i, j] = covs[s, j, i] = covs[s, i, j] + 1.0
-    covs[-1] *= 2.0
-    iu, ju = np.triu_indices(d)  # the pairs i <= j in row-major order
-    covs.flags.writeable = iu.flags.writeable = ju.flags.writeable = False
-    return ("I", *(f"I+e{i + 1}{j + 1}" for i, j in pairs), "2I"), covs, (iu, ju)
-
-
-def sigma_sweep(d: int) -> list[tuple[str, np.ndarray]]:
-    """The probe covariances I, I + E_ii, I + E_ij + E_ji (i<j), 2I, fresh writable copies."""
-    labels, covs, _ = _sweep(d)
-    return [(label, cov.copy()) for label, cov in zip(labels, covs)]
+def _pairs(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe's i <= j pair index (iu, ju), row-major, built once per d, read-only."""
+    iu, ju = np.triu_indices(d)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
 def _probe_nodes(model: CurveFamily, grid) -> np.ndarray:
@@ -224,7 +210,7 @@ def _probe_fields(dxg: np.ndarray, grads: np.ndarray, hesses: np.ndarray,
     (..., d) and (..., d, d, d), from one projection of the columns
     [dx g | hess_y g[i,j] for i <= j]."""
     d = grads.shape[-1]
-    iu, ju = _sweep(d)[2]
+    iu, ju = _pairs(d)
     rhs = np.concatenate([dxg[..., None], hesses[..., iu, ju]], axis=-1)
     sol, rank_ok, cond = _project(grads, rhs, y)
     eta = np.empty(sol.shape[:-2] + (d, d, d))
@@ -242,23 +228,19 @@ class SCCReport:
     ``eta[..., i, j, :]`` (exactly symmetric in i and j) and ``gamma`` are
     the projections of hess_y g[i,j] and dx g onto grad_y g; the two
     residuals measure how badly the Hessian identity and the x identity
-    fail on the grid. ``per_sigma`` holds, for each :func:`sigma_sweep`
-    covariance, its drift at every state, read off eta and gamma. With r_x
-    and r_H[i,j] the x and Hessian identity residuals on the grid, its
-    residual is r_a = r_x - 1/2 sum_ij a[i,j] r_H[i,j], so every covariance
-    a is consistent exactly when both identities hold.
-    ``inconclusive`` is set when grad_y g on the grid is rank deficient.
-    That design matrix is the same for every covariance, so rank deficiency
-    is a property of the state y, not of a diffusion matrix: at each state
-    either every ``per_sigma`` entry has ``rank_ok`` or none has.
+    fail on the grid; the drift of any covariance a is gamma - 1/2 sum_ij
+    a[i,j] eta[i][j]. ``condition_number`` is that of grad_y g on the grid, and
+    ``inconclusive`` is set where it is rank deficient. That design matrix is
+    the same for every covariance, so both belong to the state y: they are the
+    ``condition_number`` and ``~rank_ok`` of :func:`solve_drift` at y, for every sigma.
     """
 
     eta: np.ndarray
     gamma: np.ndarray
     hessian_identity_residual: np.ndarray
     x_identity_residual: np.ndarray
-    per_sigma: dict[str, DriftSolveResult] = field(repr=False)
-    inconclusive: np.ndarray = False
+    condition_number: np.ndarray
+    inconclusive: np.ndarray
 
     @property
     def max_residual(self) -> np.ndarray:
@@ -279,11 +261,11 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid) -> SCCReport:
     and the drift for any covariance a is their combination
     b_a = G^+ (dx g - 1/2 sum_ij a_ij hess_y g[i,j])
         = gamma - 1/2 sum_ij a_ij eta[i][j].
-    ``per_sigma`` reports that drift, with its residuals, for each :func:`sigma_sweep`
-    covariance; the sweep and the i <= j pair index are built once per d and shared
-    read-only. The report carries the worst-case grid residuals of the Hessian and x
-    identities. Large residuals certify that no single drift can repair the corresponding
-    covariance, i.e. the family's shape is incompatible with freely estimated volatility.
+    The report carries the worst-case grid residuals of the Hessian and x
+    identities; the residual of b_a is r_x - 1/2 sum_ij a_ij r_H[i,j], so both
+    vanish exactly when every covariance has a drift. Large residuals certify
+    that no single drift can repair the corresponding covariance, i.e. the
+    family's shape is incompatible with freely estimated volatility.
     """
     xs = _probe_nodes(model, grid)
     y = _states(y, model.d)
@@ -291,17 +273,11 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid) -> SCCReport:
     gamma, eta, rank_ok, cond = _probe_fields(dxg, grads, hesses, y)
     r_x = dxg - np.matmul(grads, gamma[..., None])[..., 0]
     r_hess = hesses - np.einsum("...km,...ijm->...kij", grads, eta)
-    labels, covs, _ = _sweep(model.d)
-    # covariance-major, (s, ..., d) and (s, ..., K): each entry is C-ordered
-    b = gamma - 0.5 * np.einsum("sij,...ijk->s...k", covs, eta)
-    rms, r_max = _rms_max(r_x - 0.5 * np.einsum("sij,...kij->s...k", covs, r_hess))
-    per_sigma = {label: DriftSolveResult(b[s], rms[s], r_max[s], cond, rank_ok)
-                 for s, label in enumerate(labels)}
     return SCCReport(
         eta=eta, gamma=gamma,
         hessian_identity_residual=np.abs(r_hess).max(axis=(-3, -2, -1)),
         x_identity_residual=np.abs(r_x).max(axis=-1),
-        per_sigma=per_sigma,
+        condition_number=cond,
         inconclusive=~rank_ok,
     )
 
@@ -312,7 +288,7 @@ def eta_field_from_model(model: CurveFamily,
 
     The field takes a state (d,) or a stack (..., d), and each call equals
     ``scc_probe(model, y, grid).eta`` bit for bit: it makes the same
-    projection but skips the drifts, residuals and the report.
+    projection but skips the residuals and the report.
     """
     xs = _probe_nodes(model, grid)
 

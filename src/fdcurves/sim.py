@@ -407,7 +407,8 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
         Dynamics. The drift is called once per step on all paths, each
         time with a fresh C-contiguous float copy (n_paths, d) of the state,
         and must return that shape; a non-finite value raises
-        SimulationError naming the first such path.
+        SimulationError naming the first such path, as does a path whose
+        state is non-finite at the horizon.
     dt, T : float
         Step and horizon; the number of steps is round(T / dt) >= 1.
     n_paths : int
@@ -472,6 +473,9 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
             step += y
             np.add(step, noise[:, k].T, out=y)
             paths[:, k + 1] = y.T
+    if not np.isfinite(y).all():  # a state once non-finite stays so under a finite drift
+        bad = int(np.flatnonzero(~np.isfinite(y).all(axis=0))[0])
+        raise SimulationError(f"state of path {bad} is non-finite at t={n_steps * dt:.6g}")
     return PathSet(times=dt * np.arange(n_steps + 1), paths=paths, seed=key)
 
 

@@ -507,6 +507,44 @@ def test_detect_affine_refuses_a_sample_with_a_non_finite_curve(tmp_path, capsys
     assert not (tmp_path / "out" / "singular_values.csv").exists()
 
 
+OUT_OF_RANGE = {  # each command's error for a sample where exp(800) overflows
+    "check-drift": "grad_y g is non-finite at y=[800.0]",
+    "scc-probe": "grad_y g is non-finite at y=[800.0]",
+    "detect-affine": "curve is non-finite at y_samples[1]=[800.0]",
+    "price": "price is non-finite at y_samples[1]=[800.0] in the window [T1, T2]=[0.5, 1.0]",
+}
+
+
+@pytest.mark.parametrize("command", OUT_OF_RANGE)
+def test_a_state_outside_the_double_range_exits_2_naming_it(tmp_path, capfd, command):
+    # exp(800) overflows: one error line, and no numpy warning, LAPACK message or artifact
+    raw = {"model": {"builtin": "affine1-exp-expmap"}, "sigma": [[1.0]],
+           "y_samples": [[0.1], [800.0], [0.2], [0.3]], "futures": [{"T1": 0.5, "T2": 1.0}],
+           "output_dir": str(tmp_path / "out")}
+    assert main([command, "--scenario", write_scenario(tmp_path, raw)]) == 2
+    assert capfd.readouterr() == (f"error: {OUT_OF_RANGE[command]}\n", "")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "martingale-test", "estimate-vol"])
+@pytest.mark.parametrize("model, y0, message", [
+    ({"builtin": "affine1-exp-expmap"}, 800.0,
+     "drift returned non-finite values on path 0 at t=0"),
+    # g = y e^x has the drift b = y, so one step of dt = 1 doubles 1.7e308
+    ({"type": "affine", "c": {"n": 1, "A": [[0.0]], "b": [1.0], "c": [0.0]},
+      "u": [{"n": 1, "A": [[1.0]], "b": [1.0], "c": [1.0]}], "amap": {"tag": "identity"}},
+     1.7e308, "state of path 0 is non-finite at t=1"),
+], ids=["drift", "state"])
+def test_a_path_outside_the_double_range_exits_2_naming_it(tmp_path, capfd, command, model,
+                                                          y0, message):
+    raw = {"model": model, "sigma": [[0.0]], "futures": [{"T1": 2.0, "T2": 3.0}],
+           "sim": {"dt": 1.0, "T": 1.0, "n_paths": 2, "seed": 1, "y0": [y0]},
+           "output_dir": str(tmp_path / "out")}
+    assert main([command, "--scenario", write_scenario(tmp_path, raw)]) == 2
+    assert capfd.readouterr() == (f"error: {message}\n", "")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("rank_tol", ["nan", "1.0", "-1"])
 def test_detect_affine_rejects_a_cutoff_outside_the_unit_interval(capsys, tmp_path,
                                                                   rank_tol):
@@ -838,21 +876,20 @@ def test_check_drift_residuals_csv_bytes_on_shipped_scenario(tmp_path):
         b"1,sigma,1.1811320561114105e-16,2.220446049250313e-16,True\n")
 
 
-def test_scc_probe_residuals_csv_bytes_on_shipped_scenarios(tmp_path):
-    out = tmp_path / "gaussian"
-    assert main(["scc-probe", "--scenario", str(SCENARIOS / "gaussian_probe.json"),
-                 "--output-dir", str(out)]) == 1
-    assert (out / "residuals.csv").read_bytes() == (
-        b"y_index,sigma_label,residual_rms,residual_max,rank_ok\n"
-        b"0,I,7.640664332323341e-18,2.7755575615628914e-17,True\n"
-        b"0,I+e11,0.02193754266397426,0.05994181147824537,True\n"
-        b"0,2I,0.02193754266397426,0.05994181147824537,True\n")
-    out = tmp_path / "custom"
-    assert main(["scc-probe", "--scenario", str(SCENARIOS / "custom_affine.json"),
-                 "--output-dir", str(out)]) == 0
-    # 5 states x 5 sweep covariances, state-major
-    assert hashlib.sha256((out / "residuals.csv").read_bytes()).hexdigest() == (
-        "c7ddc4adced14d355f93a00740e2eb23714f46a793aab3e2d603951906e52679")
+def test_scc_probe_writes_its_report_alone_on_shipped_scenarios(tmp_path):
+    # scc_report.json holds eta, gamma, the identity residuals and the
+    # conditioning; the drift of any covariance is gamma - 1/2 sum a_ij eta_ij
+    digests = {
+        "gaussian_probe": (1, "2c1b044daeb71a3a33a03a8fe40b137234237efa799704d76a3413166e443910"),
+        "custom_affine": (0, "bf99ea8c7038cef980905ae8b58397aad6dacb22c6ebb71a16b98134b66add8c")}
+    for name, (code, digest) in digests.items():
+        out = tmp_path / name
+        assert main(["scc-probe", "--scenario", str(SCENARIOS / f"{name}.json"),
+                     "--output-dir", str(out)]) == code
+        assert sorted(p.name for p in out.iterdir()) == ["run_result.json", "scc_report.json"]
+        assert hashlib.sha256((out / "scc_report.json").read_bytes()).hexdigest() == digest, name
+    report = json.loads((tmp_path / "gaussian_probe" / "scc_report.json").read_text())
+    assert report["condition_number"] == [1.0] and report["inconclusive"] == [False]
 
 
 def test_price_csv_and_stdout_bytes_on_shipped_scenario(tmp_path, capsys):
@@ -874,7 +911,7 @@ README_PINS = {
     ("check-drift", "affine_demo.json"):
         (0, r"DRIFT-OK \(max residual_rms=\S+\)", ["residuals.csv"]),
     ("scc-probe", "gaussian_probe.json"):
-        (1, r"SCC-VIOLATION \(residual=\S+\)", ["residuals.csv", "scc_report.json"]),
+        (1, r"SCC-VIOLATION \(residual=\S+\)", ["scc_report.json"]),
     ("detect-affine", "custom_affine.json"):
         (0, r"rank=2", ["singular_values.csv"]),
     ("simulate", "affine_demo.json"):

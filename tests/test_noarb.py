@@ -16,7 +16,7 @@ from fdcurves.families import (AffineModel, ComponentwiseCubicMap, GaussianExamp
 from fdcurves.noarb import (AFFINE_RANK_TOL, RANK_TOL, DegenerateFamilyError,
                             XGrid, detect_affine,
                             eta_field_from_model, reconstruct_from_eta,
-                            rn_residual, scc_probe, sigma_sweep, solve_drift)
+                            rn_residual, scc_probe, solve_drift)
 from fdcurves.qe import QEFunction
 from fdcurves.sim import FuturesSpec, futures_price
 
@@ -190,8 +190,8 @@ def test_solve_drift_sigma_independent_for_identity_maps():
         m = builtin_models()[name]
         y = np.full(m.d, 0.6)
         b_ref = solve_drift(m, y, np.eye(m.d), GRID).b
-        for _, sig in sigma_sweep(m.d):
-            b = solve_drift(m, y, sig, GRID).b
+        for _, cov in sweep_covariances(m.d):
+            b = noarb._solve_drift_cov(m, y, cov, GRID).b
             assert np.max(np.abs(b - b_ref)) <= 1e-10, name
 
 
@@ -213,48 +213,32 @@ def unit(d, i, j):
     return m
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_sweep_matrices(d):
-    # I, then I + E_ii for each i, then I + E_ij + E_ji for i < j row by row, then 2I
+def sweep_covariances(d):
+    """(label, covariance) for I, I + E_ii for each i, I + E_ij + E_ji for
+    i < j row by row, and 2I: the covariances whose drift differences give
+    eta and gamma, so solving each one alone is an oracle for the probe."""
     eye = np.eye(d)
-    want = ([("I", eye)] + [(f"I+e{i + 1}{i + 1}", eye + unit(d, i, i)) for i in range(d)]
+    return ([("I", eye)] + [(f"I+e{i + 1}{i + 1}", eye + unit(d, i, i)) for i in range(d)]
             + [(f"I+e{i + 1}{j + 1}", eye + unit(d, i, j) + unit(d, j, i))
                for i in range(d) for j in range(i + 1, d)] + [("2I", 2.0 * eye)])
-    labels, covs, (iu, ju) = noarb._sweep(d)
-    assert labels == tuple(label for label, _ in want)
-    assert covs.shape == (len(want), d, d) and covs.dtype == np.float64
-    assert np.array_equal(covs, [m for _, m in want])
-    assert [(i, j) for i, j in zip(iu.tolist(), ju.tolist())] == [
-        (i, j) for i in range(d) for j in range(i, d)]
-    got = sigma_sweep(d)
-    assert [label for label, _ in got] == list(labels)
-    for (_, m), (_, w) in zip(got, want):
-        assert m.tobytes() == w.tobytes() and m.shape == (d, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_probe_pair_index(d):
+    # the pairs i <= j, row by row: the columns of the probe's projection
+    iu, ju = noarb._pairs(d)
+    assert iu.dtype == ju.dtype == np.intp
+    assert list(zip(iu.tolist(), ju.tolist())) == [(i, j) for i in range(d) for j in range(i, d)]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_probe_constants_are_read_only_and_built_once(d):
-    _, covs, pairs = noarb._sweep(d)
-    assert noarb._sweep(d)[1] is covs
-    for arr in (covs, *pairs):
+    pairs = noarb._pairs(d)
+    assert noarb._pairs(d) is pairs
+    for arr in pairs:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0
-    # sigma_sweep hands out fresh, writable copies, never the shared stack
-    first, again = sigma_sweep(d), sigma_sweep(d)
-    for (_, m), (_, n) in zip(first, again):
-        assert m.flags.writeable and m is not n and not np.shares_memory(m, covs)
-
-
-def test_mutating_sigma_sweep_matrices_leaves_the_probe_unchanged():
-    for name, m, grid in probe_cases():
-        y = np.random.default_rng(43).uniform(-1.0, 1.0, (3, m.d))
-        before = scc_probe(m, y, grid)
-        for _, mat in sigma_sweep(m.d):
-            mat[...] = np.nan
-        after = scc_probe(m, y, grid)
-        assert_state_bits(after, ..., before, name)
-        assert all(np.isfinite(mat).all() for _, mat in sigma_sweep(m.d)), name
 
 
 def test_scc_probe_affine_identity_map():
@@ -293,16 +277,18 @@ def test_scc_probe_separation_on_all_builtins():
         assert rep.hessian_identity_residual <= 1e-8, name
 
 
-def test_scc_probe_marks_rank_deficient_sweeps_inconclusive():
+def test_scc_probe_marks_a_rank_deficient_gradient_inconclusive():
     # collinear loadings make the gradient rows rank one for d = 2
     m = AffineModel(c=QEFunction.constant(0.0),
                     u=[QEFunction.exponential(-1.0),
                        QEFunction.exponential(-1.0, scale=2.0)],
                     factor_map=IdentityMap(2))
     rep = scc_probe(m, [0.5, 0.5], GRID)
-    assert rep.inconclusive
-    # the sweep shares one design matrix, so every solve is rank deficient
-    assert not any(r.rank_ok for r in rep.per_sigma.values())
+    assert rep.inconclusive and rep.condition_number > 1.0 / RANK_TOL
+    # every covariance shares that design matrix, so every solve is rank deficient
+    for _, cov in sweep_covariances(2):
+        res = noarb._solve_drift_cov(m, [0.5, 0.5], cov, GRID)
+        assert not res.rank_ok and res.condition_number == rep.condition_number
 
 
 def test_scc_probe_needs_wide_grid():
@@ -315,8 +301,9 @@ def test_scc_report_serialises():
     rep = scc_probe(simple_affine(), [1.0], GRID)
     d = rep.to_dict()
     assert set(d) == {"eta", "gamma", "hessian_identity_residual",
-                      "x_identity_residual", "per_sigma", "inconclusive"}
-    assert "I" in d["per_sigma"] and "2I" in d["per_sigma"]
+                      "x_identity_residual", "condition_number", "inconclusive"}
+    assert d["condition_number"] == 1.0 and d["inconclusive"] is False
+    json.dumps(d)  # plain JSON types only
 
 
 # -- detect_affine ------------------------------------------------------------------
@@ -484,7 +471,7 @@ def reference_scc_probe(model, y, grid):
     """One solve per sweep covariance, then the eta/gamma formulas."""
     d = model.d
     per_sigma = {label: reference_solve_drift(model, y, mat, grid)
-                 for label, mat in sigma_sweep(d)}
+                 for label, mat in sweep_covariances(d)}
     b_id = per_sigma["I"][0]
     eta = np.empty((d, d, d))
     for i in range(d):
@@ -525,9 +512,9 @@ def test_scc_probe_eta_and_gamma_are_least_squares_projections():
             assert np.max(np.abs(rep.eta - eta)) <= 1e-12, name
 
 
-def test_scc_probe_reads_eta_gamma_and_drifts_off_one_projection():
+def test_scc_probe_reads_eta_gamma_and_conditioning_off_one_projection():
     # gamma and eta[i][j] (i <= j) are the columns of one projection of
-    # [dx g | hess_y g[i,j]]; each sweep drift is gamma - 1/2 sum a_ij eta_ij
+    # [dx g | hess_y g[i,j]], and the conditioning is that projection's
     rng = np.random.default_rng(31)
     for name, m, grid in probe_cases():
         iu, ju = np.triu_indices(m.d)
@@ -535,14 +522,12 @@ def test_scc_probe_reads_eta_gamma_and_drifts_off_one_projection():
             rep = scc_probe(m, y, grid)
             dxg, grads, hesses = m.derivative_tables(np.asarray(grid.nodes), y)
             rhs = np.column_stack([dxg, hesses[:, iu, ju]])
-            proj, _, rank, _ = np.linalg.lstsq(grads, rhs, rcond=RANK_TOL)
+            proj, _, rank, sv = np.linalg.lstsq(grads, rhs, rcond=RANK_TOL)
             assert np.array_equal(rep.gamma, proj[:, 0]), name
             assert np.array_equal(rep.eta[iu, ju], proj[:, 1:].T), name
             assert np.array_equal(rep.eta, rep.eta.transpose(1, 0, 2)), name
             assert rep.inconclusive == (rank < m.d), name
-            for label, cov in sigma_sweep(m.d):
-                b = rep.gamma - 0.5 * np.einsum("ij,ijk->k", cov, rep.eta)
-                assert np.array_equal(rep.per_sigma[label].b, b), (name, label)
+            assert rep.condition_number == lstsq_cond(sv), name
 
 
 def test_scc_probe_gamma_is_c_ordered_and_owns_its_data():
@@ -556,7 +541,9 @@ def test_scc_probe_gamma_is_c_ordered_and_owns_its_data():
     assert np.array_equal(stacked.gamma[1, 2], scc_probe(m, Y[1, 2], GRID).gamma)
 
 
-def test_scc_probe_matches_per_sigma_solve_loop():
+def test_scc_probe_matches_the_sweep_difference_oracle():
+    # eta and gamma against differences of drifts solved one covariance at a
+    # time, and each such drift against gamma - 1/2 sum a_ij eta_ij
     rng = np.random.default_rng(17)
     for name, m, grid in probe_cases():
         for y in rng.uniform(-1.0, 1.0, (3, m.d)):
@@ -566,14 +553,39 @@ def test_scc_probe_matches_per_sigma_solve_loop():
             assert np.max(np.abs(rep.gamma - gamma)) <= 1e-12, name
             assert abs(rep.hessian_identity_residual - hess_res) <= 1e-12, name
             assert abs(rep.x_identity_residual - x_res) <= 1e-12, name
-            assert list(rep.per_sigma) == list(per_sigma), name
-            assert list(rep.per_sigma) == [label for label, _ in sigma_sweep(m.d)]
-            for label, (b, rms, rmax, _, rank_ok) in per_sigma.items():
-                got = rep.per_sigma[label]
-                assert np.max(np.abs(got.b - b)) <= 1e-12, (name, label)
-                assert abs(got.residual_rms - rms) <= 1e-12, (name, label)
-                assert abs(got.residual_max - rmax) <= 1e-12, (name, label)
-                assert got.rank_ok == rank_ok, (name, label)
+            for label, cov in sweep_covariances(m.d):
+                b, _, _, cond, rank_ok = per_sigma[label]
+                b_rep = rep.gamma - 0.5 * np.einsum("ij,ijk->k", cov, rep.eta)
+                assert np.max(np.abs(b_rep - b)) <= 1e-12, (name, label)
+                assert (rep.condition_number, rep.inconclusive) == (cond, not rank_ok), name
+
+
+def test_drift_of_any_covariance_is_read_off_the_report():
+    # b_a = gamma - 1/2 sum_ij a_ij eta_ij, for covariances of full and of low rank
+    rng = np.random.default_rng(53)
+    for name, m, grid in probe_cases():
+        for y in rng.uniform(-1.0, 1.0, (2, m.d)):
+            rep = scc_probe(m, y, grid)
+            for k in range(20):
+                root = rng.uniform(-1.5, 1.5, (m.d, m.d if k % 4 else 1))
+                cov = root @ root.T
+                b = noarb._solve_drift_cov(m, y, cov, grid).b
+                b_rep = rep.gamma - 0.5 * np.einsum("ij,ijk->k", cov, rep.eta)
+                assert np.max(np.abs(b_rep - b)) <= 1e-12, (name, k)
+
+
+@pytest.mark.parametrize("layout", ["one", "stack", "grid"])
+def test_scc_probe_condition_number_is_that_of_solve_drift(layout):
+    # one design matrix G = grad_y g per state, whatever the covariance: the
+    # probe's condition number is the drift solve's, bit for bit
+    rng = np.random.default_rng(59)
+    for name, m, grid in probe_cases():
+        Y = state_layouts(m.d, rng)[layout]
+        rep = scc_probe(m, Y, grid)
+        for sigma in (np.eye(m.d), rng.uniform(-1.0, 1.0, (m.d, m.d))):
+            res = solve_drift(m, Y, sigma, grid)
+            assert_state_bits(rep.condition_number, ..., res.condition_number, name)
+            assert np.array_equal(rep.inconclusive, ~res.rank_ok), name
 
 
 # -- work-count guards -----------------------------------------------------------
@@ -742,6 +754,34 @@ def test_stacked_projection_names_the_first_degenerate_state():
                     factor_map=ComponentwiseCubicMap([0.0], quadratic=[1.0]))
     with pytest.raises(DegenerateFamilyError, match=re.escape("y=[0.0]")):
         noarb._solve_drift_cov(m, [[1.0], [0.0], [2.0], [0.0]], np.eye(1), GRID)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_stacked_projection_names_the_first_state_with_a_non_finite_gradient(bad, capfd):
+    # refused before LAPACK, which would print to stderr and fail to converge
+    rng = np.random.default_rng(4)
+    grads = rng.standard_normal((2, 3, 40, 2))
+    grads[1, 1, 7, 0] = bad
+    grads[1, 2] = 0.0  # a degenerate state after it does not mask it
+    Y = np.arange(12.0).reshape(2, 3, 2)
+    message = re.escape("grad_y g is non-finite at y=[8.0, 9.0]")
+    with pytest.raises(ValueError, match=message) as err:
+        noarb._project(grads, rng.standard_normal((2, 3, 40, 1)), Y)
+    assert not isinstance(err.value, DegenerateFamilyError)
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_probes_and_solves_refuse_a_gradient_that_leaves_the_double_range(capfd):
+    # g = u(x) (e^y - 1): grad_y g = u(x) e^y overflows at y = 800
+    m = builtin_models()["affine1-exp-expmap"]
+    ys = [[0.1], [800.0]]
+    for call in (lambda: solve_drift(m, ys, [[1.0]], GRID),
+                 lambda: scc_probe(m, ys, GRID),
+                 lambda: eta_field_from_model(m, GRID)(ys)):
+        with pytest.raises(ValueError, match=re.escape("grad_y g is non-finite at y=[800.0]")):
+            call()
+    assert capfd.readouterr() == ("", "")
 
 
 def state_layouts(d, rng):

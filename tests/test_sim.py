@@ -290,6 +290,18 @@ def test_non_finite_drift_names_the_first_failing_path():
         simulate(spec, 0.01, 0.1, 6, seed=0)
 
 
+def test_a_state_that_leaves_the_double_range_raises_at_the_horizon():
+    # the drift is finite on every step, but the first step overflows the
+    # second factor of every path, which then stays infinite to the horizon
+    spec = SdeSpec(d=2, drift=lambda y: np.full(y.shape, 1e308), sigma=np.zeros((2, 2)),
+                   y0=[0.0, 1e308])
+    with np.errstate(over="ignore"):
+        for T in (1.0, 3.0):
+            message = f"^state of path 0 is non-finite at t={T:g}$"
+            with pytest.raises(SimulationError, match=message):
+                simulate(spec, 1.0, T, 3, seed=0)
+
+
 def correlated_spec(drift, d=2):
     return SdeSpec(d=d, drift=drift, sigma=np.tril(0.3 * np.ones((d, d))) + 0.4 * np.eye(d),
                    y0=np.linspace(-0.2, 0.3, d))

@@ -46,7 +46,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 # XGrid lives in families, beside the node checks every grid goes through
-from .families import CurveFamily, XGrid, _grid_nodes, _states  # noqa: F401
+from .families import CurveFamily, XGrid, _finite, _grid_nodes, _states  # noqa: F401
 from .qe import _integer, _plain
 
 RANK_TOL = 1e-10         # relative singular-value cutoff for drift projections
@@ -93,23 +93,37 @@ def _covariance(sigma: np.ndarray, d: int) -> np.ndarray:
     return sigma @ sigma.T
 
 
-def _residual_stats(dxg: np.ndarray, grads: np.ndarray, trace_term: np.ndarray,
-                    b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rms, max) of the drift residual over the grid, per state of a stack."""
+def _drift_tables(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
+                  grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(dx g, grad_y g, trace term of ``cov``) at y, on a grid of at least d nodes."""
+    xs = _grid_nodes(grid)
+    if xs.shape[0] < model.d:
+        raise ValueError(f"grid has {xs.shape[0]} nodes, need at least d={model.d}")
+    dxg, grads, hesses = model.derivative_tables(xs, y)
+    return dxg, grads, _trace_term(cov, hesses)
+
+
+def _residual_stats(y: np.ndarray, dxg: np.ndarray, grads: np.ndarray,
+                    trace_term: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rms, max) of the drift residual over the grid per state of y; a non-finite rms raises."""
     # a column matmul equals grads @ b bit for bit (einsum does not for d >= 2),
     # and the rms is np.mean's sum and division, without its overhead
     r = dxg - np.matmul(grads, b[..., None])[..., 0] - trace_term
-    return np.sqrt(np.add.reduce(r * r, axis=-1) / r.shape[-1]), np.abs(r).max(axis=-1)
+    rms = np.sqrt(np.add.reduce(r * r, axis=-1) / r.shape[-1])
+    _finite(y, "drift residual", rms)
+    return rms, np.abs(r).max(axis=-1)
 
 
 def rn_residual(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
                 b: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray]:
-    """(rms, max) residual of the drift identity for a candidate drift b, at
-    a state y (d,) or a stack y (..., d) with drifts b of the same shape."""
+    """(rms, max) residual of the drift identity for a candidate drift b of
+    the shape of y, a state (d,) or a stack (..., d)."""
+    tables = _drift_tables(model, y, _covariance(sigma, model.d), grid)
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    dxg, grads, hesses = model.derivative_tables(_grid_nodes(grid), y)
-    trace = _trace_term(_covariance(sigma, model.d), hesses)
-    return _residual_stats(dxg, grads, trace, b)
+    shape = tables[1].shape[:-2] + (model.d,)  # y's, from grad_y g (..., K, d)
+    if b.shape != shape:
+        raise ValueError(f"b needs the shape of y, {shape}, got {b.shape}")
+    return _residual_stats(y, *tables, b)
 
 
 def _lstsq_failed(err, flag):
@@ -155,7 +169,8 @@ def solve_drift(model: CurveFamily, y: np.ndarray, sigma: np.ndarray,
     matrix has numerical rank below d at the relative cutoff ``RANK_TOL``.
     The reported residuals come from the same residual helper that
     :func:`rn_residual` uses, in the same arithmetic order, so solver and
-    checker always agree.
+    checker always agree; a residual that is not finite is a ValueError
+    naming the first such state.
     """
     return _solve_drift_cov(model, y, _covariance(sigma, model.d), grid)
 
@@ -169,21 +184,16 @@ def _drift_stack(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
     stacked projection serve every state; each row equals the solve at its
     state alone bit for bit. Callers that report the residual compute it.
     """
-    xs = _grid_nodes(grid)
-    if xs.shape[0] < model.d:
-        raise ValueError(f"grid has {xs.shape[0]} nodes, need at least d={model.d}")
-    y = _states(y, model.d)
-    dxg, grads, hesses = model.derivative_tables(xs, y)
-    trace = _trace_term(cov, hesses)
-    b, rank_ok, cond = _project(grads, (dxg - trace)[..., None], y)
-    return b[..., 0], (dxg, grads, trace), cond, rank_ok
+    tables = dxg, grads, trace = _drift_tables(model, y, cov, grid)
+    b, rank_ok, cond = _project(grads, (dxg - trace)[..., None], _states(y, model.d))
+    return b[..., 0], tables, cond, rank_ok
 
 
 def _solve_drift_cov(model: CurveFamily, y: np.ndarray, cov: np.ndarray,
                      grid) -> DriftSolveResult:
     """:func:`solve_drift` for the covariance ``cov`` in place of sigma."""
     b, tables, cond, rank_ok = _drift_stack(model, y, cov, grid)
-    return DriftSolveResult(b, *_residual_stats(*tables, b), cond, rank_ok)
+    return DriftSolveResult(b, *_residual_stats(y, *tables, b), cond, rank_ok)
 
 
 @lru_cache(maxsize=8)
@@ -265,7 +275,8 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid) -> SCCReport:
     identities; the residual of b_a is r_x - 1/2 sum_ij a_ij r_H[i,j], so both
     vanish exactly when every covariance has a drift. Large residuals certify
     that no single drift can repair the corresponding covariance, i.e. the
-    family's shape is incompatible with freely estimated volatility.
+    family's shape is incompatible with freely estimated volatility; a
+    non-finite one is a ValueError naming the first such state.
     """
     xs = _probe_nodes(model, grid)
     y = _states(y, model.d)
@@ -273,10 +284,12 @@ def scc_probe(model: CurveFamily, y: np.ndarray, grid) -> SCCReport:
     gamma, eta, rank_ok, cond = _probe_fields(dxg, grads, hesses, y)
     r_x = dxg - np.matmul(grads, gamma[..., None])[..., 0]
     r_hess = hesses - np.einsum("...km,...ijm->...kij", grads, eta)
+    hess_res, x_res = np.abs(r_hess).max(axis=(-3, -2, -1)), np.abs(r_x).max(axis=-1)
+    _finite(y, "identity residual", hess_res, x_res)  # np.max keeps a NaN
     return SCCReport(
         eta=eta, gamma=gamma,
-        hessian_identity_residual=np.abs(r_hess).max(axis=(-3, -2, -1)),
-        x_identity_residual=np.abs(r_x).max(axis=-1),
+        hessian_identity_residual=hess_res,
+        x_identity_residual=x_res,
         condition_number=cond,
         inconclusive=~rank_ok,
     )
@@ -288,7 +301,8 @@ def eta_field_from_model(model: CurveFamily,
 
     The field takes a state (d,) or a stack (..., d), and each call equals
     ``scc_probe(model, y, grid).eta`` bit for bit: it makes the same
-    projection but skips the residuals and the report.
+    projection but skips the residuals and the report, so it returns the
+    non-finite eta that the probe's residual check refuses.
     """
     xs = _probe_nodes(model, grid)
 
@@ -364,6 +378,8 @@ def reconstruct_from_eta(eta_field: Callable[[np.ndarray], np.ndarray],
     """
     y = np.atleast_1d(np.asarray(y, dtype=float))
     grad0 = np.atleast_1d(np.asarray(grad0, dtype=float))
+    if grad0.shape != y.shape:
+        raise ValueError(f"grad0 needs the shape of y, {y.shape}, got {grad0.shape}")
     d = y.shape[0]
     if _integer(n_steps, "n_steps") < 100:
         raise ValueError(f"n_steps must be >= 100, got {n_steps}")

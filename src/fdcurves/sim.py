@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .families import AffineModel, CurveFamily, _grid_nodes, _simpson_weights, _states
+from .families import AffineModel, CurveFamily, _finite, _grid_nodes, _simpson_weights, _states
 from .noarb import (DriftSolveResult, _covariance, _drift_stack, _project,
                     _solve_drift_cov)
 from .qe import (MatrixExponentialOverflowError, _integer, _number, _plain, _section,
@@ -58,7 +58,7 @@ _NOISE_ROWS = 2**12
 
 
 class SimulationError(RuntimeError):
-    """A path produced a non-finite drift or state."""
+    """A path produced a non-finite drift."""
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,8 @@ class PathSet:
     """Simulated factor paths on a time grid.
 
     ``paths`` has shape (n_paths, n_times, d), n_paths >= 1, n_times >= 2,
-    with ``paths[:, 0] == y0``. Identical (spec, dt, T, n_paths, seed)
+    with ``paths[:, 0] == y0``; a non-finite state is a ValueError naming
+    its path and time index. Identical (spec, dt, T, n_paths, seed)
     reproduce the same array bit for bit; the seed is kept for provenance.
     ``times`` may be any finite increasing grid, but only the uniform grid
     dt * arange(n_times) of :func:`simulate` can be saved.
@@ -129,6 +130,11 @@ class PathSet:
             at = f"times[{k}] = {float(times[k])!r}"
             raise ValueError("times must be finite and increasing, got " + (
                 f"{at} after times[{k - 1}] = {float(times[k - 1])!r}" if k else at))
+        # min and max keep a NaN, and make no temporary of the paths' size
+        if not (math.isfinite(paths.min()) and math.isfinite(paths.max())):
+            p, k = np.argwhere(~np.isfinite(paths).all(axis=2))[0]
+            raise ValueError(f"path {p} is non-finite at times[{k}] = "
+                             f"{float(times[k])!r}: y={paths[p, k].tolist()}")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "paths", paths)
 
@@ -284,20 +290,15 @@ def _libm_log(x: np.ndarray) -> np.ndarray:
 def _ndtri_block(y: np.ndarray) -> None:
     upper = y > 1.0 - _EXP_M2
     np.subtract(1.0, y, out=y, where=upper)
-    tail = np.flatnonzero(~(y > _EXP_M2))
+    tail = np.flatnonzero(y <= _EXP_M2)
     t, upper = y[tail], upper[tail]
     # the central formula on the whole block is cheaper than gathering the
     # central values; the tail entries it computes are overwritten below
-    with np.errstate(all="ignore"):
-        s = y - 0.5
-        s2 = s * s
-        s += s * (s2 * _polevl(s2, _P0) / _polevl(s2, _Q0, True))
+    s = y - 0.5
+    s2 = s * s
+    s += s * (s2 * _polevl(s2, _P0) / _polevl(s2, _Q0, True))
     np.multiply(s, _S2PI, out=y)
 
-    special = ~(t > 0.0)  # y0 of 0 or 1, outside [0, 1], or NaN
-    if special.any():
-        bad = t[special]
-        t[special] = 0.5
     x = np.sqrt(-2.0 * _libm_log(t))
     x0 = x - _libm_log(x) / x
     z = 1.0 / x
@@ -308,21 +309,17 @@ def _ndtri_block(y: np.ndarray) -> None:
         x1[far] = zf * _polevl(zf, _P2) / _polevl(zf, _Q2, True)
     x = x0 - x1
     np.negative(x, out=x, where=~upper)
-    if special.any():
-        # Cephes returns -inf and inf for 0 and 1 and NaN outside [0, 1];
-        # a NaN passes through its arithmetic and the final negation
-        x[special] = np.where(bad == 0.0, np.where(upper[special], np.inf, -np.inf),
-                              np.where(np.isnan(bad), -bad, np.nan))
     y[tail] = x
 
 
 def _ndtri(u: np.ndarray) -> np.ndarray:
-    """scipy.special.ndtri(u) bit for bit, computed in place in the float64
-    C-contiguous array ``u``, which is returned.
+    """scipy.special.ndtri(u) bit for bit for u in (0, 1), computed in place
+    in the float64 C-contiguous array ``u``, which is returned.
 
     A NumPy port of Cephes ndtri with its branch points, coefficients and
     operation order; both tail logs go through the C library's log, as in
-    scipy. Blocks of _NDTRI_BLOCK values bound the temporaries.
+    scipy. Blocks of _NDTRI_BLOCK values bound the temporaries. It has no
+    special-value branch: :func:`_normals` passes u in [1e-300, 1).
     """
     flat = u.reshape(-1)
     for k in range(0, flat.size, _NDTRI_BLOCK):
@@ -407,8 +404,8 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
         Dynamics. The drift is called once per step on all paths, each
         time with a fresh C-contiguous float copy (n_paths, d) of the state,
         and must return that shape; a non-finite value raises
-        SimulationError naming the first such path, as does a path whose
-        state is non-finite at the horizon.
+        SimulationError naming the first such path, and a non-finite state
+        the :class:`PathSet`'s ValueError.
     dt, T : float
         Step and horizon; the number of steps is round(T / dt) >= 1.
     n_paths : int
@@ -473,9 +470,6 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
             step += y
             np.add(step, noise[:, k].T, out=y)
             paths[:, k + 1] = y.T
-    if not np.isfinite(y).all():  # a state once non-finite stays so under a finite drift
-        bad = int(np.flatnonzero(~np.isfinite(y).all(axis=0))[0])
-        raise SimulationError(f"state of path {bad} is non-finite at t={n_steps * dt:.6g}")
     return PathSet(times=dt * np.arange(n_steps + 1), paths=paths, seed=key)
 
 
@@ -531,14 +525,21 @@ def futures_price(model: CurveFamily, y: np.ndarray, t: float,
     """Delivery-period price 1/(T2-T1) * int_T1^T2 g(u - t, y) du at time t,
     by Simpson on N_QUAD nodes (affine families: cbar(t) + ubar(t) . A(y) by
     window states), for a state y (d,) or a stack y (..., d): prices of the
-    batch shape of y."""
+    batch shape of y. A price that is not finite is a ValueError naming the
+    first such state, t and the window."""
     if not math.isfinite(t):
         raise ValueError(f"valuation time t must be finite, got {t}")
     if t > fs.T1:
         raise ValueError(f"contract in delivery: t={t} > T1={fs.T1}")
     y = _states(y, model.d)
     price = _window_pricer(model, np.array([float(t)]), fs)
-    return price(y.reshape(-1, 1, model.d), slice(None)).reshape(y.shape[:-1])[()]
+    prices = price(y.reshape(-1, 1, model.d), slice(None)).reshape(y.shape[:-1])
+    _finite(y, f"price at t={float(t)!r} in {_window(fs)}", prices)
+    return prices[()]
+
+
+def _window(fs: FuturesSpec) -> str:
+    return f"the window [T1, T2]=[{fs.T1!r}, {fs.T2!r}]"
 
 
 @dataclass(frozen=True)
@@ -565,8 +566,8 @@ def martingale_test(model: CurveFamily, ps: PathSet,
     cross-path mean of the terminal-minus-initial change divided by its
     standard error. Under the risk-neutral drift the z-score is standard
     normal; a misspecified drift shows up as |z| far outside [-3, 3]. A
-    non-finite price anywhere on a path (or an increment that overflows)
-    makes ``max_abs_increment`` non-finite and the z-score NaN.
+    non-finite price, or increments that leave the double range, are a
+    ValueError naming the state or the window: the z-score is never NaN.
     """
     # the affine pricer reads the factor map directly, which would
     # broadcast states of another width
@@ -584,9 +585,10 @@ def martingale_test(model: CurveFamily, ps: PathSet,
     for k in range(0, ps.n_times, _CHUNK):
         rows = slice(k, k + _CHUNK)
         block = price(ps.paths[:, rows], rows)
+        _finite(ps.paths[:, rows], "price in " + _window(fs), block)
         if k == 0:
             first = prev = block[:, 0]
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf: NaN, as promised
+        with np.errstate(over="ignore"):  # raised below
             steps = np.diff(block, axis=1, prepend=prev[:, None])
         np.maximum(max_inc, np.abs(steps).max(axis=1), out=max_inc)
         prev = block[:, -1]
@@ -596,9 +598,9 @@ def martingale_test(model: CurveFamily, ps: PathSet,
         std_error = (float(np.std(total, ddof=1) / np.sqrt(ps.n_paths))
                      if ps.n_paths > 1 else 0.0)
     max_abs_increment = float(np.max(max_inc))
-    if not math.isfinite(max_abs_increment):  # a non-finite price on some path
-        z = math.nan
-    elif std_error > 0.0:
+    if not np.isfinite([max_abs_increment, drift_estimate, std_error]).all():
+        raise ValueError("price increments leave the double range in " + _window(fs))
+    if std_error > 0.0:
         z = drift_estimate / std_error
     else:
         z = 0.0 if drift_estimate == 0.0 else float("inf") * np.sign(drift_estimate)
@@ -622,7 +624,8 @@ def estimate_vol(ps: PathSet) -> np.ndarray:
     increments are formed once, component-major, and each entry i <= j is
     one einsum inner product of two contiguous columns, written to [i, j]
     and [j, i]: the matrix is exactly symmetric, and no BLAS routine runs,
-    so its bits do not depend on the BLAS thread count.
+    so its bits do not depend on the BLAS thread count. An entry outside
+    the double range is a ValueError naming its component's largest step.
     """
     n_paths, n_times, d = ps.paths.shape
     n_inc = n_paths * (n_times - 1)
@@ -630,7 +633,8 @@ def estimate_vol(ps: PathSet) -> np.ndarray:
         raise ValueError(f"need at least 100 increments, got {n_inc}")
     by_component = ps.paths.transpose(2, 0, 1)
     inc = np.empty((d, n_paths, n_times - 1))
-    np.subtract(by_component[..., 1:], by_component[..., :-1], out=inc)
+    with np.errstate(over="ignore"):  # raised below
+        np.subtract(by_component[..., 1:], by_component[..., :-1], out=inc)
     cols = inc.reshape(d, n_inc)
     cov = np.empty((d, d))
     # not one einsum "ik,jk->ij": for d >= 2 it sums each entry in
@@ -639,7 +643,13 @@ def estimate_vol(ps: PathSet) -> np.ndarray:
     for i in range(d):
         for j in range(i, d):
             cov[i, j] = cov[j, i] = np.einsum("k,k->", cols[i], cols[j])
-    return cov / (n_paths * (ps.times[-1] - ps.times[0]))
+    cov /= n_paths * (ps.times[-1] - ps.times[0])
+    if not np.isfinite(cov).all():
+        i, j = np.argwhere(~np.isfinite(cov))[0]
+        p, k = np.unravel_index(np.argmax(np.abs(inc[i])), inc[i].shape)
+        raise ValueError(f"realised covariation [{i}, {j}] leaves the double range; its "
+                         f"largest increment is on path {p} at times[{k + 1}]")
+    return cov
 
 
 def nearest_psd(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -694,8 +704,8 @@ def scc_loop(model: CurveFamily, observed: PathSet, grid,
     visited by the paths, all in one stacked solve whose rows equal
     :func:`solve_drift` at each state. A family with affine structure
     passes for any estimate; a family without it fails as soon as the
-    estimate wanders off the one diffusion value it can support. NaN fails
-    the verdict.
+    estimate wanders off the one diffusion value it can support. A
+    non-finite covariation or residual is a ValueError naming where.
 
     ``sigma_override`` replaces the estimate with the covariance of a
     prescribed sigma (useful for stress-testing a perturbed estimate).

@@ -511,7 +511,7 @@ OUT_OF_RANGE = {  # each command's error for a sample where exp(800) overflows
     "check-drift": "grad_y g is non-finite at y=[800.0]",
     "scc-probe": "grad_y g is non-finite at y=[800.0]",
     "detect-affine": "curve is non-finite at y_samples[1]=[800.0]",
-    "price": "price is non-finite at y_samples[1]=[800.0] in the window [T1, T2]=[0.5, 1.0]",
+    "price": "price at t=0.0 in the window [T1, T2]=[0.5, 1.0] is non-finite at y=[800.0]",
 }
 
 
@@ -526,6 +526,20 @@ def test_a_state_outside_the_double_range_exits_2_naming_it(tmp_path, capfd, com
     assert list((tmp_path / "out").iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["check-drift", "scc-probe"])
+def test_a_value_outside_the_double_range_at_a_finite_gradient_exits_2_naming_it(
+        tmp_path, capfd, command):
+    # the cubic map's A = y + 0.1 y^3 overflows at y = 1e120 while A' and
+    # A'' stay finite: dx g leaves the double range, grad_y g does not
+    raw = json.loads((SCENARIOS / "custom_affine.json").read_text())
+    raw.update(y_samples=[[0.5, -0.5], [1e120, 0.0]], output_dir=str(tmp_path / "out"))
+    assert main([command, "--scenario", write_scenario(tmp_path, raw)]) == 2
+    which = "drift" if command == "check-drift" else "identity"
+    assert capfd.readouterr() == (f"error: {which} residual is non-finite at y=[1e+120, 0.0]\n",
+                                  "")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["simulate", "martingale-test", "estimate-vol"])
 @pytest.mark.parametrize("model, y0, message", [
     ({"builtin": "affine1-exp-expmap"}, 800.0,
@@ -533,7 +547,7 @@ def test_a_state_outside_the_double_range_exits_2_naming_it(tmp_path, capfd, com
     # g = y e^x has the drift b = y, so one step of dt = 1 doubles 1.7e308
     ({"type": "affine", "c": {"n": 1, "A": [[0.0]], "b": [1.0], "c": [0.0]},
       "u": [{"n": 1, "A": [[1.0]], "b": [1.0], "c": [1.0]}], "amap": {"tag": "identity"}},
-     1.7e308, "state of path 0 is non-finite at t=1"),
+     1.7e308, "path 0 is non-finite at times[1] = 1.0: y=[inf]"),
 ], ids=["drift", "state"])
 def test_a_path_outside_the_double_range_exits_2_naming_it(tmp_path, capfd, command, model,
                                                           y0, message):
@@ -849,21 +863,24 @@ def test_martingale_nan_z_fails(tmp_path, capsys, monkeypatch):
     assert result["numbers"]["max_abs_z"] is None
 
 
-def test_estimate_vol_stdout_is_strict_json_on_nan_paths(tmp_path, capsys):
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "path 1 is non-finite at times[50] = 0.5: y=[nan]"),
+    (1e200, "realised covariation [0, 0] leaves the double range; "
+            "its largest increment is on path 1 at times[50]"),
+], ids=["nan", "1e200"])
+def test_estimate_vol_refuses_a_paths_file_outside_the_double_range(tmp_path, capfd, value,
+                                                                    message):
+    # PathSet refuses the NaN, so the file is a finite set with one float overwritten
     paths = np.full((2, 101, 1), 0.5)
-    paths[1, 50, 0] = np.nan
-    PathSet(times=0.01 * np.arange(101), paths=paths, seed=0).save(tmp_path / "nan.bin")
-    raw = affine_scenario(tmp_path / "out", paths_file=str(tmp_path / "nan.bin"))
-    assert main(["estimate-vol", "--scenario", write_scenario(tmp_path, raw)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("sigma_sq_hat=")
-
-    def refuse(token):
-        raise ValueError(f"stdout holds the non-JSON token {token}")
-
-    assert json.loads(out.split("=", 1)[1], parse_constant=refuse) == [[None]]
-    result = strict_json(tmp_path / "out" / "run_result.json")
-    assert result["numbers"]["sigma_sq_00"] is None
+    PathSet(times=0.01 * np.arange(101), paths=paths, seed=0).save(tmp_path / "p.bin")
+    raw = bytearray((tmp_path / "p.bin").read_bytes())
+    at = len(raw) - paths.nbytes + 8 * (101 + 50)
+    raw[at:at + 8] = struct.pack("<d", value)
+    (tmp_path / "p.bin").write_bytes(bytes(raw))
+    scenario = affine_scenario(tmp_path / "out", paths_file=str(tmp_path / "p.bin"))
+    assert main(["estimate-vol", "--scenario", write_scenario(tmp_path, scenario)]) == 2
+    assert capfd.readouterr() == (f"error: {message}\n", "")
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_check_drift_residuals_csv_bytes_on_shipped_scenario(tmp_path):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcurves import noarb
 from fdcurves.families import (AffineModel, ComponentwiseCubicMap, GaussianExampleModel,
@@ -182,6 +184,26 @@ def test_solve_drift_needs_enough_nodes():
     m = builtin_models()["affine3-cubic"]
     with pytest.raises(ValueError):
         solve_drift(m, [0.0, 0.0, 0.0], np.eye(3), XGrid([0.0, 1.0]))
+
+
+def test_rn_residual_needs_the_nodes_solve_drift_needs():
+    m = builtin_models()["affine3-cubic"]
+    message = "grid has 2 nodes, need at least d=3"
+    for call in (solve_drift, lambda m, y, s, grid: rn_residual(m, y, s, np.zeros(3), grid)):
+        with pytest.raises(ValueError) as err:
+            call(m, [0.0, 0.0, 0.0], np.eye(3), XGrid([0.0, 1.0]))
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("y, b", [
+    (np.array([0.1, 0.2]), np.zeros((3, 2))),           # three drifts for one state
+    (np.array([[0.1, 0.2], [0.3, -0.4], [1.0, 0.5]]), np.zeros(2)),  # one drift for three
+    (np.array([[0.1, 0.2], [0.3, -0.4]]), np.zeros((2, 1, 2))),
+], ids=["one-state", "broadcast", "extra-axis"])
+def test_rn_residual_refuses_a_drift_of_another_shape_than_y(y, b):
+    with pytest.raises(ValueError) as err:
+        rn_residual(builtin_models()["affine2-identity"], y, np.eye(2), b, GRID)
+    assert str(err.value) == f"b needs the shape of y, {y.shape}, got {b.shape}"
 
 
 def test_solve_drift_sigma_independent_for_identity_maps():
@@ -430,6 +452,13 @@ def test_reconstruct_rejects_a_step_count_that_is_not_an_integer(n_steps):
                              [1.0], n_steps)
 
 
+@pytest.mark.parametrize("grad0", [[1.0], [1.0, 0.5, 0.0]])
+def test_reconstruct_refuses_a_gradient_of_another_length_than_y(grad0):
+    with pytest.raises(ValueError) as err:
+        reconstruct_from_eta(lambda y: np.zeros((2, 2, 2)), 0.0, grad0, [0.3, 0.4], 100)
+    assert str(err.value) == f"grad0 needs the shape of y, (2,), got ({len(grad0)},)"
+
+
 def test_reconstruct_raises_on_blowup():
     with pytest.raises(ArithmeticError, match="t="):
         reconstruct_from_eta(lambda y: np.full((1, 1, 1), 1e308), 0.0, [1.0],
@@ -451,6 +480,52 @@ def probe_cases():
     cases = [(name, m, GRID3 if isinstance(m, GaussianExampleModel) else GRID)
              for name, m in builtin_models().items()]
     return cases + [("custom_affine", custom_scenario_model(), GRID)]
+
+
+def assert_the_gates_stay_quiet(model, ys, sigma, grid):
+    """Drift, residual, probe and price calls at in-range states return
+    finite values without raising."""
+    res = solve_drift(model, ys, sigma, grid)
+    rep = scc_probe(model, ys, grid)
+    for value in (res.b, res.residual_rms, res.residual_max, *rn_residual(model, ys, sigma,
+                                                                       res.b, grid),
+                  rep.eta, rep.gamma, rep.max_residual,
+                  futures_price(model, ys, 0.0, FuturesSpec(1.0, 2.0))):
+        assert np.isfinite(value).all()
+
+
+GATE_CASES = {name: (m, grid) for name, m, grid in probe_cases()}
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.data())
+def test_the_non_finite_gates_never_fire_in_the_sweep_box(data):
+    # consistency_sweep's states: [-1, 1]^d, and [-1, 0.5] for gaussian-example
+    name = data.draw(st.sampled_from(sorted(GATE_CASES)), label="model")
+    m, grid = GATE_CASES[name]
+    hi = 0.5 if name == "gaussian-example" else 1.0
+    coords = st.floats(-1.0, hi, allow_nan=False)
+    n = data.draw(st.integers(1, 4), label="n")
+    ys = np.array(data.draw(st.lists(st.lists(coords, min_size=m.d, max_size=m.d),
+                                     min_size=n, max_size=n), label="ys"))
+    entries = data.draw(st.lists(st.floats(-1.0, 1.0, allow_nan=False),
+                                 min_size=m.d * m.d, max_size=m.d * m.d), label="sigma")
+    sigma = np.tril(np.reshape(entries, (m.d, m.d)))
+    assert_the_gates_stay_quiet(m, ys[0], sigma, grid)
+    assert_the_gates_stay_quiet(m, ys, sigma, grid)
+
+
+@pytest.mark.parametrize("scenario", ["affine_demo.json", "custom_affine.json",
+                                      "gaussian_probe.json"])
+def test_the_non_finite_gates_never_fire_at_the_shipped_states(scenario):
+    # each scenario's y_samples on its own model and on every model of its d
+    raw = json.loads((SCENARIOS / scenario).read_text())
+    ys = np.array(raw["y_samples"], dtype=float)
+    own = model_from_dict(raw["model"]), XGrid.from_dict(raw["grid"])
+    cases = [own] + [case for case in GATE_CASES.values() if case[0].d == ys.shape[-1]]
+    assert len(cases) >= 3
+    for m, grid in cases:
+        assert_the_gates_stay_quiet(m, ys, np.array(raw["sigma"]), grid)
 
 
 def reference_solve_drift(model, y, cov, grid, rank_tol=RANK_TOL):
@@ -782,6 +857,33 @@ def test_probes_and_solves_refuse_a_gradient_that_leaves_the_double_range(capfd)
         with pytest.raises(ValueError, match=re.escape("grad_y g is non-finite at y=[800.0]")):
             call()
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("ys, where", [
+    ([1e120, 0.0], [1e120, 0.0]),
+    ([[0.5, -0.5], [0.0, 2e120], [1e120, 0.0]], [0.0, 2e120]),
+    ([[[0.5, -0.5]], [[1.0, 0.25]]] + [[[1e120, 0.0]]], [1e120, 0.0]),
+], ids=["one", "stack", "grid"])
+def test_residuals_that_leave_the_double_range_are_refused_naming_the_state(ys, where):
+    # the cubic map's A = y + 0.1 y^3 overflows while A' and A'' stay finite,
+    # so grad_y g passes _project's gate and dx g carries the inf into b
+    m = custom_scenario_model()
+    ys = np.array(ys)
+    cases = {
+        "drift": [lambda: solve_drift(m, ys, np.eye(2), GRID),
+                  lambda: noarb._solve_drift_cov(m, ys, np.eye(2), GRID),
+                  lambda: rn_residual(m, ys, np.eye(2), np.zeros(ys.shape), GRID)],
+        "identity": [lambda: scc_probe(m, ys, GRID)],
+    }
+    for which, calls in cases.items():
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call()
+            assert str(err.value) == f"{which} residual is non-finite at y={where}"
+    # the eta field skips the residuals: it returns the non-finite eta
+    assert not np.isfinite(eta_field_from_model(m, GRID)(ys)).all()
 
 
 def state_layouts(d, rng):

@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from fdcurves.families import (AffineModel, ComponentwiseCubicMap, ExpMinusOneMap,
@@ -221,8 +223,10 @@ def test_ndtri_port_equals_scipy_bit_for_bit():
     u = np.concatenate([
         *(np.random.Generator(np.random.Philox(key=key)).random(500_000)
           for key in (1, 2**40, 2**63 + 5, 2**64 - 1)),
-        k * 2.0**-53, 1.0 - k * 2.0**-53, [1e-300, 0.5], neighbours,
-        [-0.0, -1e-300, 1.5, np.inf, -np.inf, np.nan, -np.nan]])
+        k[1:] * 2.0**-53, 1.0 - k[1:] * 2.0**-53, [1e-300, 0.5], neighbours])
+    # the port's domain is (0, 1): _normals clamps gen.random's [0, 1) at 1e-300,
+    # and both ends of that range, 1e-300 and 1 - 2**-53, are in u
+    assert u.min() == 1e-300 and u.max() == 1.0 - 2.0**-53
     assert np.array_equal(sim._ndtri(u.copy()).view(np.int64), ndtri(u).view(np.int64))
 
 
@@ -290,16 +294,35 @@ def test_non_finite_drift_names_the_first_failing_path():
         simulate(spec, 0.01, 0.1, 6, seed=0)
 
 
-def test_a_state_that_leaves_the_double_range_raises_at_the_horizon():
+def test_a_state_that_leaves_the_double_range_is_refused_by_the_path_set():
     # the drift is finite on every step, but the first step overflows the
-    # second factor of every path, which then stays infinite to the horizon
+    # second factor of every path, which then stays infinite to the horizon:
+    # the path set names the first path at the first time it is non-finite
     spec = SdeSpec(d=2, drift=lambda y: np.full(y.shape, 1e308), sigma=np.zeros((2, 2)),
                    y0=[0.0, 1e308])
     with np.errstate(over="ignore"):
         for T in (1.0, 3.0):
-            message = f"^state of path 0 is non-finite at t={T:g}$"
-            with pytest.raises(SimulationError, match=message):
+            message = "path 0 is non-finite at times[1] = 1.0: y=[1e+308, inf]"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 simulate(spec, 1.0, T, 3, seed=0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_pathset_refuses_a_non_finite_state_naming_its_path_and_time(tmp_path, value):
+    paths = np.full((4, 6, 2), 0.5)
+    paths[2, 3, 1] = paths[3, 1, 0] = value
+    message = f"path 2 is non-finite at times[3] = 0.30000000000000004: y=[0.5, {value!r}]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PathSet(times=0.1 * np.arange(6), paths=paths, seed=0)
+    # a file holding the state is refused as it loads
+    finite = PathSet(times=0.1 * np.arange(6), paths=np.full((4, 6, 2), 0.5), seed=0)
+    finite.save(tmp_path / "p.bin")
+    raw = bytearray((tmp_path / "p.bin").read_bytes())
+    at = len(raw) - finite.paths.nbytes + 8 * (2 * 6 * 2 + 3 * 2 + 1)
+    raw[at:at + 8] = struct.pack("<d", value)
+    (tmp_path / "p.bin").write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PathSet.load(tmp_path / "p.bin")
 
 
 def correlated_spec(drift, d=2):
@@ -657,6 +680,16 @@ def test_non_finite_valuation_time_names_one_value():
         assert str(err.value) == f"valuation time t must be finite, got {t}"
 
 
+@pytest.mark.parametrize("family", ["overflow", "nan"])
+def test_futures_price_refuses_a_non_finite_price_naming_its_state(family):
+    m = builtin_models()["affine1-exp-expmap"] if family == "overflow" else nan_above(700.0)
+    message = "price at t=0.25 in the window [T1, T2]=[1.0, 2.0] is non-finite at y=[800.0]"
+    for y in ([800.0], [[0.1], [800.0], [900.0]], [[[0.1]], [[800.0]]]):
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+            futures_price(m, y, 0.25, FS12)
+        assert str(err.value) == message
+
+
 def test_window_pricer_memory_does_not_grow_with_the_time_grid():
     # 5,001 sample times at dt = 1e-4: one (times x N_QUAD) node table would
     # be 5.2 MB; the window state needs (N_QUAD + times) n^2 floats per loading
@@ -787,20 +820,42 @@ def test_pathset_rejects_zero_paths(tmp_path):
         PathSet.load(path)
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("k", [0, 4, 10, pytest.param([4, 5], id="4+5"),
-                               pytest.param([9, 10], id="9+10")])
-def test_martingale_z_is_nan_for_a_non_finite_price_anywhere_on_a_path(value, k):
-    # under the suite's filterwarnings = error: an inf at the last time
-    # (inf - mean in the statistics) or at two adjacent times (inf - inf in
-    # the increments) must return as silently as a NaN
-    ps = simulate(ou_spec(0.3), 0.05, 0.5, 9, seed=16)
+def nan_above(level):
+    """A d = 1 family g = e^-x y, NaN where y > level."""
+    return NumericCurveFamily(lambda x, y: math.exp(-x) * y[0] if y[0] <= level else math.nan,
+                              d=1)
+
+
+@pytest.mark.parametrize("family", ["overflow", "nan"])
+@pytest.mark.parametrize("k", [0, 4, 10, 40, pytest.param([4, 5], id="4+5")])
+def test_martingale_test_refuses_a_non_finite_price_naming_its_state(family, k):
+    # a finite state where the price leaves the double range (e^800) or is
+    # NaN, on path 3 at the sample times k, after a finite outlier on path 1
+    ps = simulate(ou_spec(0.3), 0.0125, 0.5, 9, seed=16)
     paths = ps.paths.copy()
-    paths[3, k, 0] = value
-    res = martingale_test(simple_affine(), PathSet(ps.times, paths, ps.seed), FS12)
-    assert math.isnan(res.z_score)
-    assert not math.isfinite(res.max_abs_increment)
-    assert math.isfinite(martingale_test(simple_affine(), ps, FS12).z_score)
+    paths[3, k, 0] = 800.0
+    paths[1, 30, 0] = 600.0
+    m = builtin_models()["affine1-exp-expmap"] if family == "overflow" else nan_above(700.0)
+    message = "price in the window [T1, T2]=[1.0, 2.0] is non-finite at y=[800.0]"
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
+        martingale_test(m, PathSet(ps.times, paths, ps.seed), FS12)
+    assert str(err.value) == message
+    assert math.isfinite(martingale_test(m, ps, FS12).z_score)
+
+
+@pytest.mark.parametrize("y", [[1.7e308, -1.7e308], [-1.7e308, 0.0, 1.7e308]],
+                         ids=["increment", "total"])
+def test_martingale_test_refuses_increments_that_leave_the_double_range(y):
+    # g = y prices F = y: every price is finite, but an increment or the
+    # terminal-minus-initial change is not
+    m = AffineModel(c=QEFunction.constant(0.0), u=[QEFunction.constant(1.0)],
+                    factor_map=IdentityMap(1))
+    ps = PathSet(times=0.1 * np.arange(len(y)), paths=np.array(y)[None, :, None], seed=0)
+    assert np.isfinite(futures_price(m, ps.paths[0], 0.0, FS12)).all()
+    with pytest.raises(ValueError) as err:
+        martingale_test(m, ps, FS12)
+    assert str(err.value) == ("price increments leave the double range "
+                              "in the window [T1, T2]=[1.0, 2.0]")
 
 
 def test_a_family_s_own_numpy_warning_surfaces_from_martingale_test():
@@ -925,16 +980,27 @@ def test_estimate_vol_is_exactly_symmetric():
     assert vol.tobytes() == np.ascontiguousarray(vol.T).tobytes()
 
 
-def test_estimate_vol_nan_in_one_component_poisons_only_its_row_and_column():
+def test_estimate_vol_entries_read_only_their_own_components():
     ps = correlated_paths(20, 11, 3, seed=9)
-    paths = ps.paths.copy()
-    paths[4, 7, 0] = np.nan
-    vol = estimate_vol(PathSet(ps.times, paths, ps.seed))
-    mask = np.zeros((3, 3), bool)
-    mask[0, :] = mask[:, 0] = True
-    assert np.array_equal(np.isnan(vol), mask)
-    rest = estimate_vol(PathSet(ps.times, paths[..., 1:], ps.seed))
+    vol = estimate_vol(ps)
+    rest = estimate_vol(PathSet(ps.times, ps.paths[..., 1:], ps.seed))
     assert vol[1:, 1:].tobytes() == rest.tobytes()
+
+
+@pytest.mark.parametrize("k, value, entry", [(7, 1e200, "[1, 1]"), (10, 1e308, "[0, 1]")])
+def test_estimate_vol_refuses_a_covariation_outside_the_double_range(k, value, entry):
+    # a finite 1e200 state squares past the double range; a 1e308 step in
+    # component 1 against a -1e154 one in component 0 keeps [0, 0] finite
+    # (1e308 / 2) and overflows [0, 1], ahead of [1, 1] in order
+    ps = correlated_paths(20, 11, 2, seed=9)
+    paths = ps.paths.copy()
+    paths[4, k, 1] = value
+    if value == 1e308:
+        paths[4, k, 0] = -1e154
+    with pytest.raises(ValueError) as err:
+        estimate_vol(PathSet(ps.times, paths, ps.seed))
+    assert str(err.value) == (f"realised covariation {entry} leaves the double range; "
+                              f"its largest increment is on path 4 at times[{k}]")
 
 
 def test_estimate_vol_divides_by_the_elapsed_time():
@@ -1416,14 +1482,30 @@ def test_scc_loop_box_equals_column_reductions_bitwise():
     m = custom_model()
     ps = simulate(driftless(0.4, 0.2, d=2), 1e-2, 0.5, 5, seed=3)
     paths = ps.paths.copy()
-    paths[0, 1, 1] = np.nan  # flat row 1: a NaN path off the sampled states
+    paths[0, 1, 1] = -7.5  # flat row 1: an outlier off the sampled states
     rep = scc_loop(m, PathSet(ps.times, paths, ps.seed), GRID,
                    sigma_override=CUSTOM_SIGMA)
     flat = paths.reshape(-1, 2)
-    assert not np.isnan(rep.y_samples).any()
+    assert not (rep.y_samples == -7.5).any()
     for got, want in zip(rep.y_box, (flat.min(axis=0), flat.max(axis=0))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert np.isnan(rep.y_box[0][1]) and np.isfinite(rep.y_box[0][0])
+    assert rep.y_box[0][1] == -7.5 and rep.y_box[0][0] > -7.5
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_the_non_finite_gates_never_fire_on_the_monte_carlo_pipeline(seed):
+    # the case-B settings of the mc_verify benchmark: the custom_affine.json
+    # model under the correlated sigma, 200 paths of 100 steps to 0.5
+    raw = json.loads((SCENARIOS / "custom_affine.json").read_text())
+    m, grid = model_from_dict(raw["model"]), XGrid.from_dict(raw["grid"])
+    spec = SdeSpec(d=2, drift=rn_drift(m, CUSTOM_SIGMA, grid), sigma=CUSTOM_SIGMA,
+                   y0=raw["y_samples"][0])
+    ps = simulate(spec, 0.005, 0.5, 200, seed)
+    res = martingale_test(m, ps, FS12)
+    assert np.isfinite([res.z_score, res.max_abs_increment]).all()
+    assert np.isfinite(estimate_vol(ps)).all()
+    assert np.isfinite(scc_loop(m, ps, grid).max_residual)
 
 
 def test_scc_loop_accepts_affine_data():
@@ -1467,7 +1549,7 @@ def test_scc_loop_report_serialises():
     assert len(d["drift"]["b"]) == len(rep.drift.b)
 
 
-def test_scc_loop_verdict_fails_on_nan_residuals():
+def test_scc_loop_refuses_a_nan_residual_naming_its_state():
     class NanHessianAbove(AffineModel):
         def derivative_tables(self, xs, y):
             dxg, grads, hesses = super().derivative_tables(xs, y)
@@ -1479,11 +1561,12 @@ def test_scc_loop_verdict_fails_on_nan_residuals():
     m = NanHessianAbove(c=base.c, u=base.u, factor_map=base.factor_map)
     ps = simulate(SdeSpec(d=1, drift=rn_drift(base, [[1.0]], GRID),
                           sigma=[[1.0]], y0=[1.0]), 1e-3, 1.0, 4, seed=11)
-    rep = scc_loop(m, ps, GRID)
-    residuals = [r.residual_rms for r in state_rows(rep.drift)]
-    assert np.isfinite(residuals[0]) and np.isnan(residuals).any()
-    assert np.isnan(rep.max_residual) and np.isnan(rep.max_drift_norm)
-    assert not rep.verdict
+    samples = scc_loop(base, ps, GRID).y_samples
+    first = samples[np.flatnonzero(samples[:, 0] > 1.2)[0]]
+    assert samples[0, 0] <= 1.2
+    with pytest.raises(ValueError) as err:
+        scc_loop(m, ps, GRID)
+    assert str(err.value) == f"drift residual is non-finite at y={first.tolist()}"
 
 
 def test_scc_loop_solves_with_the_override_covariance():

@@ -44,9 +44,6 @@ from .qe import (MatrixExponentialOverflowError, _integer, _number, _plain, _sec
 
 PATHSET_MAGIC = b"FDCURVEPATHSET01"  # exactly 16 bytes
 N_QUAD = 129  # Simpson nodes per delivery window; 65 misses 1e-10 on slow decays
-# time slices martingale_test prices per factor-map evaluation; chunks sized
-# by a 65,536-state budget ran slower and raised peak RSS
-_CHUNK = 32
 # states per stacked drift solve of a non-affine family: on 2000 states no
 # larger stack was faster (d = 1 and d = 3), and a drift call peaks at
 # 0.6 MB (d = 1) to 1.4 MB (d = 3) under tracemalloc
@@ -489,17 +486,18 @@ def _called(y: np.ndarray, drift: Callable[[np.ndarray], np.ndarray]) -> np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _window_pricer(model: CurveFamily, ts: np.ndarray,
-                   fs: FuturesSpec) -> Callable[[np.ndarray, slice], np.ndarray]:
-    """price(Y, rows): the prices (n, k) of the states Y (n, k, d) at the
-    times ts[rows] <= T1, by Simpson on N_QUAD nodes over the delivery window.
+def _window_prices(model: CurveFamily, Y: np.ndarray, ts: np.ndarray,
+                   fs: FuturesSpec) -> np.ndarray:
+    """The prices (n, k) of the states Y (n, k, d) at the k times ts <= T1,
+    by Simpson on N_QUAD nodes over the delivery window.
 
-    An affine family averages c and each u_k over the window once here; each
-    call evaluates A(Y) alone. A loading c e^(Ax) b at the node T1 + s_j is
+    An affine family averages c and each u_k over the window, then
+    evaluates A(Y) alone. A loading c e^(Ax) b at the node T1 + s_j is
     c e^(A(T1 - t)) e^(A s_j) b, so its window average is c e^(A(T1 - t)) W,
-    W = sum_j (w_j / L) e^(A s_j) b: one mat_exp stack of (N_QUAD + len(ts))
-    n^2 floats per loading. Other families build curves on the window's nodes.
-    Sums are row-local with no BLAS call: a price never depends on its block.
+    W = sum_j (w_j / L) e^(A s_j) b: one mat_exp stack of (N_QUAD + k) n^2
+    floats per loading. Other families build curves on the window's nodes,
+    one ``curve_matrix`` call per time. Sums are row-local with no BLAS
+    call: a price never depends on the other states or times.
     """
     us, w = _simpson_weights(fs.T1, fs.T2, N_QUAD)
     length = fs.T2 - fs.T1
@@ -513,11 +511,9 @@ def _window_pricer(model: CurveFamily, ts: np.ndarray,
                 avg[:, i] = (e[N_QUAD:] * (f.c[:, None] * W)).sum(axis=(1, 2))
         if not np.isfinite(avg).all():
             raise MatrixExponentialOverflowError("a window average left the double range")
-        return lambda Y, rows: (avg[rows, 0]
-                                + (model.factor_map.value(Y) * avg[rows, 1:]).sum(axis=-1))
-    return lambda Y, rows: np.stack(
-        [(model.curve_matrix(us - t, Y[:, j]) * w).sum(axis=1)
-         for j, t in enumerate(ts[rows])], axis=1) / length
+        return avg[:, 0] + (model.factor_map.value(Y) * avg[:, 1:]).sum(axis=-1)
+    return np.stack([(model.curve_matrix(us - t, Y[:, j]) * w).sum(axis=1)
+                     for j, t in enumerate(ts)], axis=1) / length
 
 
 def futures_price(model: CurveFamily, y: np.ndarray, t: float,
@@ -532,8 +528,8 @@ def futures_price(model: CurveFamily, y: np.ndarray, t: float,
     if t > fs.T1:
         raise ValueError(f"contract in delivery: t={t} > T1={fs.T1}")
     y = _states(y, model.d)
-    price = _window_pricer(model, np.array([float(t)]), fs)
-    prices = price(y.reshape(-1, 1, model.d), slice(None)).reshape(y.shape[:-1])
+    prices = _window_prices(model, y.reshape(-1, 1, model.d), np.array([float(t)]),
+                            fs).reshape(y.shape[:-1])
     _finite(y, f"price at t={float(t)!r} in {_window(fs)}", prices)
     return prices[()]
 
@@ -544,12 +540,11 @@ def _window(fs: FuturesSpec) -> str:
 
 @dataclass(frozen=True)
 class MartingaleTestResult:
-    """Monte Carlo drift statistics of the futures price along the paths."""
+    """Mean, standard error and z of the paths' terminal-minus-initial price change."""
 
     drift_estimate: float
     std_error: float
     z_score: float
-    max_abs_increment: float
     n_paths: int
 
     to_dict = _plain
@@ -559,15 +554,16 @@ def martingale_test(model: CurveFamily, ps: PathSet,
                     fs: FuturesSpec) -> MartingaleTestResult:
     """Check that futures prices have no systematic drift along the paths.
 
-    Prices F(t_k, Y_k) are those of :func:`futures_price`, bit for bit, at
-    every sample time: one window pricer serves the whole call and prices
-    ``_CHUNK`` times at once, so an affine family averages its intercept
-    and loadings once per call and builds no curve. The statistic is the
-    cross-path mean of the terminal-minus-initial change divided by its
-    standard error. Under the risk-neutral drift the z-score is standard
-    normal; a misspecified drift shows up as |z| far outside [-3, 3]. A
-    non-finite price, or increments that leave the double range, are a
-    ValueError naming the state or the window: the z-score is never NaN.
+    The statistic is the cross-path mean of the terminal-minus-initial
+    change F(t_N, Y_N) - F(t_0, Y_0) divided by its standard error, so
+    only the first and the last sample slice are priced, both in one
+    window-price call: prices are those of :func:`futures_price`, bit for
+    bit, an affine family averages its intercept and loadings once, and the
+    cost does not grow with the number of sample times. Under the
+    risk-neutral drift the z-score is standard normal; a misspecified
+    drift shows up as |z| far outside [-3, 3]. A non-finite price at
+    either slice, or changes that leave the double range, are a ValueError
+    naming the state or the window: the z-score is never NaN.
     """
     # the affine pricer reads the factor map directly, which would
     # broadcast states of another width
@@ -576,37 +572,23 @@ def martingale_test(model: CurveFamily, ps: PathSet,
         raise ValueError(
             f"path horizon {ps.horizon} exceeds delivery start T1={fs.T1}")
     # a horizon within the 1e-12 tolerance past T1 is priced at T1, so the
-    # window's nodes never fall before the valuation time; every time up to
-    # T1 keeps its own
-    price = _window_pricer(model, np.minimum(ps.times, fs.T1), fs)
-    # stream the slices in chunks: keep the last price column and each
-    # path's max |increment|, never the (n_paths, n_times) price matrix
-    max_inc = np.zeros(ps.n_paths)
-    for k in range(0, ps.n_times, _CHUNK):
-        rows = slice(k, k + _CHUNK)
-        block = price(ps.paths[:, rows], rows)
-        _finite(ps.paths[:, rows], "price in " + _window(fs), block)
-        if k == 0:
-            first = prev = block[:, 0]
-        with np.errstate(over="ignore"):  # raised below
-            steps = np.diff(block, axis=1, prepend=prev[:, None])
-        np.maximum(max_inc, np.abs(steps).max(axis=1), out=max_inc)
-        prev = block[:, -1]
-    with np.errstate(invalid="ignore", over="ignore"):
-        total = prev - first
+    # window's nodes never fall before the valuation time
+    ends = ps.paths[:, [0, -1]]
+    prices = _window_prices(model, ends, np.minimum(ps.times[[0, -1]], fs.T1), fs)
+    _finite(ends, "price in " + _window(fs), prices)
+    with np.errstate(invalid="ignore", over="ignore"):  # raised below
+        total = prices[:, 1] - prices[:, 0]
         drift_estimate = float(np.mean(total))
         std_error = (float(np.std(total, ddof=1) / np.sqrt(ps.n_paths))
                      if ps.n_paths > 1 else 0.0)
-    max_abs_increment = float(np.max(max_inc))
-    if not np.isfinite([max_abs_increment, drift_estimate, std_error]).all():
+    if not np.isfinite([drift_estimate, std_error]).all():
         raise ValueError("price increments leave the double range in " + _window(fs))
     if std_error > 0.0:
         z = drift_estimate / std_error
     else:
         z = 0.0 if drift_estimate == 0.0 else float("inf") * np.sign(drift_estimate)
-    return MartingaleTestResult(
-        drift_estimate=drift_estimate, std_error=std_error, z_score=float(z),
-        max_abs_increment=max_abs_increment, n_paths=ps.n_paths)
+    return MartingaleTestResult(drift_estimate=drift_estimate, std_error=std_error,
+                                z_score=float(z), n_paths=ps.n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -709,11 +691,15 @@ def scc_loop(model: CurveFamily, observed: PathSet, grid,
 
     ``sigma_override`` replaces the estimate with the covariance of a
     prescribed sigma (useful for stress-testing a perturbed estimate).
-    ``n_y_samples``, an integer >= 1, caps the number of sampled states.
+    ``n_y_samples``, an integer >= 1, caps the number of sampled states;
+    ``tol`` is a finite number >= 0.
     """
     _states(observed.paths, model.d)
     if _integer(n_y_samples, "n_y_samples") < 1:
         raise ValueError(f"n_y_samples must be >= 1, got {n_y_samples}")
+    # a NaN or negative tol would fail every state: a configuration error
+    if not 0.0 <= _number(tol, "tol") < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if sigma_override is not None:
         sigma_sq = cov = _covariance(sigma_override, model.d)
         projected = False

@@ -540,6 +540,17 @@ def test_a_value_outside_the_double_range_at_a_finite_gradient_exits_2_naming_it
     assert list((tmp_path / "out").iterdir()) == []
 
 
+def test_a_reconstruction_outside_the_double_range_exits_2_naming_its_state(tmp_path, capfd):
+    # the cubic map's eta grows with y: 100 RK4 steps towards y = [1e120, 0]
+    # leave the double range in the first one
+    raw = json.loads((SCENARIOS / "custom_affine.json").read_text())
+    raw.update(reconstruct={"y": [1e120, 0.0], "n_steps": 100}, output_dir=str(tmp_path / "out"))
+    assert main(["reconstruct", "--scenario", write_scenario(tmp_path, raw)]) == 2
+    assert capfd.readouterr() == ("error: reconstruction is non-finite at t=0.01, "
+                                  "the ray state t*y=[1e+118, 0.0]\n", "")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["simulate", "martingale-test", "estimate-vol"])
 @pytest.mark.parametrize("model, y0, message", [
     ({"builtin": "affine1-exp-expmap"}, 800.0,

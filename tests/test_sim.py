@@ -656,8 +656,7 @@ def test_batch_prices_equal_single_state_prices_bit_for_bit(name):
     # martingale_test and price must report the same number for one state
     m = pricing_models()[name]
     Y = np.random.default_rng(37).uniform(-1.0, 1.0, (37, m.d))
-    price = sim._window_pricer(m, np.array([0.3]), FS12)
-    batch = price(Y[:, None, :], slice(None))[:, 0]
+    batch = sim._window_prices(m, Y[:, None, :], np.array([0.3]), FS12)[:, 0]
     assert np.array_equal(batch, [futures_price(m, y, 0.3, FS12) for y in Y])
 
 
@@ -696,15 +695,15 @@ def test_window_pricer_memory_does_not_grow_with_the_time_grid():
     ts = np.linspace(0.0, 0.5, 5001)
     table_bytes = ts.size * N_QUAD * 8
     m = builtin_models()["affine3-cubic"]
+    Y = np.full((1, ts.size, m.d), 0.2)
     tracemalloc.start()
     try:
-        price = sim._window_pricer(m, ts, FS12)
+        prices = sim._window_prices(m, Y, ts, FS12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < table_bytes / 4
-    Y = np.full((1, 1, m.d), 0.2)
-    assert price(Y, slice(4000, 4001))[0, 0] == futures_price(m, Y[0, 0], ts[4000], FS12)
+    assert prices[0, 4000] == futures_price(m, Y[0, 4000], ts[4000], FS12)
 
 
 # -- martingale_test ----------------------------------------------------------------
@@ -734,11 +733,16 @@ def test_martingale_wrong_drift_large_z():
 
 
 def test_martingale_zero_vol_transport_is_deterministic():
+    # the price is constant along each path at every slice, and the test
+    # reads its terminal-minus-initial change
     m = simple_affine()
     spec = SdeSpec(d=1, drift=lambda y: -y, sigma=[[0.0]], y0=[1.0])
     ps = simulate(spec, 1e-5, 5e-4, 2, seed=0)
+    F = np.stack([futures_price(m, ps.paths[:, k], float(ps.times[k]), FS12)
+                  for k in range(ps.n_times)], axis=1)
+    assert np.abs(np.diff(F, axis=1)).max() <= 1e-10
     res = martingale_test(m, ps, FS12)
-    assert res.max_abs_increment <= 1e-10
+    assert res.drift_estimate == float(np.mean(F[:, -1] - F[:, 0]))
 
 
 def test_martingale_builds_no_curve_for_an_affine_model(monkeypatch):
@@ -769,32 +773,31 @@ def test_martingale_streams_its_price_slices():
 
 
 def reference_martingale(m, ps, fs):
-    """martingale_test's statistics from one futures_price call per path and slice."""
+    """martingale_test's statistics from one futures_price call per path at
+    the first and the last slice."""
     F = np.array([[futures_price(m, ps.paths[p, k], float(ps.times[k]), fs)
-                   for k in range(ps.n_times)] for p in range(ps.n_paths)])
+                   for k in (0, -1)] for p in range(ps.n_paths)])
     total = F[:, -1] - F[:, 0]
     drift = float(np.mean(total))
-    z = drift / float(np.std(total, ddof=1) / np.sqrt(ps.n_paths))
-    return drift, z, float(np.max(np.abs(np.diff(F, axis=1))))
+    return drift, drift / float(np.std(total, ddof=1) / np.sqrt(ps.n_paths))
 
 
 @pytest.mark.parametrize("n_steps", [100, 32])
 @pytest.mark.parametrize("name", ["affine3-cubic", "gaussian-example", "poly-trig-qe"])
 def test_martingale_equals_a_futures_price_loop_bit_for_bit(name, n_steps):
-    # 101 and 33 slices put a chunk boundary inside the run; the 7x7
-    # loading's exponentials are slices of a longer stack than in one
-    # futures_price call
+    # the 7x7 loading's exponentials are slices of a longer stack than in
+    # one futures_price call
     m = pricing_models()[name]
     ps = simulate(driftless(0.4, 0.2, d=m.d), 0.5 / n_steps, 0.5, 7, seed=11)
     res = martingale_test(m, ps, FS12)
-    assert (res.drift_estimate, res.z_score, res.max_abs_increment) == \
-        reference_martingale(m, ps, FS12)
+    assert (res.drift_estimate, res.z_score) == reference_martingale(m, ps, FS12)
 
 
-def test_martingale_evaluates_each_loading_once_per_call(monkeypatch):
+@pytest.mark.parametrize("n_steps", [1, 100])
+def test_martingale_evaluates_each_loading_once_per_call(monkeypatch, n_steps):
     # c and each u_k are averaged over the window once per call: one
-    # exponential stack per loading holds the N_QUAD window offsets and all
-    # sample times, however many chunks the slices are priced in
+    # exponential stack per loading holds the N_QUAD window offsets and the
+    # first and last sample times, however many sample times there are
     m = builtin_models()["affine3-cubic"]
     calls = []
     mat_exp = sim.mat_exp
@@ -805,10 +808,27 @@ def test_martingale_evaluates_each_loading_once_per_call(monkeypatch):
 
     monkeypatch.setattr(sim, "mat_exp", counted)
     monkeypatch.setattr(QEFunction, "eval_grid", None)  # no node table
-    ps = simulate(driftless(0.3, 0.1, d=3), 0.005, 0.5, 4, seed=2)
-    assert ps.n_times > sim._CHUNK
+    ps = simulate(driftless(0.3, 0.1, d=3), 0.5 / n_steps, 0.5, 4, seed=2)
     martingale_test(m, ps, FS12)
-    assert calls == [(f.A.shape, (N_QUAD + ps.n_times,)) for f in (m.c, *m.u)]
+    assert calls == [(f.A.shape, (N_QUAD + 2,)) for f in (m.c, *m.u)]
+
+
+@pytest.mark.parametrize("n_steps", [1, 100])
+def test_martingale_builds_two_curve_stacks_for_a_non_affine_family(monkeypatch, n_steps):
+    # one curve_matrix call per priced slice, the first and the last,
+    # each on the window's N_QUAD nodes for every path
+    m = builtin_models()["gaussian-example"]
+    curve_matrix = m.curve_matrix
+    calls = []
+
+    def counted(xs, Y):
+        calls.append((np.shape(xs), np.shape(Y)))
+        return curve_matrix(xs, Y)
+
+    monkeypatch.setattr(m, "curve_matrix", counted)
+    ps = simulate(driftless(0.3, 0.1), 0.5 / n_steps, 0.5, 4, seed=2)
+    martingale_test(m, ps, FS12)
+    assert calls == [((N_QUAD,), (4, 1))] * 2
 
 
 def test_pathset_rejects_zero_paths(tmp_path):
@@ -830,17 +850,23 @@ def nan_above(level):
 @pytest.mark.parametrize("k", [0, 4, 10, 40, pytest.param([4, 5], id="4+5")])
 def test_martingale_test_refuses_a_non_finite_price_naming_its_state(family, k):
     # a finite state where the price leaves the double range (e^800) or is
-    # NaN, on path 3 at the sample times k, after a finite outlier on path 1
+    # NaN, on path 3 at the sample times k, after a finite outlier on path 1.
+    # Only the first and the last slice (0 and 40) are priced: those are
+    # refused, and an interior state never enters the statistic
     ps = simulate(ou_spec(0.3), 0.0125, 0.5, 9, seed=16)
     paths = ps.paths.copy()
     paths[3, k, 0] = 800.0
     paths[1, 30, 0] = 600.0
     m = builtin_models()["affine1-exp-expmap"] if family == "overflow" else nan_above(700.0)
+    res = martingale_test(m, ps, FS12)
+    assert math.isfinite(res.z_score)
+    if k not in (0, 40):
+        assert martingale_test(m, PathSet(ps.times, paths, ps.seed), FS12) == res
+        return
     message = "price in the window [T1, T2]=[1.0, 2.0] is non-finite at y=[800.0]"
     with np.errstate(over="ignore"), pytest.raises(ValueError) as err:
         martingale_test(m, PathSet(ps.times, paths, ps.seed), FS12)
     assert str(err.value) == message
-    assert math.isfinite(martingale_test(m, ps, FS12).z_score)
 
 
 @pytest.mark.parametrize("y", [[1.7e308, -1.7e308], [-1.7e308, 0.0, 1.7e308]],
@@ -1502,8 +1528,7 @@ def test_the_non_finite_gates_never_fire_on_the_monte_carlo_pipeline(seed):
     spec = SdeSpec(d=2, drift=rn_drift(m, CUSTOM_SIGMA, grid), sigma=CUSTOM_SIGMA,
                    y0=raw["y_samples"][0])
     ps = simulate(spec, 0.005, 0.5, 200, seed)
-    res = martingale_test(m, ps, FS12)
-    assert np.isfinite([res.z_score, res.max_abs_increment]).all()
+    assert math.isfinite(martingale_test(m, ps, FS12).z_score)
     assert np.isfinite(estimate_vol(ps)).all()
     assert np.isfinite(scc_loop(m, ps, grid).max_residual)
 
@@ -1601,6 +1626,33 @@ def test_a_sigma_of_the_wrong_size_raises_naming_d(name):
         message = f"sigma needs shape (d, d) with d=2, got shape {shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             wrong_sigma_calls(sigma)[name]()
+
+
+@pytest.mark.parametrize("name", sorted(wrong_sigma_calls(None)))
+def test_a_sigma_outside_the_double_range_is_refused_naming_it(name):
+    # a non-finite entry made a NaN drift, or a residual error naming the
+    # state; a sigma sigma^T that overflows did the same, after a warning
+    for sigma, message in [
+            ([[math.nan, 0.0], [0.0, 1.0]],
+             "sigma must be finite, got sigma=[[nan, 0.0], [0.0, 1.0]]"),
+            ([[1.0, 0.0], [math.inf, 1.0]],
+             "sigma must be finite, got sigma=[[1.0, 0.0], [inf, 1.0]]"),
+            ([[1e200, 0.0], [0.0, 1.0]], "sigma sigma^T leaves the double range "
+                                         "at sigma=[[1e+200, 0.0], [0.0, 1.0]]")]:
+        with pytest.raises(ValueError) as err:
+            wrong_sigma_calls(sigma)[name]()
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, "1e-6", True])
+def test_scc_loop_refuses_a_tol_that_is_not_a_finite_number_at_least_0(tol):
+    # a NaN or negative tol failed every state: verdict False at residual 1e-16
+    m = builtin_models()["affine1-exp-identity"]
+    ps = simulate(SdeSpec(d=1, drift=rn_drift(m, [[1.0]], GRID),
+                          sigma=[[1.0]], y0=[0.5]), 1e-2, 0.5, 4, seed=2)
+    with pytest.raises(ValueError, match="^tol must be a"):
+        scc_loop(m, ps, GRID, tol=tol)
+    assert scc_loop(m, ps, GRID, tol=1e-12).verdict
 
 
 @pytest.mark.parametrize("n", [0, -3, 2.5, True])

@@ -93,6 +93,10 @@ def _covariance(sigma: np.ndarray, d: int) -> np.ndarray:
     sigma = np.atleast_2d(np.asarray(sigma, dtype=float))
     if sigma.shape != (d, d):
         raise ValueError(f"sigma needs shape (d, d) with d={d}, got shape {sigma.shape}")
+    # |a_ik| <= (sum of |sigma_ij|)^2, so a sum of at most 1e154 (a NaN or
+    # an inf is not) keeps every entry of a finite: no scope, no check
+    if sum(map(abs, sigma.ravel().tolist())) <= 1e154:
+        return sigma @ sigma.T
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
         cov = sigma @ sigma.T
     # a non-finite sigma[i, j] makes a[i, i] non-finite; math.isfinite is 3x faster here

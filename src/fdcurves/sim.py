@@ -36,7 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-from .families import AffineModel, CurveFamily, _finite, _grid_nodes, _simpson_weights, _states
+from .families import (AffineModel, CurveFamily, IdentityMap, _finite, _grid_nodes,
+                       _simpson_weights, _states)
 from .noarb import (DriftSolveResult, _covariance, _drift_stack, _project,
                     _solve_drift_cov)
 from .qe import (MatrixExponentialOverflowError, _integer, _number, _plain, _section,
@@ -67,7 +68,8 @@ class SdeSpec:
     all paths, each time with a fresh C-contiguous float array (n_paths, d)
     that it may keep or overwrite (only the Euler step writes the state),
     and must return that shape; a closed-form :class:`RiskNeutralDrift` is
-    evaluated on its component-major core instead, with the same bits.
+    evaluated on its component-major core instead, with the same bits and
+    the same errors.
     """
 
     d: int
@@ -416,12 +418,17 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     steps, in the normals' own buffer (see :func:`_noise`): each entry sums
     its own row in j order and no BLAS routine runs, so path p is the same
     bits whatever n_paths and whatever BLAS library. One loop steps every
-    drift with the state held component-major, (d, n_paths); beyond the
-    normals and the paths it holds O(n_paths d) floats. A closed-form
+    drift: step k writes the contiguous plane k + 1, (d, n_paths)
+    component-major, of a step-major buffer, and one transposing copy
+    writes the paths over the spent normals, drawn for one step more so
+    that they have the paths' shape; beyond the normals and the step-major
+    paths it holds O(n_paths d) floats. A closed-form
     :class:`RiskNeutralDrift` (``rn_drift`` of an affine model with
-    full-rank loadings) is evaluated on its core inside one ``np.errstate``
-    for the whole loop, with the bits of calling it; every other drift is
-    called as described above, under the caller's error state.
+    full-rank loadings) is evaluated on its core, with the bits of calling
+    it, inside one ``np.errstate`` silencing divide, invalid and overflow
+    for the whole loop; it is checked for finiteness once, after the loop,
+    with the errors of a per-step check. Every other drift is called as
+    described above, under the caller's error state.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -440,34 +447,53 @@ def simulate(spec: SdeSpec, dt: float, T: float, n_paths: int, seed: int) -> Pat
     if not 0 <= key < 2**64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     d = spec.d
-    noise = _noise(_normals(key, n_paths, n_steps, d), spec.sigma, math.sqrt(dt))
+    # normals for one step more than are read, so that their buffer has the
+    # paths' shape and later takes them; path p reads its own stream from
+    # counter 0, so the spare row changes no other value
+    noise = _noise(_normals(key, n_paths, n_steps + 1, d), spec.sigma, math.sqrt(dt))
 
-    paths = np.empty((n_paths, n_steps + 1, d))
-    paths[:, 0] = spec.y0
+    ys = np.empty((n_steps + 1, d, n_paths))
+    ys[0] = spec.y0[:, None]
     drift = spec.drift
     # one loop for every drift, rows(y, arg) at the state y (d, n_paths);
-    # only the closed form's division is silenced, so any other drift's
-    # numpy warnings surface as the caller has them set
-    if type(drift) is RiskNeutralDrift and drift._consts is not None:
-        _states(paths[:, 0], drift.model.d)  # the drift's own error for another width
+    # only the closed form's numpy warnings are silenced, so any other
+    # drift's surface as the caller has them set
+    closed = type(drift) is RiskNeutralDrift and drift._consts is not None
+    if closed:
+        _states(ys[0].T, drift.model.d)  # the drift's own error for another width
         rows, arg, silenced = drift._cm_rows, _planes(drift._consts, n_paths), "ignore"
     else:
         rows, arg, silenced = _called, drift, None
-    y = paths[:, 0].T.copy()  # its own buffer: the steps write into it
-    step = np.empty(y.shape)
-    with np.errstate(divide=silenced, invalid=silenced):
+    with np.errstate(divide=silenced, invalid=silenced, over=silenced):
         for k in range(n_steps):
+            y, nxt = ys[k], ys[k + 1]
             mu = rows(y, arg)
-            if not np.isfinite(mu).all():
-                bad = int(np.flatnonzero(~np.isfinite(mu).all(axis=0))[0])
-                raise SimulationError(
-                    f"drift returned non-finite values on path {bad} at t={k * dt:.6g}")
-            # y + mu dt + noise in that order, mu dt built in a reused buffer
-            np.multiply(mu, dt, out=step)
-            step += y
-            np.add(step, noise[:, k].T, out=y)
-            paths[:, k + 1] = y.T
+            # a closed form is checked once, after the loop
+            if not closed and not np.isfinite(mu).all():
+                raise _drift_error(mu, k, dt)
+            # y + mu dt + noise in that order, built in the step's own plane
+            np.multiply(mu, dt, out=nxt)
+            nxt += y
+            nxt += noise[:, k].T
+        # each step adds the state, so a non-finite entry stays non-finite
+        # to the horizon, where one min and max find it; the drift is then
+        # replayed from the step that made the first such state, for the
+        # error of a per-step check (if it stays finite, the PathSet's own)
+        if closed and not (math.isfinite(ys[-1].min()) and math.isfinite(ys[-1].max())):
+            first = int(np.flatnonzero(~np.isfinite(ys).all(axis=(1, 2)))[0])
+            for k in range(first - 1, n_steps):
+                mu = rows(ys[k], arg)
+                if not np.isfinite(mu).all():
+                    raise _drift_error(mu, k, dt)
+    paths = noise  # spent: the one transposing copy writes the paths over it
+    np.copyto(paths, ys.transpose(2, 0, 1))
     return PathSet(times=dt * np.arange(n_steps + 1), paths=paths, seed=key)
+
+
+def _drift_error(mu: np.ndarray, k: int, dt: float) -> SimulationError:
+    """The error for the non-finite drift rows mu (d, n) of step k."""
+    bad = int(np.flatnonzero(~np.isfinite(mu).all(axis=0))[0])
+    return SimulationError(f"drift returned non-finite values on path {bad} at t={k * dt:.6g}")
 
 
 def _called(y: np.ndarray, drift: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
@@ -747,7 +773,8 @@ class RiskNeutralDrift:
 
     with p, Q and the full-rank test from the projection of every drift
     solve, once here, where loadings that vanish on the grid raise
-    DegenerateFamilyError; it is non-finite where A'(y) = 0. The
+    DegenerateFamilyError; it is non-finite where A'(y) = 0. For the
+    identity factor map it computes p + Q y, the formula's bits. The
     closed form runs component-major on m states, reading its constants --
     the d columns of Q, p, 1/2 diag(a) and the factor map's c coefficient
     rows (c = 6 for the cubic map, 0 for the identity and exp maps) --
@@ -766,6 +793,7 @@ class RiskNeutralDrift:
         self.cov = _covariance(sigma, model.d)
         self.grid = grid
         self._consts = None  # the closed form's constants, if it has one
+        self._identity = False  # whether that closed form's factor map is the identity
         if isinstance(model, AffineModel):
             dc, U, dU = model._basis(_grid_nodes(grid))
             # a U that vanishes degenerates every state: the error names y = 0
@@ -776,6 +804,7 @@ class RiskNeutralDrift:
                 self._consts = np.vstack([pq[:, 1:].T, pq[:, 0],
                                           0.5 * np.diag(self.cov),
                                           model.factor_map.coefficients])
+                self._identity = type(model.factor_map) is IdentityMap
 
     def _cm_rows(self, yt: np.ndarray, planes: np.ndarray) -> np.ndarray:
         """The closed form's core: b (d, m), a fresh array, at the
@@ -783,7 +812,10 @@ class RiskNeutralDrift:
         It checks no width and enters no error-state scope: where A'(y) = 0
         numpy warns unless the caller has silenced divide and invalid."""
         d = self.model.d
-        A, dA, d2A = self.model.factor_map.cm_jet(yt, 2, planes[d + 2:])
+        if self._identity:
+            A = yt
+        else:
+            A, dA, d2A = self.model.factor_map.cm_jet(yt, 2, planes[d + 2:])
         # Q A(y) as a row-local sum in j order, not a matmul, so a row never
         # depends on the batch (A[j:j + 1] is (1, m), the planes' own shape
         # at d = 1); then (p + QA - A'' a/2) / A' in place, in that order
@@ -792,8 +824,11 @@ class RiskNeutralDrift:
         for j in range(1, d):
             qa += planes[j] * A[j:j + 1]
         qa += planes[d]
-        qa -= d2A * planes[d + 1]
-        qa /= dA
+        # the identity's A'' a/2 is 0 * (a_ii / 2 >= 0) = +0 and its A' is 1,
+        # and x - (+0) and x / 1 are x bit for bit, signed zeros and NaNs too
+        if not self._identity:
+            qa -= d2A * planes[d + 1]
+            qa /= dA
         return qa
 
     def __call__(self, y: np.ndarray) -> np.ndarray:

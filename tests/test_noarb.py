@@ -206,6 +206,24 @@ def test_rn_residual_refuses_a_drift_of_another_shape_than_y(y, b):
     assert str(err.value) == f"b needs the shape of y, {y.shape}, got {b.shape}"
 
 
+@pytest.mark.parametrize("sigma", [
+    [[1.0]], [[0.5, 0.0], [0.45, 0.2]], [[-0.0, 5e-324], [0.0, 0.0]],
+    [[5e153, -5e153], [0.0, 0.0]],   # |sigma| sums to 1e154: no error-state scope
+    [[1.3e154]], [[1e154, 1e153], [0.0, 2.0]],  # beyond it, a is still finite
+], ids=["one", "cholesky", "tiny", "at-bound", "one-past", "two-past"])
+def test_covariance_is_sigma_sigma_t_with_or_without_its_scope(sigma):
+    # a warning would be an error here, as would a scope that moved a bit
+    s = np.array(sigma)
+    assert noarb._covariance(sigma, s.shape[0]).tobytes() == (s @ s.T).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [[[1.35e154]], [[1e154, 1e154], [0.0, 1.0]]])
+def test_covariance_past_the_double_range_is_refused_naming_sigma(sigma):
+    with pytest.raises(ValueError) as err:
+        noarb._covariance(sigma, len(sigma))
+    assert str(err.value) == f"sigma sigma^T leaves the double range at sigma={sigma!r}"
+
+
 def test_solve_drift_sigma_independent_for_identity_maps():
     # zero Hessian kills the diffusion term: b is the same for every sigma
     for name in ("affine1-exp-identity", "affine2-identity", "affine2-oscillator"):

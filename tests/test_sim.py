@@ -1,5 +1,6 @@
 """Simulation, futures pricing, martingale and volatility statistics."""
 
+import hashlib
 import json
 import math
 import os
@@ -462,6 +463,130 @@ def test_simulate_bits_do_not_depend_on_the_blas_thread_count():
                               capture_output=True, text=True, timeout=120, check=True)
         out.append(proc.stdout)
     assert out[0] == out[1] and len(out[0].split()) == 2
+
+
+def mc_verify_spec(case):
+    # the two cases of the benchmark's mc_verify workload
+    if case == "A":
+        data, sigma = json.loads((SCENARIOS / "affine_demo.json").read_text()), [[1.0]]
+        y0 = data["sim"]["y0"]
+    else:
+        data, sigma = json.loads((SCENARIOS / "custom_affine.json").read_text()), CUSTOM_SIGMA
+        y0 = data["y_samples"][0]
+    model = model_from_dict(data["model"])
+    return SdeSpec(d=model.d, sigma=sigma, y0=y0, drift=rn_drift(
+        model, np.array(sigma), XGrid.from_dict(data["grid"])))
+
+
+def identity3():
+    E = QEFunction.exponential
+    return AffineModel(c=E(-1.0), u=[E(-1.0), E(-2.0), E(-3.0)], factor_map=IdentityMap(3))
+
+
+# SHA-256 of the paths: a change to the Euler loop's layout or checks keeps them
+@pytest.mark.parametrize("case, seed, digest", [
+    ("A", 0, "e75464aa930e8b6eb683deca37bae43db4062b8425471174c287d673acc6467e"),
+    ("A", 1, "4948bb2652b14ac213f99fcdb86d29e4356b63e58b60e906e2e04d9f13f75c4b"),
+    ("A", 2, "aa974640185a0b88358ea0797d115ff6e664773fac0cd2467bb6fa5026a57119"),
+    ("B", 0, "0976462d1378db374c78d119390bc523d6dac54d19269f48dc97941313a10167"),
+    ("B", 1, "2be3742e61c8181bc442090cd6c9ec1ba280fb32bf6aa40feb5e1232197c4103"),
+    ("B", 2, "4ebbcb13b03b0a05c243410a5d91e2650b0fe71d90873b45227c7014897d9ff7"),
+])
+def test_mc_verify_paths_keep_their_bits(case, seed, digest):
+    ps = simulate(mc_verify_spec(case), 0.005, 0.5, 200, seed)
+    assert hashlib.sha256(ps.paths.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("affine2-identity", "9f4b29c784fd9ce5e24a3e44be38da7b371f039b000e24b1434d4bef6d5a6129"),
+    ("affine2-oscillator", "3661623c9847f939a1b3036b9caba4d0bb40c60abdce8101caf31dca603ad85e"),
+    ("identity3", "10f98a7b33cfc8c4acbab8ad3772f2758b334686c6caa87253d501c242acaa94"),
+])
+def test_identity_map_paths_keep_their_bits(name, digest):
+    m = identity3() if name == "identity3" else builtin_models()[name]
+    sigma = np.tril(0.3 * np.ones((m.d, m.d))) + 0.4 * np.eye(m.d)
+    spec = SdeSpec(d=m.d, drift=rn_drift(m, sigma, GRID), sigma=sigma,
+                   y0=np.linspace(-0.2, 0.3, m.d))
+    ps = simulate(spec, 0.01, 0.2, 50, 5)
+    assert hashlib.sha256(ps.paths.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["affine1-exp-identity", "affine2-identity",
+                                  "affine2-oscillator", "identity3"])
+def test_identity_core_is_the_general_closed_form_bit_for_bit(name):
+    # the identity's core skips "- A'' a/2" (A'' = 0) and "/ A'" (A' = 1); the
+    # reference runs them on the map's own jet, in the general formula's order
+    m = identity3() if name == "identity3" else builtin_models()[name]
+    sigma = np.tril(0.3 * np.ones((m.d, m.d))) + 0.4 * np.eye(m.d)
+    drift = rn_drift(m, sigma, GRID)
+    assert drift._identity
+    values = [0.0, -0.0, 1e150, -1e150, np.inf, -np.inf, np.nan, 0.3, -5e-324]
+    yt = np.array(np.meshgrid(*[values] * m.d)).reshape(m.d, -1)
+    planes = sim._planes(drift._consts, yt.shape[1])
+    A, dA, d2A = m.factor_map.cm_jet(yt, 2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = planes[0] * A[:1]
+        for j in range(1, m.d):
+            ref += planes[j] * A[j:j + 1]
+        ref += planes[m.d]
+        ref -= d2A * planes[m.d + 1]
+        ref /= dA
+        core = drift._cm_rows(yt, planes)
+    assert core.tobytes() == ref.tobytes()
+    assert drift(yt.T).tobytes() == np.ascontiguousarray(ref.T).tobytes()
+
+
+def growing_identity():
+    # Q = 1 and p = 0: the drift is y itself
+    return AffineModel(c=QEFunction.constant(0.0), u=[QEFunction.exponential(1.0)],
+                       factor_map=IdentityMap(1))
+
+
+# a closed-form drift is checked once, after the last step, and replayed to
+# give these errors, those of a check at every step
+@pytest.mark.parametrize("model, y0, dt, T, seed, error, message", [
+    # exp(y) overflows past y = 709.78: b = (p + Q A - A'' a/2) / A' leaves the
+    # double range at a finite state, at step 0 or an interior step
+    ("affine1-exp-expmap", 709.5, 0.01, 0.5, 3, SimulationError,
+     "drift returned non-finite values on path 0 at t=0"),
+    ("affine1-exp-expmap", 709.0, 0.01, 0.5, 3, SimulationError,
+     "drift returned non-finite values on path 4 at t=0.06"),
+    ("affine1-exp-expmap", 709.0, 0.01, 0.5, 4, SimulationError,
+     "drift returned non-finite values on path 12 at t=0.03"),
+    # the state overflows while its drift is finite (y = 1.5e308 + 0.75e308),
+    # and the drift at the infinite state is the next step's
+    ("growing", 1e308, 0.5, 2.0, 0, SimulationError,
+     "drift returned non-finite values on path 0 at t=1"),
+    # the same overflow at the last step: the path set refuses the state
+    ("growing", 1e308, 0.5, 1.0, 0, ValueError,
+     "path 0 is non-finite at times[2] = 1.0: y=[inf]"),
+], ids=["drift-at-step-0", "drift-at-step-6", "drift-at-step-3", "state-then-drift",
+        "state-at-last-step"])
+def test_closed_form_errors_are_those_of_a_per_step_check(model, y0, dt, T, seed, error,
+                                                          message):
+    m = growing_identity() if model == "growing" else builtin_models()[model]
+    spec = SdeSpec(d=1, drift=rn_drift(m, [[1.0]], GRID), sigma=[[1.0]], y0=[y0])
+    # no numpy warning either: pytest turns one into an error
+    with pytest.raises(error) as err:
+        simulate(spec, dt, T, 20 if seed else 3, seed)
+    assert str(err.value) == message
+
+
+def test_a_drift_without_a_closed_form_is_not_called_after_a_non_finite_step():
+    calls = []
+
+    def nan_at_step_3(y):
+        calls.append(len(calls))
+        out = -0.5 * y
+        if len(calls) == 4:
+            out[2, 1] = np.nan
+        return out
+
+    spec = SdeSpec(d=2, drift=nan_at_step_3, sigma=np.eye(2), y0=[0.0, 0.0])
+    with pytest.raises(SimulationError) as err:
+        simulate(spec, 0.01, 0.1, 5, seed=0)
+    assert str(err.value) == "drift returned non-finite values on path 2 at t=0.03"
+    assert calls == [0, 1, 2, 3]
 
 
 # -- PathSet persistence ---------------------------------------------------------
